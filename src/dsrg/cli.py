@@ -9,7 +9,8 @@ instead of a fabricated graph.
 
 DSRG_BUDGET in the environment overrides the default block budget of
 the builders and the default node budget of the isomorphism search;
-explicit flags win over the environment.
+explicit flags win over the environment.  Only the commands that take a
+budget read it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .digraph import Digraph, verify_dsrg, duval_multiple
+from .digraph import Digraph, _blow_up, verify_dsrg
 from .errors import DsrgError, NotFeasibleError, NotPrimePowerError
 from .families import (
     AffineResolvable,
@@ -142,9 +143,11 @@ def catalog_rows(max_order: int = 110, families: tuple[str, ...] | None = None,
         rows.append(CatalogRow(got, spec.name, spec.describe(),
                                got == expected, _safe_spectrum(got)))
         if got.t == got.mu:
+            # d is verified with t = mu just above, so each multiple is
+            # built without verifying d again and verified once itself
             m = 2
             while m <= multiples and m * got.v <= max_order:
-                got_m = verify_dsrg(duval_multiple(d, m))
+                got_m = verify_dsrg(_blow_up(d, m))
                 rows.append(CatalogRow(got_m, spec.name, f"{spec.describe()};m={m}",
                                        got_m == expected.scaled(m), _safe_spectrum(got_m)))
                 m += 1
@@ -233,8 +236,9 @@ def _spec_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 def cmd_build(args, parser) -> int:
     spec = _spec_from_args(args, parser)
+    block_budget = _budget_arg(args.block_budget, DEFAULT_BLOCK_BUDGET, parser)
     expected = expected_params(spec)
-    d = build_digraph(spec, block_budget=args.block_budget)
+    d = build_digraph(spec, block_budget=block_budget)
     got = verify_dsrg(d)
     if args.out:
         Path(args.out).write_text(d.to_dgr())
@@ -242,7 +246,7 @@ def cmd_build(args, parser) -> int:
         Path(args.edges_out).write_text(d.to_edge_list())
     if args.structure_out:
         Path(args.structure_out).write_text(
-            to_json(build_structure(spec, block_budget=args.block_budget)))
+            to_json(build_structure(spec, block_budget=block_budget)))
     if got == expected:
         print(f"{got} verified")
         return 0
@@ -274,8 +278,9 @@ def cmd_catalog(args, parser) -> int:
         unknown = set(families) - set(FAMILY_NAMES)
         if unknown:
             parser.error(f"unknown families: {', '.join(sorted(unknown))}")
+    block_budget = _budget_arg(args.block_budget, DEFAULT_BLOCK_BUDGET, parser)
     rows = catalog_rows(max_order=args.max_order, families=families,
-                        multiples=args.multiples, block_budget=args.block_budget)
+                        multiples=args.multiples, block_budget=block_budget)
     sys.stdout.write(render_table(rows))
     if args.csv:
         Path(args.csv).write_text(render_csv(rows))
@@ -283,9 +288,10 @@ def cmd_catalog(args, parser) -> int:
 
 
 def cmd_iso(args, parser) -> int:
+    budget = _budget_arg(args.budget, DEFAULT_NODE_BUDGET, parser)
     d1 = _load_digraph(args.path1)
     d2 = _load_digraph(args.path2)
-    result = are_isomorphic(d1, d2, budget=args.budget)
+    result = are_isomorphic(d1, d2, budget=budget)
     if result.status == ISOMORPHIC:
         print("ISOMORPHIC")
         for u, v in enumerate(result.mapping):
@@ -312,14 +318,33 @@ def cmd_spectrum(args, parser) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _env_budget(default: int) -> int:
+def _budget(raw: str) -> int:
+    """argparse type of a budget flag: a nonnegative integer."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _budget_arg(flag: int | None, default: int, parser: argparse.ArgumentParser) -> int:
+    """The flag if given, else DSRG_BUDGET, else the default.
+
+    Read only by the commands that take a budget, so a bad value
+    cannot break the others.
+    """
+    if flag is not None:
+        return flag
     raw = os.environ.get("DSRG_BUDGET")
     if raw is None:
         return default
     try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"DSRG_BUDGET must be an integer, got {raw!r}")
+        return _budget(raw)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"DSRG_BUDGET: {exc}")
+        raise AssertionError  # parser.error exits
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", help="write the digraph in dgr/1 format")
     p_build.add_argument("--edges-out", help="write the digraph as an edge list")
     p_build.add_argument("--structure-out", help="write the incidence structure as JSON")
-    p_build.add_argument("--block-budget", type=int,
-                         default=_env_budget(DEFAULT_BLOCK_BUDGET))
+    p_build.add_argument("--block-budget", type=_budget)
 
     p_verify = sub.add_parser("verify", help="verify a digraph file")
     p_verify.add_argument("path")
@@ -349,13 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("--multiples", type=int, default=13,
                        help="largest tensor multiple per instance")
     p_cat.add_argument("--csv", help="also write the rows as CSV")
-    p_cat.add_argument("--block-budget", type=int,
-                       default=_env_budget(DEFAULT_BLOCK_BUDGET))
+    p_cat.add_argument("--block-budget", type=_budget)
 
     p_iso = sub.add_parser("iso", help="decide isomorphism of two digraph files")
     p_iso.add_argument("path1")
     p_iso.add_argument("path2")
-    p_iso.add_argument("--budget", type=int, default=_env_budget(DEFAULT_NODE_BUDGET))
+    p_iso.add_argument("--budget", type=_budget)
 
     p_spec = sub.add_parser("spectrum", help="integer spectrum of a parameter tuple")
     for name in ("v", "k", "t", "lam", "mu"):

@@ -1,17 +1,20 @@
 """Loopless digraphs as packed bit rows, with exact DSRG verification.
 
-Row u is a Python int whose bit v is set iff there is an edge u -> v,
-so entries of A^2 are popcounts of row & column intersections and the
-whole verification runs in exact integer arithmetic.  The anti-flag
-builders take an incidence structure, number its non-incident
-(point, block) pairs in lexicographic order, and wire edges by the
-four membership rules; the verifier recovers (v, k, t, lambda, mu)
-from A^2 entry by entry rather than trusting any formula.
+Row u is a Python int whose bit v is set iff there is an edge u -> v.
+The anti-flag builders take an incidence structure, number its
+non-incident (point, block) pairs in lexicographic order, and wire
+edges by the four membership rules.  The verifier recovers
+(v, k, t, lambda, mu) from A^2 rather than trusting any formula: row u
+of A^2 is the sum of rows[v] over the out-neighbours v of u, held as
+bit planes (plane i is an n-bit int with bit i of every count), so a
+whole row is added and compared with a few wide-int operations and the
+whole verification runs in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import (
     DegenerateError,
@@ -83,9 +86,9 @@ class Digraph:
 
     def to_dgr(self) -> str:
         """dgr/1: a line with n, then n lines of n characters from {0,1}."""
+        width = f"0{self.n}b"
         lines = [str(self.n)]
-        for row in self.rows:
-            lines.append("".join("1" if (row >> v) & 1 else "0" for v in range(self.n)))
+        lines.extend(format(row, width)[::-1] for row in self.rows)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -104,9 +107,13 @@ class Digraph:
         rows = []
         for u in range(n):
             line = lines[1 + u].strip()
-            if len(line) != n or set(line) - {"0", "1"}:
+            # only 0s and 1s: checked before int(), which also takes "_" and signs
+            if len(line) != n or line.count("0") + line.count("1") != n:
                 raise FormatError(2 + u, f"expected {n} characters from {{0,1}}")
-            rows.append(sum(1 << v for v, ch in enumerate(line) if ch == "1"))
+            rows.append(int(line[::-1], 2))
+        for i in range(n + 1, len(lines)):
+            if lines[i].strip():
+                raise FormatError(1 + i, f"unexpected text after the {n} adjacency rows")
         return cls(n, tuple(rows))
 
     def to_edge_list(self) -> str:
@@ -139,6 +146,10 @@ class Digraph:
         for u, v in edges:
             rows[u] |= 1 << v
         return cls(top + 1, tuple(rows))
+
+
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def _bits(mask: int) -> list[int]:
@@ -247,12 +258,57 @@ def build_partition_spiked(s: IncidenceStructure) -> Digraph:
 # verification and the multiple construction
 # ---------------------------------------------------------------------------
 
+def _add(planes: list[int], x: int) -> None:
+    """Add the 0/1 vector x to the counters held as bit planes.
+
+    Ripple carry: plane i takes the sum bit, the carry moves up, and
+    the loop stops as soon as no position carries.
+    """
+    for i, plane in enumerate(planes):
+        planes[i] = plane ^ x
+        x &= plane
+        if not x:
+            return
+    if x:
+        planes.append(x)
+
+
+def _square_row(rows: tuple[int, ...], row: int) -> list[int]:
+    """The row of A^2 of a vertex with out-row `row`, as bit planes."""
+    planes: list[int] = []
+    for v in _bits(row):
+        _add(planes, rows[v])
+    return planes
+
+
+def _value_planes(parts: list[tuple[int, int]], width: int) -> list[int]:
+    """Bit planes of the vector that equals `value` on each disjoint `mask`."""
+    return [sum(mask for value, mask in parts if (value >> i) & 1) for i in range(width)]
+
+
+def _differ(got: list[int], want: list[int]) -> int:
+    """Mask of the positions where two plane stacks hold different counts."""
+    diff = 0
+    for a, b in zip_longest(got, want, fillvalue=0):
+        diff |= a ^ b
+    return diff
+
+
+def _count(planes: list[int], w: int) -> int:
+    return sum(((plane >> w) & 1) << i for i, plane in enumerate(planes))
+
+
 def verify_dsrg(d: Digraph) -> DsrgParams:
     """Recover (v, k, t, lambda, mu) from A^2, or raise with a witness.
 
-    Checks, in order: constant in- and out-degree k; the graph is
-    neither empty nor complete; A^2 is constant on the diagonal (t),
-    on edges (lambda) and on off-diagonal non-edges (mu).
+    Checks, in order: constant out-degree k, before any n^2 work;
+    in-degree k, from one bit-sliced sum of all rows; the graph is
+    neither empty nor complete; then, row by row, that row u of A^2
+    equals t*e_u + lambda*A_u + mu*(J - I - A)_u.  t, lambda and mu are
+    read from row 0: its diagonal, its first edge and its first
+    off-diagonal non-edge.  A failing row names the lowest column that
+    differs as the witness.  Rows of A^2 depend only on the out-row, so
+    each distinct out-row is summed once per call.
     """
     n = d.n
     if n < 2:
@@ -260,44 +316,64 @@ def verify_dsrg(d: Digraph) -> DsrgParams:
     if n > MAX_VERIFY_ORDER:
         raise TooLargeError(f"verification capped at {MAX_VERIFY_ORDER} vertices")
     rows = d.rows
-    cols = d.columns()
+    full = (1 << n) - 1
     k = rows[0].bit_count()
-    for u in range(n):
-        if rows[u].bit_count() != k:
-            raise NotRegularError(u, f"out-degree {rows[u].bit_count()} != {k}")
-    for u in range(n):
-        if cols[u].bit_count() != k:
-            raise NotRegularError(u, f"in-degree {cols[u].bit_count()} != {k}")
+    for u, row in enumerate(rows):
+        if row.bit_count() != k:
+            raise NotRegularError(u, f"out-degree {row.bit_count()} != {k}")
+    in_degrees: list[int] = []
+    for row in rows:
+        _add(in_degrees, row)
+    bad = _differ(in_degrees, _value_planes([(k, full)], k.bit_length()))
+    if bad:
+        v = _low_bit(bad)
+        raise NotRegularError(v, f"in-degree {_count(in_degrees, v)} != {k}")
     if k == 0:
         raise DegenerateError("graph is empty; mu is unconstrained")
     if k == n - 1:
         raise DegenerateError("graph is complete; mu is unconstrained")
 
-    t = (rows[0] & cols[0]).bit_count()
-    for u in range(1, n):
-        tu = (rows[u] & cols[u]).bit_count()
-        if tu != t:
-            raise NonConstantError("t", u, f"diagonal entry {tu} != {t}")
-
-    lam = mu = None
-    for u in range(n):
-        row = rows[u]
-        for w in range(n):
-            if u == w:
-                continue
-            paths = (row & cols[w]).bit_count()
+    first = _square_row(rows, rows[0])
+    t = _count(first, 0)
+    lam = _count(first, _low_bit(rows[0]))
+    mu = _count(first, _low_bit(full ^ rows[0] ^ 1))
+    width = max(t, lam, mu).bit_length()
+    # out-row -> (columns differing from lambda on the row and mu off it,
+    #             columns differing from lambda on the row and t off it);
+    # the diagonal of vertex u is the one off-row column held to t
+    seen: dict[int, tuple[int, int]] = {}
+    for u, row in enumerate(rows):
+        masks = seen.get(row)
+        if masks is None:
+            got = _square_row(rows, row) if u else first
+            off = full ^ row
+            masks = (_differ(got, _value_planes([(lam, row), (mu, off)], width)),
+                     _differ(got, _value_planes([(lam, row), (t, off)], width)))
+            seen[row] = masks
+        diag = 1 << u
+        bad = (masks[0] & ~diag) | (masks[1] & diag)
+        if bad:
+            w = _low_bit(bad)
+            value = _count(_square_row(rows, row), w)
+            if w == u:
+                raise NonConstantError("t", u, f"diagonal entry {value} != {t}")
             if (row >> w) & 1:
-                if lam is None:
-                    lam = paths
-                elif paths != lam:
-                    raise NonConstantError("lambda", (u, w), f"entry {paths} != {lam}")
-            else:
-                if mu is None:
-                    mu = paths
-                elif paths != mu:
-                    raise NonConstantError("mu", (u, w), f"entry {paths} != {mu}")
-    assert lam is not None and mu is not None
+                raise NonConstantError("lambda", (u, w), f"entry {value} != {lam}")
+            raise NonConstantError("mu", (u, w), f"entry {value} != {mu}")
     return DsrgParams(n, k, t, lam, mu)
+
+
+def _blow_up(d: Digraph, m: int) -> Digraph:
+    """A tensor J_m, unchecked: vertex u becomes u*m .. u*m + m - 1."""
+    if m == 1:
+        return d
+    # bit v of a row becomes bits v*m .. v*m + m - 1
+    spread = str.maketrans({"0": "0" * m, "1": "1" * m})
+    width = f"0{d.n}b"
+    rows = []
+    for row in d.rows:
+        rows.extend([int(format(row, width).translate(spread), 2)] * m)
+    return Digraph(d.n * m, tuple(rows))
 
 
 def duval_multiple(d: Digraph, m: int) -> Digraph:
@@ -305,26 +381,19 @@ def duval_multiple(d: Digraph, m: int) -> Digraph:
 
     Sends a verified graph with t = mu to one with parameters scaled
     by m; the diagonal blocks stay zero because the base graph is
-    loopless, so the result is again loopless.
+    loopless, so the result is again loopless.  The base graph is
+    verified here; the result is not, so verify_dsrg it to prove its
+    parameters.
     """
     if m < 1:
         raise ValueError(f"multiplier must be positive, got {m}")
+    if d.n * m > MAX_VERIFY_ORDER:
+        raise TooLargeError(f"{d.n} x {m} vertices exceed the verification cap "
+                            f"of {MAX_VERIFY_ORDER}")
     try:
         base = verify_dsrg(d)
     except DsrgError as exc:
         raise NotDsrgError(f"input graph is not a DSRG: {exc}") from exc
     if base.t != base.mu:
         raise TNotMuError(f"need t = mu, got t={base.t}, mu={base.mu}")
-    if m == 1:
-        return d
-    block = (1 << m) - 1
-    rows = []
-    for u in range(d.n):
-        row = 0
-        for v in _bits(d.rows[u]):
-            row |= block << (v * m)
-        rows.extend([row] * m)
-    out = Digraph(d.n * m, tuple(rows))
-    got = verify_dsrg(out)
-    assert got == base.scaled(m), f"blow-up verified to {got}, expected {base.scaled(m)}"
-    return out
+    return _blow_up(d, m)

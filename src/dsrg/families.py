@@ -303,7 +303,8 @@ def build_digraph(spec: FamilySpec, block_budget: int = DEFAULT_BLOCK_BUDGET) ->
     structure = build_structure(spec, block_budget=block_budget)
     match spec:
         case Gdd(m=m):
-            return duval_multiple(build_antiflag_forward(structure), m)
+            d = build_antiflag_forward(structure)
+            return d if m == 1 else duval_multiple(d, m)
         case PartitionSpiked():
             return build_partition_spiked(structure)
         case TwoDesignBackLoopy():

@@ -8,11 +8,24 @@ most one line, constant tau >= 1 over anti-flags), group divisibility
 positive number of times) and 2-designs (constant block size >= 2,
 replication and positive pair count).  Each checker returns a tuple on
 success and None on rejection.
+
+popcount_verify_dsrg is the first DSRG verifier, one popcount per entry
+of A^2, kept as the reference for the bit-sliced verifier; witness_problem
+recounts a rejection's witness from the 0/1 matrix.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from dsrg import (
+    DegenerateError,
+    DsrgParams,
+    NonConstantError,
+    NotRegularError,
+    TooLargeError,
+)
+from dsrg.digraph import MAX_VERIFY_ORDER
 
 
 def brute_pg(num_points, blocks):
@@ -97,3 +110,102 @@ def schoolbook_square(adj):
 def dense(d):
     """Digraph to a list-of-lists 0/1 matrix."""
     return [[1 if (d.rows[u] >> v) & 1 else 0 for v in range(d.n)] for u in range(d.n)]
+
+
+def walks2(adj, x, y):
+    """A^2[x][y] of a 0/1 matrix: the number of walks x -> z -> y."""
+    return sum(adj[x][z] * adj[z][y] for z in range(len(adj)))
+
+
+def witness_problem(adj, exc):
+    """None iff the rejection `exc` names a real break of the DSRG conditions.
+
+    k, t, lambda and mu are the out-degree and A^2 entries of row 0:
+    its diagonal, its first edge and its first off-diagonal non-edge.
+    The message must quote the recounted value at the witness.
+    """
+    n = len(adj)
+    k = sum(adj[0])
+    if isinstance(exc, NotRegularError):
+        v = exc.vertex
+        out_deg = sum(adj[v])
+        in_deg = sum(adj[x][v] for x in range(n))
+        if out_deg != k and f"out-degree {out_deg} != {k}" in str(exc):
+            return None
+        if in_deg != k and f"in-degree {in_deg} != {k}" in str(exc):
+            return None
+        return f"vertex {v} has out-degree {out_deg}, in-degree {in_deg}, k={k}: {exc}"
+    if not isinstance(exc, NonConstantError):
+        return f"unexpected rejection {exc!r}"
+    if exc.which == "t":
+        x = y = exc.witness
+        ref = (0, 0)
+        quote = "diagonal entry"
+    else:
+        x, y = exc.witness
+        edge = exc.which == "lambda"
+        ref = (0, next(w for w in range(1, n) if adj[0][w] == edge))
+        quote = "entry"
+        if x == y or adj[x][y] != edge:
+            return f"{exc.witness} is not a {exc.which} entry"
+    got, want = walks2(adj, x, y), walks2(adj, *ref)
+    if got == want:
+        return f"A^2 at {exc.witness} equals A^2 at {ref}"
+    if f"{quote} {got} != {want}" not in str(exc):
+        return f"message does not quote A^2 = {got} against {want}: {exc}"
+    return None
+
+
+def popcount_verify_dsrg(d) -> DsrgParams:
+    """The package's first verify_dsrg, kept verbatim as the reference.
+
+    Recovers (v, k, t, lambda, mu) from A^2, or raises with a witness.
+
+    Checks, in order: constant in- and out-degree k; the graph is
+    neither empty nor complete; A^2 is constant on the diagonal (t),
+    on edges (lambda) and on off-diagonal non-edges (mu).
+    """
+    n = d.n
+    if n < 2:
+        raise ValueError("need at least 2 vertices")
+    if n > MAX_VERIFY_ORDER:
+        raise TooLargeError(f"verification capped at {MAX_VERIFY_ORDER} vertices")
+    rows = d.rows
+    cols = d.columns()
+    k = rows[0].bit_count()
+    for u in range(n):
+        if rows[u].bit_count() != k:
+            raise NotRegularError(u, f"out-degree {rows[u].bit_count()} != {k}")
+    for u in range(n):
+        if cols[u].bit_count() != k:
+            raise NotRegularError(u, f"in-degree {cols[u].bit_count()} != {k}")
+    if k == 0:
+        raise DegenerateError("graph is empty; mu is unconstrained")
+    if k == n - 1:
+        raise DegenerateError("graph is complete; mu is unconstrained")
+
+    t = (rows[0] & cols[0]).bit_count()
+    for u in range(1, n):
+        tu = (rows[u] & cols[u]).bit_count()
+        if tu != t:
+            raise NonConstantError("t", u, f"diagonal entry {tu} != {t}")
+
+    lam = mu = None
+    for u in range(n):
+        row = rows[u]
+        for w in range(n):
+            if u == w:
+                continue
+            paths = (row & cols[w]).bit_count()
+            if (row >> w) & 1:
+                if lam is None:
+                    lam = paths
+                elif paths != lam:
+                    raise NonConstantError("lambda", (u, w), f"entry {paths} != {lam}")
+            else:
+                if mu is None:
+                    mu = paths
+                elif paths != mu:
+                    raise NonConstantError("mu", (u, w), f"entry {paths} != {mu}")
+    assert lam is not None and mu is not None
+    return DsrgParams(n, k, t, lam, mu)

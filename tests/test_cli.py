@@ -1,6 +1,7 @@
 import pytest
 
-from dsrg import Digraph, build_antiflag_forward, build_gdd, from_json, bundled_iso_fixture
+from dsrg import (Digraph, build_antiflag_forward, build_gdd, bundled_iso_fixture, from_json,
+                  verify_dsrg)
 from dsrg.cli import CSV_HEADER, catalog_rows, main, render_csv
 
 
@@ -66,6 +67,35 @@ def test_build_env_budget(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "build", "--family", "gdd", "--l", "2", "--q", "3",
                           "--block-budget", "1000")
     assert code == 0
+
+
+def test_build_multiple_size_guard(capsys):
+    code, _, stderr = run(capsys, "build", "--family", "gdd", "--l", "2", "--q", "3",
+                          "--m", "100000")
+    assert code == 1
+    assert "verification cap" in stderr
+
+
+def test_bad_env_budget_is_a_usage_error(capsys, monkeypatch):
+    for raw in ("-5", "abc"):
+        monkeypatch.setenv("DSRG_BUDGET", raw)
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--family", "gdd", "--l", "2", "--q", "3"])
+        assert err.value.code == 2
+        assert "DSRG_BUDGET" in capsys.readouterr().err
+
+
+def test_negative_budget_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["build", "--family", "gdd", "--l", "2", "--q", "3", "--block-budget", "-5"])
+    assert err.value.code == 2
+
+
+def test_env_budget_is_read_only_by_commands_that_use_it(capsys, monkeypatch):
+    monkeypatch.setenv("DSRG_BUDGET", "abc")
+    code, stdout, _ = run(capsys, "spectrum", "36", "12", "5", "2", "5")
+    assert code == 0
+    assert stdout.strip() == "theta 12 0 -3 mult 1 31 4"
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +168,20 @@ def test_catalog_rows_content():
     row = by_tuple[((32, 16, 9, 7, 9), "ap-pencils", "q=2;l=8;formula-only")]
     assert not row.verified and row.formula_only
     assert all(r.verified for r in rows if not r.formula_only)
+
+
+def test_catalog_verifies_each_built_graph_once(monkeypatch):
+    real = verify_dsrg
+    calls = []
+
+    def counting(d):
+        calls.append(d.n)
+        return real(d)
+
+    monkeypatch.setattr("dsrg.cli.verify_dsrg", counting)
+    monkeypatch.setattr("dsrg.digraph.verify_dsrg", counting)
+    rows = catalog_rows()
+    assert len(calls) == sum(not r.formula_only for r in rows)
 
 
 def test_catalog_csv_shape():

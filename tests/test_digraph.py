@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from dsrg import (
@@ -53,6 +55,7 @@ def test_dgr_round_trip():
     back = Digraph.from_dgr(text)
     assert back.n == d.n and back.rows == d.rows
     assert back.to_dgr() == text
+    assert Digraph.from_dgr(text + "\n  \n").rows == d.rows
 
 
 def test_dgr_parse_errors_carry_line_numbers():
@@ -65,6 +68,12 @@ def test_dgr_parse_errors_carry_line_numbers():
     with pytest.raises(FormatError) as err:
         Digraph.from_dgr("3\n010\n001\n")
     assert err.value.line == 3
+    with pytest.raises(FormatError) as err:
+        Digraph.from_dgr("3\n010\n0_1\n100\n")   # int() would take the "_"
+    assert err.value.line == 3
+    with pytest.raises(FormatError) as err:
+        Digraph.from_dgr("2\n01\n10\n\ngarbage\n")
+    assert err.value.line == 5
 
 
 def test_dgr_loop_is_rejected():
@@ -248,6 +257,16 @@ def test_duval_rejects_t_not_mu():
     spiked = build_partition_spiked(build_partition_structure(2, 3))
     with pytest.raises(TNotMuError):
         duval_multiple(spiked, 2)
+
+
+def test_duval_size_guard_raises_before_building():
+    d = build_antiflag_forward(build_gdd(2, 3))
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        duval_multiple(d, 100000)          # 3.6M vertices
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(TooLargeError):
+        duval_multiple(d, 4096 // 36 + 1)
 
 
 def test_duval_rejects_non_dsrg():
