@@ -24,7 +24,7 @@ from .errors import (
     TooLargeError,
     UnbuildableError,
 )
-from .ffield import FiniteField, field_elements, make_field
+from .ffield import FiniteField, make_field
 from .incidence import (
     AntiFlag,
     DEFAULT_BLOCK_BUDGET,

@@ -7,6 +7,10 @@ flags give byte-identical output.  Rows whose parameters come from a
 closed form with no underlying structure carry a formula-only marker
 instead of a fabricated graph.
 
+The build flags and their usage errors are derived from the family
+registry in families.py: one int flag per spec field, and a family
+needs every field that has no default.
+
 DSRG_BUDGET in the environment overrides the default block budget of
 the builders and the default node budget of the isomorphism search;
 explicit flags win over the environment.  Only the commands that take a
@@ -18,35 +22,23 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .digraph import Digraph, _blow_up, verify_dsrg
-from .errors import DsrgError, NotFeasibleError, NotPrimePowerError
+from .errors import DsrgError, NotFeasibleError
 from .families import (
-    AffineResolvable,
-    ApPencils,
+    FAMILIES,
+    FLAG_NAMES,
     FamilySpec,
-    FANO_DESIGN_TUPLE,
-    Gdd,
-    Partition,
-    PartitionSpiked,
-    PgAntiflag,
-    Transversal,
-    TwoDesignBack,
-    TwoDesignBackLoopy,
     build_digraph,
     build_structure,
+    catalog_instances,
     expected_params,
 )
-from .ffield import _factor_prime_power
 from .incidence import DEFAULT_BLOCK_BUDGET, to_json
 from .iso import BUDGET_EXCEEDED, DEFAULT_NODE_BUDGET, ISOMORPHIC, are_isomorphic
 from .params import DsrgParams, Spectrum, _raw_spectrum, spectrum
-
-FAMILY_NAMES = ("gdd", "pg-antiflag", "ap-pencils", "transversal", "partition",
-                "partition-spiked", "affine-resolvable", "2design-back",
-                "2design-back-loopy")
 
 CSV_HEADER = "v,k,t,lambda,mu,family,family_params,verified,theta1,theta2,m1,m2"
 
@@ -67,57 +59,6 @@ class CatalogRow:
         return (self.family_params + ";formula-only") if self.formula_only else self.family_params
 
 
-def _is_prime_power(q: int) -> bool:
-    try:
-        _factor_prime_power(q)
-        return True
-    except NotPrimePowerError:
-        return False
-
-
-def _catalog_instances(max_order: int) -> list[tuple[FamilySpec, bool]]:
-    """Deterministic instance grid; the bool marks formula-only rows."""
-    out: list[tuple[FamilySpec, bool]] = []
-    q = 2
-    while 2 * q * q * (q - 1) <= max_order:
-        l = 2
-        while l * q ** l * (q - 1) <= max_order:
-            out.append((Gdd(l, q), False))
-            l += 1
-        q += 1
-    q = 2
-    while 2 * q * q * (q - 1) <= max_order:
-        if _is_prime_power(q):
-            l = 2
-            while l <= q + 1 and l * q * q * (q - 1) <= max_order:
-                out.append((ApPencils(q, l), False))
-                l += 1
-            if q == 2:
-                # the affine plane of order 2 has only 3 pencils; the closed
-                # form still evaluates for l up to 8, so those go formula-only
-                for l in range(4, 9):
-                    if l * q * q * (q - 1) <= max_order:
-                        out.append((ApPencils(q, l), True))
-        q += 1
-    q = 2
-    while q ** 3 * (q - 1) <= max_order:
-        if _is_prime_power(q):
-            out.append((Transversal(q), False))
-        q += 1
-    for q in (1, 2, 3):
-        for l in (3, 4):
-            if q * l * (l - 1) <= max_order:
-                out.append((Partition(q, l), False))
-                out.append((PartitionSpiked(q, l), False))
-    for l in range(2, 8):
-        if 2 * l * 4 <= max_order:
-            out.append((AffineResolvable(2, 2, l), False))
-    if 28 <= max_order:
-        out.append((TwoDesignBack(*FANO_DESIGN_TUPLE), False))
-        out.append((TwoDesignBackLoopy(*FANO_DESIGN_TUPLE), False))
-    return out
-
-
 def _safe_spectrum(p: DsrgParams) -> Spectrum | None:
     try:
         return spectrum(p)
@@ -130,7 +71,7 @@ def catalog_rows(max_order: int = 110, families: tuple[str, ...] | None = None,
                  block_budget: int = DEFAULT_BLOCK_BUDGET) -> list[CatalogRow]:
     """Build, verify and tabulate every family instance with v <= max_order."""
     rows: list[CatalogRow] = []
-    for spec, formula_only in _catalog_instances(max_order):
+    for spec, formula_only in catalog_instances(max_order):
         if families is not None and spec.name not in families:
             continue
         expected = expected_params(spec)
@@ -188,50 +129,21 @@ def render_table(rows: list[CatalogRow]) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _require(args: argparse.Namespace, parser: argparse.ArgumentParser,
-             names: tuple[str, ...]) -> list[int]:
-    values = []
-    for name in names:
-        attr = "lambda_" if name == "lambda" else name
-        val = getattr(args, attr)
-        if val is None:
-            parser.error(f"--family {args.family} needs --{name}")
-        values.append(val)
-    return values
-
-
 def _spec_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec:
-    fam = args.family
+    """The spec of --family from its flags; a missing or bad value is a usage error."""
+    cls = FAMILIES[args.family]
+    values = {}
+    for f in fields(cls):
+        value = getattr(args, f.name)
+        if value is not None:
+            values[f.name] = value
+        elif f.default is MISSING:
+            parser.error(f"--family {args.family} needs --{FLAG_NAMES.get(f.name, f.name)}")
     try:
-        if fam == "gdd":
-            l, q = _require(args, parser, ("l", "q"))
-            return Gdd(l, q, args.m if args.m is not None else 1)
-        if fam == "pg-antiflag":
-            kappa, rho, tau = _require(args, parser, ("kappa", "rho", "tau"))
-            return PgAntiflag(kappa, rho, tau)
-        if fam == "ap-pencils":
-            q, l = _require(args, parser, ("q", "l"))
-            return ApPencils(q, l)
-        if fam == "transversal":
-            (q,) = _require(args, parser, ("q",))
-            return Transversal(q)
-        if fam == "partition":
-            q, l = _require(args, parser, ("q", "l"))
-            return Partition(q, l)
-        if fam == "partition-spiked":
-            q, l = _require(args, parser, ("q", "l"))
-            return PartitionSpiked(q, l)
-        if fam == "affine-resolvable":
-            m, s, l = _require(args, parser, ("m", "s", "l"))
-            return AffineResolvable(m, s, l)
-        if fam in ("2design-back", "2design-back-loopy"):
-            v, b, k, r, lam = _require(args, parser, ("v", "b", "k", "r", "lambda"))
-            cls = TwoDesignBack if fam == "2design-back" else TwoDesignBackLoopy
-            return cls(v, b, k, r, lam)
+        return cls(**values)
     except ValueError as exc:
         parser.error(str(exc))
-    parser.error(f"unknown family {fam!r}")
-    raise AssertionError  # parser.error exits
+        raise AssertionError  # parser.error exits
 
 
 def cmd_build(args, parser) -> int:
@@ -275,7 +187,7 @@ def cmd_catalog(args, parser) -> int:
         parser.error("--max-order is capped at 4096")
     families = tuple(args.families.split(",")) if args.families else None
     if families:
-        unknown = set(families) - set(FAMILY_NAMES)
+        unknown = set(families) - set(FAMILIES)
         if unknown:
             parser.error(f"unknown families: {', '.join(sorted(unknown))}")
     block_budget = _budget_arg(args.block_budget, DEFAULT_BLOCK_BUDGET, parser)
@@ -355,10 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="build one family instance")
-    p_build.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    for flag in ("l", "q", "m", "kappa", "rho", "tau", "s", "v", "b", "k", "r"):
-        p_build.add_argument(f"--{flag}", type=int)
-    p_build.add_argument("--lambda", dest="lambda_", type=int)
+    p_build.add_argument("--family", required=True, choices=list(FAMILIES))
+    for name in dict.fromkeys(f.name for cls in FAMILIES.values() for f in fields(cls)):
+        p_build.add_argument(f"--{FLAG_NAMES.get(name, name)}", dest=name, type=int)
     p_build.add_argument("--out", help="write the digraph in dgr/1 format")
     p_build.add_argument("--edges-out", help="write the digraph as an edge list")
     p_build.add_argument("--structure-out", help="write the incidence structure as JSON")

@@ -3,12 +3,15 @@
 Row u is a Python int whose bit v is set iff there is an edge u -> v.
 The anti-flag builders take an incidence structure, number its
 non-incident (point, block) pairs in lexicographic order, and wire
-edges by the four membership rules.  The verifier recovers
-(v, k, t, lambda, mu) from A^2 rather than trusting any formula: row u
-of A^2 is the sum of rows[v] over the out-neighbours v of u, held as
-bit planes (plane i is an n-bit int with bit i of every count), so a
-whole row is added and compared with a few wide-int operations and the
-whole verification runs in exact integer arithmetic.
+edges by the four membership rules, all through one routine: forward
+(p in B') or backward (p' in B), each optionally with the edges
+between distinct anti-flags on a common block (forward) or point
+(backward).  The verifier recovers (v, k, t, lambda, mu) from A^2
+rather than trusting any formula: row u of A^2 is the sum of rows[v]
+over the out-neighbours v of u, held as bit planes (plane i is an
+n-bit int with bit i of every count), so a whole row is added and
+compared with a few wide-int operations and the whole verification
+runs in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -165,34 +168,43 @@ def _bits(mask: int) -> list[int]:
 # anti-flag builders
 # ---------------------------------------------------------------------------
 
-def _antiflag_masks(s: IncidenceStructure):
-    """Vertex list plus the two index masks the adjacency rules need.
+def _wire(s: IncidenceStructure, backward: bool, same: bool) -> Digraph:
+    """The anti-flag digraph of s under one membership rule.
 
-    in_block_mask[x]: vertices whose block contains point x.
-    with_point_mask[x]: vertices whose point is x.
+    Forward: (p, B) -> (p', B') iff p is a point of B'; backward: iff
+    p' is a point of B.  `same` adds the edges between distinct
+    anti-flags sharing the coordinate the rule reads at the target:
+    the block (forward) or the point (backward).
     """
     flags = anti_flags(s)
     if not flags:
         raise NoAntiFlagsError("every point lies on every block")
-    in_block_mask = [0] * s.num_points
-    with_point_mask = [0] * s.num_points
+    point_mask = [0] * s.num_points    # vertices whose point is x
+    block_mask = [0] * len(s.blocks)   # vertices whose block is b
     for j, (p, b) in enumerate(flags):
-        for x in s.blocks[b]:
-            in_block_mask[x] |= 1 << j
-        with_point_mask[p] |= 1 << j
-    return flags, in_block_mask, with_point_mask
+        point_mask[p] |= 1 << j
+        block_mask[b] |= 1 << j
+    # forward: rule[x] = vertices whose block holds point x;
+    # backward: rule[b] = vertices whose point lies on block b
+    rule = [0] * (len(s.blocks) if backward else s.num_points)
+    for b, block in enumerate(s.blocks):
+        for x in block:
+            if backward:
+                rule[b] |= point_mask[x]
+            else:
+                rule[x] |= block_mask[b]
+    rows = []
+    for j, (p, b) in enumerate(flags):
+        row = rule[b] if backward else rule[p]
+        if same:
+            row |= (point_mask[p] if backward else block_mask[b]) & ~(1 << j)
+        rows.append(row)
+    return Digraph(len(flags), tuple(rows), labels=tuple(flags))
 
 
 def build_antiflag_forward(s: IncidenceStructure) -> Digraph:
     """Edge (p, B) -> (p', B') iff p is a point of B'."""
-    flags, in_block_mask, _ = _antiflag_masks(s)
-    rows = []
-    for j, (p, _) in enumerate(flags):
-        row = in_block_mask[p]
-        # p in B' can never hold for the vertex itself: p is off its own block
-        assert not (row >> j) & 1
-        rows.append(row)
-    return Digraph(len(flags), tuple(rows), labels=tuple(flags))
+    return _wire(s, backward=False, same=False)
 
 
 def build_antiflag_backward(s: IncidenceStructure) -> Digraph:
@@ -200,15 +212,7 @@ def build_antiflag_backward(s: IncidenceStructure) -> Digraph:
 
     Always equals the transpose of build_antiflag_forward(s).
     """
-    flags, _, with_point_mask = _antiflag_masks(s)
-    rows = []
-    for j, (_, b) in enumerate(flags):
-        row = 0
-        for x in s.blocks[b]:
-            row |= with_point_mask[x]
-        assert not (row >> j) & 1
-        rows.append(row)
-    return Digraph(len(flags), tuple(rows), labels=tuple(flags))
+    return _wire(s, backward=True, same=False)
 
 
 def build_antiflag_backward_loopy(s: IncidenceStructure) -> Digraph:
@@ -225,15 +229,7 @@ def build_antiflag_backward_loopy(s: IncidenceStructure) -> Digraph:
         raise PreconditionFailedError(
             f"need b + lambda > 2r, got {d.b_blocks} + {d.lambda_pair} "
             f"<= 2*{d.r_replication}")
-    flags, _, with_point_mask = _antiflag_masks(s)
-    rows = []
-    for j, (p, b) in enumerate(flags):
-        row = 0
-        for x in s.blocks[b]:
-            row |= with_point_mask[x]
-        row |= with_point_mask[p] & ~(1 << j)
-        rows.append(row)
-    return Digraph(len(flags), tuple(rows), labels=tuple(flags))
+    return _wire(s, backward=True, same=True)
 
 
 def build_partition_spiked(s: IncidenceStructure) -> Digraph:
@@ -244,14 +240,7 @@ def build_partition_spiked(s: IncidenceStructure) -> Digraph:
     """
     if s.groups is None or set(s.blocks) != set(s.groups):
         raise NotPartitionStructureError("blocks must equal the group partition")
-    flags, in_block_mask, _ = _antiflag_masks(s)
-    block_mask = [0] * len(s.blocks)
-    for j, (_, b) in enumerate(flags):
-        block_mask[b] |= 1 << j
-    rows = []
-    for j, (p, b) in enumerate(flags):
-        rows.append(in_block_mask[p] | (block_mask[b] & ~(1 << j)))
-    return Digraph(len(flags), tuple(rows), labels=tuple(flags))
+    return _wire(s, backward=False, same=True)
 
 
 # ---------------------------------------------------------------------------

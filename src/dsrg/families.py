@@ -1,16 +1,20 @@
-"""Construction families: closed-form parameters and graph builders.
+"""Construction families: the registry, closed-form parameters and builders.
 
 Each family names one way of producing a DSRG from an incidence
 structure, with the parameters the construction is proven to realize.
+A family is a frozen dataclass whose int fields are its parameters;
+FAMILIES maps each family name to its class and is the only list of
+families, so the CLI derives its flags and usage errors from it.
 expected_params evaluates the closed form exactly (Python integers
 never wrap, so there is no overflow to report); build_digraph performs
 the construction when one is available and raises UnbuildableError for
-parameter choices that only make sense as formula evaluations.
+parameter choices that only make sense as formula evaluations;
+catalog_instances is the deterministic instance grid of the catalog.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import ClassVar, Union
 
 from .digraph import (
@@ -21,9 +25,11 @@ from .digraph import (
     build_partition_spiked,
     duval_multiple,
 )
-from .errors import UnbuildableError
+from .errors import NotPrimePowerError, UnbuildableError
+from .ffield import _factor_prime_power
 from .incidence import (
     DEFAULT_BLOCK_BUDGET,
+    DesignParams,
     build_affine_plane,
     build_fano,
     build_gdd,
@@ -34,8 +40,22 @@ from .incidence import (
 from .params import DsrgParams
 
 
+FLAG_NAMES = {"lam": "lambda"}   # spec field -> its describe key and CLI flag
+
+
+class Family:
+    """Base of the family specs: frozen dataclasses of int fields."""
+
+    name: ClassVar[str]
+
+    def describe(self) -> str:
+        """`field=value` pairs joined by ';', fields left at their default omitted."""
+        return ";".join(f"{FLAG_NAMES.get(f.name, f.name)}={getattr(self, f.name)}"
+                        for f in fields(self) if getattr(self, f.name) != f.default)
+
+
 @dataclass(frozen=True)
-class Gdd:
+class Gdd(Family):
     """Transversal blocks of l groups of size q; forward rule; m-fold multiple."""
 
     l: int
@@ -47,13 +67,9 @@ class Gdd:
         if self.l < 2 or self.q < 2 or self.m < 1:
             raise ValueError(f"need l >= 2, q >= 2, m >= 1, got {self}")
 
-    def describe(self) -> str:
-        base = f"l={self.l};q={self.q}"
-        return base if self.m == 1 else f"{base};m={self.m}"
-
 
 @dataclass(frozen=True)
-class PgAntiflag:
+class PgAntiflag(Family):
     """Anti-flags of a partial geometry pg(kappa, rho, tau); forward rule."""
 
     kappa: int
@@ -69,12 +85,9 @@ class PgAntiflag:
         if ((self.kappa - 1) * (self.rho - 1)) % self.tau:
             raise ValueError(f"tau must divide (kappa-1)(rho-1), got {self}")
 
-    def describe(self) -> str:
-        return f"kappa={self.kappa};rho={self.rho};tau={self.tau}"
-
 
 @dataclass(frozen=True)
-class ApPencils:
+class ApPencils(Family):
     """Lines of l parallel classes of the affine plane of order q; forward rule."""
 
     q: int
@@ -85,12 +98,9 @@ class ApPencils:
         if self.q < 2 or self.l < 2:
             raise ValueError(f"need q >= 2, l >= 2, got {self}")
 
-    def describe(self) -> str:
-        return f"q={self.q};l={self.l}"
-
 
 @dataclass(frozen=True)
-class Transversal:
+class Transversal(Family):
     """All q parallel classes of one group splitting: the transversal design TD(q, q)."""
 
     q: int
@@ -100,12 +110,9 @@ class Transversal:
         if self.q < 2:
             raise ValueError(f"need q >= 2, got {self}")
 
-    def describe(self) -> str:
-        return f"q={self.q}"
-
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(Family):
     """l disjoint q-sets as blocks; forward rule."""
 
     q: int
@@ -116,12 +123,9 @@ class Partition:
         if self.q < 1 or self.l < 3:
             raise ValueError(f"need q >= 1, l >= 3, got {self}")
 
-    def describe(self) -> str:
-        return f"q={self.q};l={self.l}"
-
 
 @dataclass(frozen=True)
-class PartitionSpiked:
+class PartitionSpiked(Family):
     """Partition blocks with the extra same-block edges; t != mu."""
 
     q: int
@@ -132,12 +136,9 @@ class PartitionSpiked:
         if self.q < 1 or self.l < 3:
             raise ValueError(f"need q >= 1, l >= 3, got {self}")
 
-    def describe(self) -> str:
-        return f"q={self.q};l={self.l}"
-
 
 @dataclass(frozen=True)
-class AffineResolvable:
+class AffineResolvable(Family):
     """l parallel classes of an affine resolvable design with s blocks per
     class and non-parallel intersection m; forward rule."""
 
@@ -150,37 +151,27 @@ class AffineResolvable:
         if self.m < 1 or self.s < 2 or self.l < 2:
             raise ValueError(f"need m >= 1, s >= 2, l >= 2, got {self}")
 
-    def describe(self) -> str:
-        return f"m={self.m};s={self.s};l={self.l}"
-
-
-def _check_design_tuple(spec) -> None:
-    v, b, k, r, lam = spec.v_pts, spec.b_blocks, spec.k_blocksize, spec.r_replication, spec.lambda_pair
-    if not v > k >= 2:
-        raise ValueError(f"need v > k >= 2, got {spec}")
-    if r * (k - 1) != lam * (v - 1) or b * k * (k - 1) != lam * v * (v - 1):
-        raise ValueError(f"2-design identities fail for {spec}")
-    if b + lam <= 2 * r:
-        raise ValueError(f"need b + lambda > 2r, got {spec}")
-
 
 @dataclass(frozen=True)
-class TwoDesignBack:
+class TwoDesignBack(Family):
     """Anti-flags of a 2-(v, b, k, r, lambda) design, backward rule."""
 
-    v_pts: int
-    b_blocks: int
-    k_blocksize: int
-    r_replication: int
-    lambda_pair: int
+    v: int
+    b: int
+    k: int
+    r: int
+    lam: int
     name: ClassVar[str] = "2design-back"
 
     def __post_init__(self):
-        _check_design_tuple(self)
-
-    def describe(self) -> str:
-        return (f"v={self.v_pts};b={self.b_blocks};k={self.k_blocksize};"
-                f"r={self.r_replication};lambda={self.lambda_pair}")
+        if not self.v > self.k >= 2:
+            raise ValueError(f"need v > k >= 2, got {self}")
+        try:
+            DesignParams(self.v, self.b, self.k, self.r, self.lam)
+        except ValueError:
+            raise ValueError(f"2-design identities fail for {self}") from None
+        if self.b + self.lam <= 2 * self.r:
+            raise ValueError(f"need b + lambda > 2r, got {self}")
 
 
 @dataclass(frozen=True)
@@ -190,9 +181,11 @@ class TwoDesignBackLoopy(TwoDesignBack):
     name: ClassVar[str] = "2design-back-loopy"
 
 
-FamilySpec = Union[Gdd, PgAntiflag, ApPencils, Transversal, Partition,
-                   PartitionSpiked, AffineResolvable, TwoDesignBack,
-                   TwoDesignBackLoopy]
+FAMILIES = {cls.name: cls for cls in (Gdd, PgAntiflag, ApPencils, Transversal, Partition,
+                                      PartitionSpiked, AffineResolvable, TwoDesignBack,
+                                      TwoDesignBackLoopy)}
+
+FamilySpec = Union[tuple(FAMILIES.values())]
 
 
 def expected_params(spec: FamilySpec) -> DsrgParams:
@@ -223,15 +216,13 @@ def expected_params(spec: FamilySpec) -> DsrgParams:
         case PartitionSpiked(q=q, l=l):
             return DsrgParams(q * l * (l - 1), 2 * q * (l - 1) - 1,
                               q * l - 1, q * l - 2, 2 * q)
-        case TwoDesignBackLoopy(v_pts=v, b_blocks=b, k_blocksize=k,
-                                r_replication=r, lambda_pair=lam):
+        case TwoDesignBackLoopy(v=v, b=b, k=k, r=r, lam=lam):
             return DsrgParams(v * (b - r),
                               k * (b - r) + (b - r - 1),
                               k * (r - lam) + (b - r - 1),
                               k * (r - lam) + (b - r - 2),
                               (k + 1) * (r - lam))
-        case TwoDesignBack(v_pts=v, b_blocks=b, k_blocksize=k,
-                           r_replication=r, lambda_pair=lam):
+        case TwoDesignBack(v=v, b=b, k=k, r=r, lam=lam):
             return DsrgParams(v * (b - r), k * (b - r),
                               k * (r - lam), (k - 1) * (r - lam), k * (r - lam))
         case AffineResolvable(m=m, s=s, l=l):
@@ -289,9 +280,7 @@ def build_structure(spec: FamilySpec, block_budget: int = DEFAULT_BLOCK_BUDGET):
                                        f"parallel classes, asked for {l}")
             return restrict_parallel_classes(design, l)
         case TwoDesignBack() | TwoDesignBackLoopy():
-            tup = (spec.v_pts, spec.b_blocks, spec.k_blocksize,
-                   spec.r_replication, spec.lambda_pair)
-            if tup != FANO_DESIGN_TUPLE:
+            if astuple(spec) != FANO_DESIGN_TUPLE:
                 raise UnbuildableError("only the 7-point plane is bundled "
                                        "as a 2-design source")
             return build_fano()
@@ -313,3 +302,54 @@ def build_digraph(spec: FamilySpec, block_budget: int = DEFAULT_BLOCK_BUDGET) ->
             return build_antiflag_backward(structure)
         case _:
             return build_antiflag_forward(structure)
+
+
+def _is_prime_power(q: int) -> bool:
+    try:
+        _factor_prime_power(q)
+        return True
+    except NotPrimePowerError:
+        return False
+
+
+def catalog_instances(max_order: int) -> list[tuple[FamilySpec, bool]]:
+    """Deterministic instance grid; the bool marks formula-only rows."""
+    out: list[tuple[FamilySpec, bool]] = []
+    q = 2
+    while 2 * q * q * (q - 1) <= max_order:
+        l = 2
+        while l * q ** l * (q - 1) <= max_order:
+            out.append((Gdd(l, q), False))
+            l += 1
+        q += 1
+    q = 2
+    while 2 * q * q * (q - 1) <= max_order:
+        if _is_prime_power(q):
+            l = 2
+            while l <= q + 1 and l * q * q * (q - 1) <= max_order:
+                out.append((ApPencils(q, l), False))
+                l += 1
+            if q == 2:
+                # the affine plane of order 2 has only 3 pencils; the closed
+                # form still evaluates for l up to 8, so those go formula-only
+                for l in range(4, 9):
+                    if l * q * q * (q - 1) <= max_order:
+                        out.append((ApPencils(q, l), True))
+        q += 1
+    q = 2
+    while q ** 3 * (q - 1) <= max_order:
+        if _is_prime_power(q):
+            out.append((Transversal(q), False))
+        q += 1
+    for q in (1, 2, 3):
+        for l in (3, 4):
+            if q * l * (l - 1) <= max_order:
+                out.append((Partition(q, l), False))
+                out.append((PartitionSpiked(q, l), False))
+    for l in range(2, 8):
+        if 2 * l * 4 <= max_order:
+            out.append((AffineResolvable(2, 2, l), False))
+    if 28 <= max_order:
+        out.append((TwoDesignBack(*FANO_DESIGN_TUPLE), False))
+        out.append((TwoDesignBackLoopy(*FANO_DESIGN_TUPLE), False))
+    return out

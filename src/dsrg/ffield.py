@@ -131,13 +131,6 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 
-    def neg(self, a: int) -> int:
-        row = self.add_table[a]
-        return row.index(0)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg(b)]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
@@ -211,8 +204,3 @@ def make_field(q: int) -> FiniteField:
         inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
 
     return FiniteField(p, e, q, modulus, tuple(add_rows), tuple(mul_rows), tuple(inv))
-
-
-def field_elements(f: FiniteField) -> list[int]:
-    """Element indices of f in increasing order."""
-    return list(f.elements())

@@ -25,9 +25,9 @@ from .errors import (
     NoParallelClassesError,
     NotGroupDivisibleError,
     NotPartialGeometryError,
-    NotPrimePowerError,
     NotTwoDesignError,
     OutOfBudgetError,
+    TooLargeError,
 )
 from .ffield import make_field
 
@@ -178,7 +178,7 @@ def build_affine_plane(q: int) -> IncidenceStructure:
     vertical class x = c ordered by c.
     """
     if q > 64:
-        raise NotPrimePowerError(f"affine plane order capped at 64, got {q}")
+        raise TooLargeError(f"affine plane order capped at 64, got {q}")
     f = make_field(q)
     blocks: list[Block] = []
     for m in f.elements():

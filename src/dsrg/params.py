@@ -16,6 +16,15 @@ from dataclasses import dataclass
 from .errors import NotFeasibleError
 
 
+def _identities(v: int, k: int, t: int, lam: int, mu: int) -> list[tuple[str, bool, str]]:
+    """(name, holds, detail) of each basic identity of a DSRG tuple, in check order."""
+    lhs, rhs = k * (k + mu - lam), t + (v - 1) * mu
+    return [("nonnegative", min(v, k, t, lam, mu) >= 0, f"entries {(v, k, t, lam, mu)}"),
+            ("degree_bounds", 0 <= t <= k < v, f"need 0 <= t={t} <= k={k} < v={v}"),
+            ("lambda_below_k", lam < k, f"need lambda={lam} < k={k}"),
+            ("degree_identity", lhs == rhs, f"k(k+mu-lambda)={lhs} vs t+(v-1)mu={rhs}")]
+
+
 @dataclass(frozen=True)
 class DsrgParams:
     """Validated DSRG parameter tuple (v, k, t, lam, mu)."""
@@ -27,15 +36,9 @@ class DsrgParams:
     mu: int
 
     def __post_init__(self):
-        v, k, t, lam, mu = self.v, self.k, self.t, self.lam, self.mu
-        if min(v, k, t, lam, mu) < 0:
-            raise ValueError(f"negative entry in {self.tuple()}")
-        if not 0 <= t <= k < v:
-            raise ValueError(f"need 0 <= t <= k < v, got {self.tuple()}")
-        if lam >= k:
-            raise ValueError(f"need lambda < k, got {self.tuple()}")
-        if k * (k + mu - lam) != t + (v - 1) * mu:
-            raise ValueError(f"degree identity fails for {self.tuple()}")
+        for name, holds, detail in _identities(*self.tuple()):
+            if not holds:
+                raise ValueError(f"{name} fails: {detail}")
 
     def tuple(self) -> tuple[int, int, int, int, int]:
         return (self.v, self.k, self.t, self.lam, self.mu)
@@ -149,13 +152,5 @@ def feasibility(v: int, k: int, t: int, lam: int, mu: int) -> FeasibilityReport:
     except NotFeasibleError as exc:
         checks.append(FeasibilityCheck("integer_spectrum", False,
                                        f"{exc.reason}: {exc}"))
-    checks.append(FeasibilityCheck(
-        "nonnegative", min(v, k, t, lam, mu) >= 0, f"entries {(v, k, t, lam, mu)}"))
-    checks.append(FeasibilityCheck(
-        "degree_bounds", 0 <= t <= k < v, f"need 0 <= t={t} <= k={k} < v={v}"))
-    checks.append(FeasibilityCheck(
-        "lambda_below_k", lam < k, f"need lambda={lam} < k={k}"))
-    lhs, rhs = k * (k + mu - lam), t + (v - 1) * mu
-    checks.append(FeasibilityCheck(
-        "degree_identity", lhs == rhs, f"k(k+mu-lambda)={lhs} vs t+(v-1)mu={rhs}"))
+    checks += [FeasibilityCheck(*check) for check in _identities(v, k, t, lam, mu)]
     return FeasibilityReport((v, k, t, lam, mu), tuple(checks), spec)

@@ -11,7 +11,9 @@ success and None on rejection.
 
 popcount_verify_dsrg is the first DSRG verifier, one popcount per entry
 of A^2, kept as the reference for the bit-sliced verifier; witness_problem
-recounts a rejection's witness from the 0/1 matrix.
+recounts a rejection's witness from the 0/1 matrix.  wire_rule builds an
+anti-flag digraph from one edge rule of the README's family table, one
+vertex pair at a time.
 """
 
 from __future__ import annotations
@@ -92,6 +94,35 @@ def brute_2design(num_points, blocks):
     if len(lams) != 1 or min(lams) < 1:
         return None
     return (num_points, len(blocks), k, degrees[0], lams.pop())
+
+
+# edge rule (p, B) -> (p2, B2) of each anti-flag builder, as in the README
+WIRE_RULES = {
+    "forward": lambda blocks, p, b, p2, b2: p in blocks[b2],
+    "backward": lambda blocks, p, b, p2, b2: p2 in blocks[b],
+    "spiked": lambda blocks, p, b, p2, b2: p in blocks[b2] or (b == b2 and p != p2),
+    "loopy": lambda blocks, p, b, p2, b2: p2 in blocks[b] or (p == p2 and b != b2),
+}
+
+
+def wire_rule(num_points, blocks, rule):
+    """(rows, labels) of the anti-flag digraph under WIRE_RULES[rule].
+
+    The vertices are the non-incident (point, block) pairs in
+    lexicographic order; bit j of rows[i] is set iff the rule puts an
+    edge from vertex i to vertex j.
+    """
+    edge = WIRE_RULES[rule]
+    flags = [(p, b) for p in range(num_points) for b in range(len(blocks))
+             if p not in blocks[b]]
+    rows = []
+    for p, b in flags:
+        row = 0
+        for j, (p2, b2) in enumerate(flags):
+            if edge(blocks, p, b, p2, b2):
+                row |= 1 << j
+        rows.append(row)
+    return rows, flags
 
 
 def schoolbook_square(adj):

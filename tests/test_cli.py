@@ -2,7 +2,8 @@ import pytest
 
 from dsrg import (Digraph, build_antiflag_forward, build_gdd, bundled_iso_fixture, from_json,
                   verify_dsrg)
-from dsrg.cli import CSV_HEADER, catalog_rows, main, render_csv
+from dsrg.cli import CSV_HEADER, _spec_from_args, build_parser, catalog_rows, main, render_csv
+from dsrg.families import Gdd, PgAntiflag, catalog_instances
 
 
 def run(capsys, *argv):
@@ -96,6 +97,54 @@ def test_env_budget_is_read_only_by_commands_that_use_it(capsys, monkeypatch):
     code, stdout, _ = run(capsys, "spectrum", "36", "12", "5", "2", "5")
     assert code == 0
     assert stdout.strip() == "theta 12 0 -3 mult 1 31 4"
+
+
+# required build flags of each family, in the order their absence is reported
+REQUIRED_FLAGS = {
+    "gdd": ("l", "q"),
+    "pg-antiflag": ("kappa", "rho", "tau"),
+    "ap-pencils": ("q", "l"),
+    "transversal": ("q",),
+    "partition": ("q", "l"),
+    "partition-spiked": ("q", "l"),
+    "affine-resolvable": ("m", "s", "l"),
+    "2design-back": ("v", "b", "k", "r", "lambda"),
+    "2design-back-loopy": ("v", "b", "k", "r", "lambda"),
+}
+ROUND_TRIP_SPECS = ([spec for spec, formula_only in catalog_instances(110) if not formula_only]
+                    + [PgAntiflag(3, 3, 2), Gdd(2, 3, 4)])
+
+
+def _build_argv(spec, drop=None):
+    argv = ["build", "--family", spec.name]
+    for pair in spec.describe().split(";"):
+        flag, value = pair.split("=")
+        if flag != drop:
+            argv += [f"--{flag}", value]
+    return argv
+
+
+def _parse_spec(argv):
+    parser = build_parser()
+    return _spec_from_args(parser.parse_args(argv), parser)
+
+
+def test_round_trip_covers_every_family():
+    assert {spec.name for spec in ROUND_TRIP_SPECS} == set(REQUIRED_FLAGS)
+
+
+@pytest.mark.parametrize("spec", ROUND_TRIP_SPECS, ids=lambda s: f"{s.name} {s.describe()}")
+def test_build_flags_round_trip(spec, capsys):
+    assert _parse_spec(_build_argv(spec)) == spec
+    for flag in REQUIRED_FLAGS[spec.name]:
+        with pytest.raises(SystemExit) as err:
+            _parse_spec(_build_argv(spec, drop=flag))
+        assert err.value.code == 2
+        assert f"error: --family {spec.name} needs --{flag}\n" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        _parse_spec(["build", "--family", spec.name])
+    first = REQUIRED_FLAGS[spec.name][0]
+    assert f"needs --{first}\n" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

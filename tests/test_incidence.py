@@ -12,6 +12,7 @@ from dsrg import (
     NotPrimePowerError,
     NotTwoDesignError,
     OutOfBudgetError,
+    TooLargeError,
     anti_flags,
     build_affine_plane,
     build_fano,
@@ -109,6 +110,13 @@ def test_affine_plane_4_two_points_one_line():
 def test_affine_plane_rejects_non_prime_power():
     with pytest.raises(NotPrimePowerError):
         build_affine_plane(6)
+
+
+@pytest.mark.parametrize("q", [65, 81])
+def test_affine_plane_size_cap_is_checked_first(q):
+    # 81 is a prime power and 65 is not: both are over the cap of 64
+    with pytest.raises(TooLargeError):
+        build_affine_plane(q)
 
 
 def test_hyperplane_2_3():

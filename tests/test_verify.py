@@ -24,7 +24,7 @@ from dsrg import (
     duval_multiple,
     verify_dsrg,
 )
-from dsrg.cli import _catalog_instances
+from dsrg.families import catalog_instances
 from oracles import dense, popcount_verify_dsrg, witness_problem
 
 MAX_ORDER = 110
@@ -35,7 +35,7 @@ SEED = 20100
 def _instances():
     """(name, builder) of every catalog instance plus two t != mu graphs."""
     out = [(f"{spec.name} {spec.describe()}", lambda spec=spec: build_digraph(spec))
-           for spec, formula_only in _catalog_instances(MAX_ORDER) if not formula_only]
+           for spec, formula_only in catalog_instances(MAX_ORDER) if not formula_only]
     out.append(("partition-spiked q=6;l=8 (all out-rows distinct)",
                 lambda: build_digraph(PartitionSpiked(6, 8))))
     out.append(("backward-loopy fano", lambda: build_antiflag_backward_loopy(build_fano())))
