@@ -18,6 +18,7 @@ from dataclasses import astuple, dataclass, fields
 from typing import ClassVar, Union
 
 from .digraph import (
+    MAX_VERIFY_ORDER,
     Digraph,
     build_antiflag_backward,
     build_antiflag_backward_loopy,
@@ -25,7 +26,7 @@ from .digraph import (
     build_partition_spiked,
     duval_multiple,
 )
-from .errors import NotPrimePowerError, UnbuildableError
+from .errors import NotPrimePowerError, TooLargeError, UnbuildableError
 from .ffield import _factor_prime_power
 from .incidence import (
     DEFAULT_BLOCK_BUDGET,
@@ -288,8 +289,16 @@ def build_structure(spec: FamilySpec, block_budget: int = DEFAULT_BLOCK_BUDGET):
 
 
 def build_digraph(spec: FamilySpec, block_budget: int = DEFAULT_BLOCK_BUDGET) -> Digraph:
-    """Construct the family instance, or raise UnbuildableError."""
+    """Construct the family instance, or raise UnbuildableError.
+
+    The structure's block budget is checked first; a graph above the
+    verification cap raises TooLargeError before any arc is wired.
+    """
     structure = build_structure(spec, block_budget=block_budget)
+    v = expected_params(spec).v
+    if v > MAX_VERIFY_ORDER:
+        raise TooLargeError(f"{spec.name} {spec.describe()} has {v} vertices, "
+                            f"above the verification cap {MAX_VERIFY_ORDER}")
     match spec:
         case Gdd(m=m):
             d = build_antiflag_forward(structure)

@@ -13,21 +13,32 @@ popcount_verify_dsrg is the first DSRG verifier, one popcount per entry
 of A^2, kept as the reference for the bit-sliced verifier; witness_problem
 recounts a rejection's witness from the 0/1 matrix.  wire_rule builds an
 anti-flag digraph from one edge rule of the README's family table, one
-vertex pair at a time.
+vertex pair at a time.  reference_are_isomorphic and
+reference_canonical_form are the package's first isomorphism search and
+canonical labelling, kept verbatim as the reference for dsrg.iso.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from dsrg import (
+    BUDGET_EXCEEDED,
+    DEFAULT_NODE_BUDGET,
+    ISOMORPHIC,
+    NOT_ISOMORPHIC,
     DegenerateError,
+    Digraph,
     DsrgParams,
+    IsoResult,
     NonConstantError,
     NotRegularError,
+    OutOfBudgetError,
     TooLargeError,
+    verify_mapping,
 )
-from dsrg.digraph import MAX_VERIFY_ORDER
+from dsrg.digraph import MAX_VERIFY_ORDER, _bits
 
 
 def brute_pg(num_points, blocks):
@@ -240,3 +251,156 @@ def popcount_verify_dsrg(d) -> DsrgParams:
                     raise NonConstantError("mu", (u, w), f"entry {paths} != {mu}")
     assert lam is not None and mu is not None
     return DsrgParams(n, k, t, lam, mu)
+
+
+# ---------------------------------------------------------------------------
+# The isomorphism search and canonical labelling as first written: two
+# separate individualize-refine searches with no invariant root colouring
+# and no automorphism pruning.  Kept verbatim as the reference for
+# dsrg.iso, whose canonical strings and labellings must equal these.
+# ---------------------------------------------------------------------------
+
+class _Neighborhoods:
+    __slots__ = ("out", "inn")
+
+    def __init__(self, d: Digraph):
+        self.out = [_bits(row) for row in d.rows]
+        self.inn = [_bits(col) for col in d.columns()]
+
+
+def _signatures(g: _Neighborhoods, colors: list[int], dist2: bool) -> list[tuple]:
+    sigs = []
+    for v in range(len(colors)):
+        sig = (colors[v],
+               tuple(sorted(colors[w] for w in g.out[v])),
+               tuple(sorted(colors[w] for w in g.inn[v])))
+        if dist2:
+            walk2 = sorted(colors[y] for w in g.out[v] for y in g.out[w])
+            sig += (tuple(walk2),)
+        sigs.append(sig)
+    return sigs
+
+
+def _refine(graphs: list[_Neighborhoods], colorings: list[list[int]],
+            dist2: bool) -> list[list[int]] | None:
+    """Jointly refine to a fixpoint with a shared color numbering.
+
+    Returns None as soon as the per-color histograms of two graphs
+    disagree (no isomorphism can survive that).
+    """
+    ncolors = len(set(colorings[0]))
+    while True:
+        sig_lists = [_signatures(g, c, dist2) for g, c in zip(graphs, colorings)]
+        order = {sig: i for i, sig in enumerate(sorted(set().union(*map(set, sig_lists))))}
+        colorings = [[order[sig] for sig in sigs] for sigs in sig_lists]
+        if len(colorings) == 2 and Counter(colorings[0]) != Counter(colorings[1]):
+            return None
+        now = len(order)
+        if now == ncolors:
+            return colorings
+        ncolors = now
+
+
+def reference_are_isomorphic(d1: Digraph, d2: Digraph,
+                             budget: int = DEFAULT_NODE_BUDGET) -> IsoResult:
+    """Search for an explicit isomorphism d1 -> d2.
+
+    Returns ISOMORPHIC with a verified mapping, NOT_ISOMORPHIC after
+    exhausting the search tree, or BUDGET_EXCEEDED after expanding
+    `budget` tree nodes.
+    """
+    nodes = 0
+    if d1.n != d2.n:
+        return IsoResult(NOT_ISOMORPHIC, nodes=nodes)
+    if d1.edge_count() != d2.edge_count():
+        return IsoResult(NOT_ISOMORPHIC, nodes=nodes)
+    n = d1.n
+    g1, g2 = _Neighborhoods(d1), _Neighborhoods(d2)
+
+    def search(c1: list[int], c2: list[int], depth: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _BudgetHit
+        refined = _refine([g1, g2], [c1, c2], dist2=depth > 0)
+        if refined is None:
+            return None
+        c1, c2 = refined
+        counts = Counter(c1)
+        if len(counts) == n:
+            where2 = [0] * n
+            for u, color in enumerate(c2):
+                where2[color] = u
+            mapping = [where2[color] for color in c1]
+            return mapping if verify_mapping(d1, d2, mapping) else None
+        target = min((c for c, cnt in counts.items() if cnt > 1),
+                     key=lambda c: (counts[c], c))
+        v = next(u for u in range(n) if c1[u] == target)
+        fresh = len(counts)
+        for u in (u for u in range(n) if c2[u] == target):
+            n1, n2 = list(c1), list(c2)
+            n1[v] = fresh
+            n2[u] = fresh
+            found = search(n1, n2, depth + 1)
+            if found is not None:
+                return found
+        return None
+
+    try:
+        mapping = search([0] * n, [0] * n, 0)
+    except _BudgetHit:
+        return IsoResult(BUDGET_EXCEEDED, nodes=nodes)
+    if mapping is None:
+        return IsoResult(NOT_ISOMORPHIC, nodes=nodes)
+    return IsoResult(ISOMORPHIC, mapping=tuple(mapping), nodes=nodes)
+
+
+class _BudgetHit(Exception):
+    pass
+
+
+def reference_canonical_form(d: Digraph, budget: int = DEFAULT_NODE_BUDGET
+                             ) -> tuple[str, tuple[int, ...]]:
+    """Minimum adjacency string over all search leaves, with a relabeling
+    that achieves it.
+
+    Isomorphic graphs share the string; apply_mapping with the returned
+    permutation reproduces it.  Exhaustive, so keep the input small.
+    """
+    n = d.n
+    g = _Neighborhoods(d)
+    best: list = [None, None]
+    nodes = 0
+
+    def leaf_string(colors: list[int]) -> str:
+        where = [0] * n
+        for u, color in enumerate(colors):
+            where[color] = u
+        lines = []
+        for i in range(n):
+            row = d.rows[where[i]]
+            lines.append("".join("1" if (row >> where[j]) & 1 else "0" for j in range(n)))
+        return "".join(lines)
+
+    def search(colors: list[int], depth: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise OutOfBudgetError(f"canonical labeling exceeded {budget} nodes")
+        colors = _refine([g], [colors], dist2=depth > 0)[0]
+        counts = Counter(colors)
+        if len(counts) == n:
+            s = leaf_string(colors)
+            if best[0] is None or s < best[0]:
+                best[0], best[1] = s, tuple(colors)
+            return
+        target = min((c for c, cnt in counts.items() if cnt > 1),
+                     key=lambda c: (counts[c], c))
+        fresh = len(counts)
+        for u in (u for u in range(n) if colors[u] == target):
+            child = list(colors)
+            child[u] = fresh
+            search(child, depth + 1)
+
+    search([0] * n, 0)
+    return best[0], best[1]

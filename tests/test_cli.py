@@ -1,7 +1,11 @@
+import re
+import time
+
 import pytest
 
-from dsrg import (Digraph, build_antiflag_forward, build_gdd, bundled_iso_fixture, from_json,
-                  verify_dsrg)
+from dsrg import (Digraph, TooLargeError, are_isomorphic, build_antiflag_forward, build_digraph,
+                  build_gdd, bundled_iso_fixture, from_json, verify_dsrg)
+from dsrg import families
 from dsrg.cli import CSV_HEADER, _spec_from_args, build_parser, catalog_rows, main, render_csv
 from dsrg.families import Gdd, PgAntiflag, catalog_instances
 
@@ -58,6 +62,21 @@ def test_build_missing_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["build", "--family", "gdd", "--l", "2"])
     assert err.value.code == 2
+
+
+def test_build_refuses_a_graph_above_the_verification_cap_before_wiring(capsys, monkeypatch):
+    # gdd(2,100) has 1,980,000 anti-flags; wiring them ran for minutes
+    def no_wiring(structure):
+        raise AssertionError("wired a graph above the verification cap")
+
+    monkeypatch.setattr(families, "build_antiflag_forward", no_wiring)
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "build", "--family", "gdd", "--l", "2", "--q", "100")
+    assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (1, "")
+    assert "1980000 vertices, above the verification cap 4096" in stderr
+    with pytest.raises(TooLargeError):
+        build_digraph(Gdd(2, 100))
 
 
 def test_build_env_budget(tmp_path, capsys, monkeypatch):
@@ -269,6 +288,20 @@ def test_iso_cli_isomorphic(tmp_path, capsys):
     lines = stdout.splitlines()
     assert lines[0] == "ISOMORPHIC"
     assert len(lines) == 1 + 36
+
+
+def test_iso_cli_reports_counters_on_stderr(tmp_path, capsys):
+    d1, d2, _ = bundled_iso_fixture()
+    p1, p2 = tmp_path / "a.dgr", tmp_path / "b.dgr"
+    p1.write_text(d1.to_dgr())
+    p2.write_text(d2.to_dgr())
+    code, stdout, stderr = run(capsys, "iso", str(p1), str(p2))
+    result = are_isomorphic(d1, d2)
+    assert code == 0
+    mapping = "".join(f"{u} -> {v}\n" for u, v in enumerate(result.mapping))
+    assert stdout == "ISOMORPHIC\n" + mapping
+    assert re.fullmatch(r"nodes=\d+ pruned=\d+ rounds=\d+\n", stderr)
+    assert stderr == f"nodes={result.nodes} pruned={result.pruned} rounds={result.rounds}\n"
 
 
 def test_iso_cli_not_isomorphic(tmp_path, capsys):
