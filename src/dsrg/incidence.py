@@ -5,8 +5,21 @@ A structure is a point set 0..num_points-1 plus a list of blocks
 into groups and a partition of the blocks into parallel classes.
 Builders produce group divisible designs, affine planes, hyperplane
 designs, plain partitions and the 7-point projective plane; verifiers
-check the partial-geometry, group-divisible and 2-design axioms by
-brute pair counting and report the first violated axiom with a witness.
+check the partial-geometry, group-divisible and 2-design axioms and
+report the first violated axiom with a witness.
+
+The field builders read GF(q) table rows directly.  A hyperplane
+design's linear form a.x is tabulated over all points one coordinate
+at a time (each value's row of `add_table`, read at a_i * F_q), and
+the point indices are bucketed by value in one pass; every block takes
+its indices from one shared point list.  Pair counts are int bitmasks
+and `int.bit_count()`: verify_pg's axiom 3 ANDs a point's block mask
+with the mask of the blocks meeting a line, and verify_2design ANDs
+per-point block masks (lambda) and per-block point masks (the
+intersection size of non-parallel blocks).  Pairs are scanned in the
+order of the plain pair loops, so the first failure and its witness
+are those of a brute pair count.  verify_pg's axiom 2 and verify_gdd
+count pairs in a dict.
 
 All orderings are canonical and documented per builder, so identical
 inputs give identical structures element by element.
@@ -16,7 +29,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from operator import ge, getitem, itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -32,6 +46,8 @@ from .errors import (
 from .ffield import make_field
 
 DEFAULT_BLOCK_BUDGET = 10 ** 6
+# point-block incidences a hyperplane design may hold; (8, 4) has 2,396,160
+MAX_HYPERPLANE_INCIDENCES = 10 ** 7
 
 Block = tuple[int, ...]
 
@@ -115,19 +131,20 @@ class IncidenceStructure:
         for i, b in enumerate(self.blocks):
             if not b:
                 raise ValueError(f"block {i} is empty")
-            if any(p < 0 or p >= n for p in b):
+            if _outside(b, n):
                 raise ValueError(f"block {i} has a point outside 0..{n - 1}")
-            if any(b[j] >= b[j + 1] for j in range(len(b) - 1)):
+            if any(map(ge, b, b[1:])):
                 raise ValueError(f"block {i} is not strictly increasing")
             if b in seen:
                 raise ValueError(f"duplicate block {b}")
             seen.add(b)
+        everything = list(range(n))
         if self.groups is not None:
             flat = [p for g in self.groups for p in g]
-            if sorted(flat) != list(range(n)):
+            if sorted(flat) != everything:
                 raise ValueError("groups do not partition the point set")
             for g in self.groups:
-                if any(g[j] >= g[j + 1] for j in range(len(g) - 1)):
+                if any(map(ge, g, g[1:])):
                     raise ValueError("group classes must be strictly increasing")
         if self.parallel_classes is not None:
             flat = [i for c in self.parallel_classes for i in c]
@@ -137,7 +154,7 @@ class IncidenceStructure:
                 covered: list[int] = []
                 for i in c:
                     covered.extend(self.blocks[i])
-                if sorted(covered) != list(range(n)):
+                if sorted(covered) != everything:
                     raise ValueError(f"parallel class {c} is not a partition of the points")
 
     def block_sets(self) -> list[frozenset[int]]:
@@ -149,6 +166,22 @@ class IncidenceStructure:
             for p in b:
                 out[p].append(i)
         return out
+
+
+def _outside(b, n: int) -> bool:
+    """Whether a point of b lies outside 0..n-1.
+
+    min and max answer for numbers in a total order; anything else
+    (mixed types, a NaN first point) is scanned point by point, so the
+    answer and any TypeError are those of the plain scan.
+    """
+    try:
+        lo, hi = min(b), max(b)
+        if lo == lo and hi == hi:
+            return lo < 0 or hi >= n
+    except TypeError:
+        pass
+    return any(p < 0 or p >= n for p in b)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +213,14 @@ def build_affine_plane(q: int) -> IncidenceStructure:
     if q > 64:
         raise TooLargeError(f"affine plane order capped at 64, got {q}")
     f = make_field(q)
+    points = list(range(q * q))
+    columns = [points[x * q:(x + 1) * q] for x in range(q)]   # columns[x][y] = x*q + y
     blocks: list[Block] = []
-    for m in f.elements():
-        for b in f.elements():
-            blocks.append(tuple(sorted(x * q + f.add(f.mul(m, x), b) for x in f.elements())))
-    for c in f.elements():
-        blocks.append(tuple(c * q + y for y in f.elements()))
+    for slope in f.mul_table:
+        at_slope = itemgetter(*slope)   # y = m*x + b at x = 0..q-1, read off add row b
+        for add_row in f.add_table:
+            blocks.append(tuple(map(getitem, columns, at_slope(add_row))))
+    blocks.extend(tuple(column) for column in columns)
     classes = tuple(tuple(range(i * q, (i + 1) * q)) for i in range(q + 1))
     return IncidenceStructure(q * q, tuple(blocks), parallel_classes=classes)
 
@@ -198,28 +233,38 @@ def build_hyperplane_design(q: int, n: int,
     coordinate most significant.  Each direction is a canonical normal
     vector a (first nonzero coordinate 1, directions in lexicographic
     order) and its class holds the blocks {x : a.x = c} for c = 0..q-1.
+    More than block_budget points, or more than MAX_HYPERPLANE_INCIDENCES
+    point-block incidences, raise OutOfBudgetError before GF(q) is built.
     """
     if n < 2:
         raise ValueError(f"need dimension at least 2, got {n}")
     if q ** n > block_budget:
         raise OutOfBudgetError(f"{q}^{n} points exceed budget {block_budget}")
+    # b*k = q(q^n-1)/(q-1) blocks of q^(n-1) points; q < 2 is left to make_field
+    incidences = q ** n * (q ** n - 1) // (q - 1) if q > 1 else 0
+    if incidences > MAX_HYPERPLANE_INCIDENCES:
+        raise OutOfBudgetError(
+            f"the hyperplanes of AG({n},{q}) have {incidences} point-block "
+            f"incidences, above the budget {MAX_HYPERPLANE_INCIDENCES}")
     f = make_field(q)
-    points = list(product(f.elements(), repeat=n))
-
-    def dot(a, x):
-        acc = 0
-        for ai, xi in zip(a, x):
-            acc = f.add(acc, f.mul(ai, xi))
-        return acc
-
+    points = list(range(q ** n))
     blocks: list[Block] = []
     for a in product(f.elements(), repeat=n):
         nz = next((i for i, ai in enumerate(a) if ai), None)
         if nz is None or a[nz] != 1:
             continue
-        values = [dot(a, x) for x in points]
-        for c in f.elements():
-            blocks.append(tuple(i for i, val in enumerate(values) if val == c))
+        # values[x] = a.x, one coordinate at a time: the prefix value v
+        # spreads to v + a_i*t for t = 0..q-1
+        values = [0]
+        for ai in a:
+            at_multiples = itemgetter(*f.mul_table[ai])
+            spread = [at_multiples(add_row) for add_row in f.add_table]
+            values = list(chain.from_iterable(map(spread.__getitem__, values)))
+        buckets: list[list[int]] = [[] for _ in range(q)]
+        append = [bucket.append for bucket in buckets]
+        for x, val in zip(points, values):
+            append[val](x)
+        blocks.extend(map(tuple, buckets))
     classes = tuple(tuple(range(i * q, (i + 1) * q)) for i in range(len(blocks) // q))
     return IncidenceStructure(q ** n, tuple(blocks), parallel_classes=classes)
 
@@ -262,6 +307,21 @@ def build_fano() -> IncidenceStructure:
 # verifiers
 # ---------------------------------------------------------------------------
 
+def _point_masks(s: IncidenceStructure) -> list[int]:
+    """Per point, the int whose bit i is set iff the point lies on block i."""
+    masks = [0] * s.num_points
+    for i, b in enumerate(s.blocks):
+        bit = 1 << i
+        for p in b:
+            masks[p] |= bit
+    return masks
+
+
+def _block_masks(s: IncidenceStructure) -> list[int]:
+    """Per block, the int whose bit p is set iff point p lies on the block."""
+    return [sum(1 << p for p in b) for b in s.blocks]
+
+
 def _pair_counts(s: IncidenceStructure) -> dict[tuple[int, int], int]:
     counts: dict[tuple[int, int], int] = {}
     for b in s.blocks:
@@ -299,12 +359,15 @@ def verify_pg(s: IncidenceStructure) -> PgParams:
     for pair, c in _pair_counts(s).items():
         if c > 1:
             raise NotPartialGeometryError(2, pair, f"points share {c} lines")
-    sets = s.block_sets()
-    p2b = s.point_to_blocks()
+    # crossing(p, L) = lines through p that meet L = |on[p] & meets[L]|
+    on = _point_masks(s)
+    meets = [0] * len(s.blocks)
+    for i, b in enumerate(s.blocks):
+        for p in b:
+            meets[i] |= on[p]
     tau = None
     for flag in anti_flags(s):
-        line = sets[flag.block]
-        crossing = sum(1 for i in p2b[flag.point] if line & sets[i])
+        crossing = (on[flag.point] & meets[flag.block]).bit_count()
         if tau is None:
             tau = crossing
         if crossing != tau:
@@ -380,16 +443,15 @@ def verify_2design(s: IncidenceStructure) -> DesignParams:
     for p, d in enumerate(degrees):
         if d != r:
             raise NotTwoDesignError(p, f"replication differs: {d} != {r}")
-    counts = _pair_counts(s)
-    lam = None
-    for a in range(s.num_points):
-        for b in range(a + 1, s.num_points):
-            c = counts.get((a, b), 0)
-            if lam is None:
-                lam = c
-            if c != lam:
-                raise NotTwoDesignError(
-                    (a, b), f"pair occurs in {c} blocks, expected {lam}")
+    on = _point_masks(s)
+    lam = (on[0] & on[1]).bit_count()
+    for a in range(s.num_points - 1):
+        on_a = on[a]
+        counts = [(on_a & on_b).bit_count() for on_b in on[a + 1:]]
+        if counts.count(lam) != len(counts):
+            b, c = next((b, c) for b, c in enumerate(counts, a + 1) if c != lam)
+            raise NotTwoDesignError(
+                (a, b), f"pair occurs in {c} blocks, expected {lam}")
     if not lam:
         raise NotTwoDesignError(None, "pairs occur in 0 blocks")
 
@@ -397,14 +459,18 @@ def verify_2design(s: IncidenceStructure) -> DesignParams:
     m_int = None
     if s.parallel_classes is not None:
         s_count = len(s.parallel_classes[0])
-        sets = s.block_sets()
+        masks = _block_masks(s)
         class_of = [0] * len(s.blocks)
         for ci, c in enumerate(s.parallel_classes):
             for i in c:
                 class_of[i] = ci
-        sizes = {len(sets[i] & sets[j])
-                 for i in range(len(sets)) for j in range(i + 1, len(sets))
-                 if class_of[i] != class_of[j]}
+        sizes: set[int] = set()
+        for i, mask in enumerate(masks):
+            ci = class_of[i]
+            sizes.update((mask & other).bit_count()
+                         for other, cj in zip(masks[i + 1:], class_of[i + 1:]) if cj != ci)
+            if len(sizes) > 1:
+                break
         if len(sizes) == 1:
             m_int = sizes.pop()
     return DesignParams(s.num_points, len(s.blocks), k, r, lam, s=s_count, m_int=m_int)
@@ -428,11 +494,12 @@ def anti_flags(s: IncidenceStructure) -> list[AntiFlag]:
 
 def to_json(s: IncidenceStructure) -> str:
     """Serialize to the interchange document; deterministic byte-for-byte."""
-    doc: dict = {"points": s.num_points, "blocks": [list(b) for b in s.blocks]}
+    # json writes tuples as arrays, so the tuples go in without copies
+    doc: dict = {"points": s.num_points, "blocks": s.blocks}
     if s.groups is not None:
-        doc["groups"] = [list(g) for g in s.groups]
+        doc["groups"] = s.groups
     if s.parallel_classes is not None:
-        doc["parallel_classes"] = [list(c) for c in s.parallel_classes]
+        doc["parallel_classes"] = s.parallel_classes
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 

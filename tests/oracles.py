@@ -16,12 +16,16 @@ anti-flag digraph from one edge rule of the README's family table, one
 vertex pair at a time.  reference_are_isomorphic and
 reference_canonical_form are the package's first isomorphism search and
 canonical labelling, kept verbatim as the reference for dsrg.iso.
+The reference_* structure functions are the package's first builders,
+validation and verifiers of dsrg.incidence (per-point dot products,
+frozenset intersections and a pair-count dict), kept verbatim as the
+reference for its table-driven builders and bitmask verifiers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 from dsrg import (
     BUDGET_EXCEEDED,
@@ -31,14 +35,20 @@ from dsrg import (
     DegenerateError,
     Digraph,
     DsrgParams,
+    IncidenceStructure,
     IsoResult,
     NonConstantError,
+    NotPartialGeometryError,
     NotRegularError,
+    NotTwoDesignError,
     OutOfBudgetError,
     TooLargeError,
+    anti_flags,
+    make_field,
     verify_mapping,
 )
 from dsrg.digraph import MAX_VERIFY_ORDER, _bits
+from dsrg.incidence import Block, DesignParams, PgParams
 
 
 def brute_pg(num_points, blocks):
@@ -404,3 +414,180 @@ def reference_canonical_form(d: Digraph, budget: int = DEFAULT_NODE_BUDGET
 
     search([0] * n, 0)
     return best[0], best[1]
+
+
+# ---------------------------------------------------------------------------
+# the first incidence builders, validation and verifiers
+# ---------------------------------------------------------------------------
+
+def reference_validate(num_points, blocks, groups=None, parallel_classes=None):
+    """IncidenceStructure's first _validate on plain arguments; raises or returns None."""
+    n = num_points
+    if n < 1:
+        raise ValueError("structure needs at least one point")
+    seen = set()
+    for i, b in enumerate(blocks):
+        if not b:
+            raise ValueError(f"block {i} is empty")
+        if any(p < 0 or p >= n for p in b):
+            raise ValueError(f"block {i} has a point outside 0..{n - 1}")
+        if any(b[j] >= b[j + 1] for j in range(len(b) - 1)):
+            raise ValueError(f"block {i} is not strictly increasing")
+        if b in seen:
+            raise ValueError(f"duplicate block {b}")
+        seen.add(b)
+    if groups is not None:
+        flat = [p for g in groups for p in g]
+        if sorted(flat) != list(range(n)):
+            raise ValueError("groups do not partition the point set")
+        for g in groups:
+            if any(g[j] >= g[j + 1] for j in range(len(g) - 1)):
+                raise ValueError("group classes must be strictly increasing")
+    if parallel_classes is not None:
+        flat = [i for c in parallel_classes for i in c]
+        if sorted(flat) != list(range(len(blocks))):
+            raise ValueError("parallel classes do not partition the block list")
+        for c in parallel_classes:
+            covered: list[int] = []
+            for i in c:
+                covered.extend(blocks[i])
+            if sorted(covered) != list(range(n)):
+                raise ValueError(f"parallel class {c} is not a partition of the points")
+
+
+def reference_build_affine_plane(q: int) -> IncidenceStructure:
+    if q > 64:
+        raise TooLargeError(f"affine plane order capped at 64, got {q}")
+    f = make_field(q)
+    blocks: list[Block] = []
+    for m in f.elements():
+        for b in f.elements():
+            blocks.append(tuple(sorted(x * q + f.add(f.mul(m, x), b) for x in f.elements())))
+    for c in f.elements():
+        blocks.append(tuple(c * q + y for y in f.elements()))
+    classes = tuple(tuple(range(i * q, (i + 1) * q)) for i in range(q + 1))
+    return IncidenceStructure(q * q, tuple(blocks), parallel_classes=classes)
+
+
+def reference_build_hyperplane_design(q: int, n: int,
+                                      block_budget: int = 10 ** 5) -> IncidenceStructure:
+    if n < 2:
+        raise ValueError(f"need dimension at least 2, got {n}")
+    if q ** n > block_budget:
+        raise OutOfBudgetError(f"{q}^{n} points exceed budget {block_budget}")
+    f = make_field(q)
+    points = list(product(f.elements(), repeat=n))
+
+    def dot(a, x):
+        acc = 0
+        for ai, xi in zip(a, x):
+            acc = f.add(acc, f.mul(ai, xi))
+        return acc
+
+    blocks: list[Block] = []
+    for a in product(f.elements(), repeat=n):
+        nz = next((i for i, ai in enumerate(a) if ai), None)
+        if nz is None or a[nz] != 1:
+            continue
+        values = [dot(a, x) for x in points]
+        for c in f.elements():
+            blocks.append(tuple(i for i, val in enumerate(values) if val == c))
+    classes = tuple(tuple(range(i * q, (i + 1) * q)) for i in range(len(blocks) // q))
+    return IncidenceStructure(q ** n, tuple(blocks), parallel_classes=classes)
+
+
+def _reference_pair_counts(s: IncidenceStructure) -> dict[tuple[int, int], int]:
+    counts: dict[tuple[int, int], int] = {}
+    for b in s.blocks:
+        for pair in combinations(b, 2):
+            counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
+def reference_verify_pg(s: IncidenceStructure) -> PgParams:
+    if not s.blocks:
+        raise NotPartialGeometryError(1, None, "no lines")
+    kappa = len(s.blocks[0])
+    for i, b in enumerate(s.blocks):
+        if len(b) != kappa:
+            raise NotPartialGeometryError(1, i, f"line sizes differ: {len(b)} != {kappa}")
+    if kappa < 2:
+        raise NotPartialGeometryError(1, 0, f"line size {kappa} < 2")
+    degrees = [0] * s.num_points
+    for b in s.blocks:
+        for p in b:
+            degrees[p] += 1
+    rho = degrees[0]
+    for p, d in enumerate(degrees):
+        if d != rho:
+            raise NotPartialGeometryError(1, p, f"point degrees differ: {d} != {rho}")
+    if rho < 2:
+        raise NotPartialGeometryError(1, 0, f"point degree {rho} < 2")
+    for pair, c in _reference_pair_counts(s).items():
+        if c > 1:
+            raise NotPartialGeometryError(2, pair, f"points share {c} lines")
+    sets = s.block_sets()
+    p2b = s.point_to_blocks()
+    tau = None
+    for flag in anti_flags(s):
+        line = sets[flag.block]
+        crossing = sum(1 for i in p2b[flag.point] if line & sets[i])
+        if tau is None:
+            tau = crossing
+        if crossing != tau:
+            raise NotPartialGeometryError(
+                3, tuple(flag), f"anti-flag sees {crossing} lines, expected {tau}")
+    if tau is None:
+        raise NotPartialGeometryError(3, None, "no anti-flag exists")
+    if tau < 1:
+        raise NotPartialGeometryError(3, None, "anti-flags see 0 transversal lines")
+    return PgParams(kappa, rho, tau)
+
+
+def reference_verify_2design(s: IncidenceStructure) -> DesignParams:
+    if s.num_points < 2:
+        raise NotTwoDesignError(None, "need at least 2 points")
+    if not s.blocks:
+        raise NotTwoDesignError(None, "no blocks")
+    k = len(s.blocks[0])
+    for i, b in enumerate(s.blocks):
+        if len(b) != k:
+            raise NotTwoDesignError(i, f"block sizes differ: {len(b)} != {k}")
+    if k < 2:
+        raise NotTwoDesignError(0, f"block size {k} < 2")
+    degrees = [0] * s.num_points
+    for b in s.blocks:
+        for p in b:
+            degrees[p] += 1
+    r = degrees[0]
+    for p, d in enumerate(degrees):
+        if d != r:
+            raise NotTwoDesignError(p, f"replication differs: {d} != {r}")
+    counts = _reference_pair_counts(s)
+    lam = None
+    for a in range(s.num_points):
+        for b in range(a + 1, s.num_points):
+            c = counts.get((a, b), 0)
+            if lam is None:
+                lam = c
+            if c != lam:
+                raise NotTwoDesignError(
+                    (a, b), f"pair occurs in {c} blocks, expected {lam}")
+    if not lam:
+        raise NotTwoDesignError(None, "pairs occur in 0 blocks")
+
+    s_count = None
+    m_int = None
+    if s.parallel_classes is not None:
+        s_count = len(s.parallel_classes[0])
+        sets = s.block_sets()
+        class_of = [0] * len(s.blocks)
+        for ci, c in enumerate(s.parallel_classes):
+            for i in c:
+                class_of[i] = ci
+        sizes = {len(sets[i] & sets[j])
+                 for i in range(len(sets)) for j in range(i + 1, len(sets))
+                 if class_of[i] != class_of[j]}
+        if len(sizes) == 1:
+            m_int = sizes.pop()
+    return DesignParams(s.num_points, len(s.blocks), k, r, lam, s=s_count, m_int=m_int)

@@ -43,6 +43,18 @@ def test_build_budget_guard(capsys):
     assert "budget" in stderr
 
 
+def test_build_hyperplane_source_over_incidence_budget(monkeypatch, capsys):
+    # affine-resolvable m=16384, s=2 needs the hyperplanes of AG(16, 2):
+    # 65536 points, 4.3e9 incidences; refused before any field table
+    def refuse(q):
+        raise AssertionError(f"make_field({q}) reached")
+    monkeypatch.setattr("dsrg.incidence.make_field", refuse)
+    code, _, stderr = run(capsys, "build", "--family", "affine-resolvable",
+                          "--m", "16384", "--s", "2", "--l", "2")
+    assert code == 1
+    assert "4294901760 point-block incidences" in stderr and "budget" in stderr
+
+
 def test_build_structure_out(tmp_path, capsys):
     path = tmp_path / "s.json"
     code, _, _ = run(capsys, "build", "--family", "gdd", "--l", "2", "--q", "3",

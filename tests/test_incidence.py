@@ -26,6 +26,7 @@ from dsrg import (
     verify_gdd,
     verify_pg,
 )
+from dsrg import incidence
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +42,28 @@ def test_rejects_bad_blocks():
         IncidenceStructure(3, ((0, 3),))              # out of range
     with pytest.raises(ValueError):
         IncidenceStructure(3, ((),))                  # empty block
+
+
+def test_outside_is_reported_before_a_descent():
+    with pytest.raises(ValueError, match=r"^block 1 has a point outside 0\.\.2$"):
+        IncidenceStructure(3, ((0, 1), (2, 5, 1)))
+
+
+def test_descent_message():
+    with pytest.raises(ValueError, match=r"^block 1 is not strictly increasing$"):
+        IncidenceStructure(3, ((0, 2), (2, 1)))
+    with pytest.raises(ValueError, match=r"^block 0 is not strictly increasing$"):
+        IncidenceStructure(3, ((1, 1),))
+
+
+def test_duplicate_message():
+    with pytest.raises(ValueError, match=r"^duplicate block \(0, 2\)$"):
+        IncidenceStructure(3, ((0, 2), (1,), (0, 2)))
+
+
+def test_empty_message():
+    with pytest.raises(ValueError, match=r"^block 1 is empty$"):
+        IncidenceStructure(3, ((0,), ()))
 
 
 def test_rejects_bad_groups_and_classes():
@@ -152,6 +175,26 @@ def test_hyperplane_design_is_affine_resolvable(q, n):
 def test_hyperplane_budget():
     with pytest.raises(OutOfBudgetError):
         build_hyperplane_design(10, 6)
+
+
+@pytest.fixture
+def no_field(monkeypatch):
+    def refuse(q):
+        raise AssertionError(f"make_field({q}) reached")
+    monkeypatch.setattr(incidence, "make_field", refuse)
+
+
+@pytest.mark.parametrize("q,n,incidences", [(16, 4, 286_326_784), (2, 16, 4_294_901_760)])
+def test_hyperplane_incidence_budget_comes_before_the_field(no_field, q, n, incidences):
+    # both are inside the point budget of 10**5
+    with pytest.raises(OutOfBudgetError, match=f"have {incidences} point-block incidences"):
+        build_hyperplane_design(q, n)
+
+
+@pytest.mark.parametrize("q,n", [(8, 4), (16, 3), (7, 4), (4, 5)])
+def test_bench_hyperplane_designs_pass_the_incidence_budget(no_field, q, n):
+    with pytest.raises(AssertionError, match="make_field"):
+        build_hyperplane_design(q, n)
 
 
 def test_restrict_parallel_classes():

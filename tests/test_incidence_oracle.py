@@ -1,0 +1,265 @@
+"""dsrg.incidence against its first builders, validation and verifiers.
+
+The reference_* functions in oracles.py are the package's first
+per-point, frozenset and pair-dict implementations.  Built structures
+must be equal element by element; validation and the pg / 2-design
+verifiers must give the same result, or the same error class, message,
+axiom and witness, on the structuregen sample and on seeded mutants.
+"""
+
+import math
+import random
+
+import pytest
+
+from dsrg import (
+    IncidenceStructure,
+    build_affine_plane,
+    build_hyperplane_design,
+    restrict_parallel_classes,
+    verify_2design,
+    verify_pg,
+)
+from oracles import (
+    reference_build_affine_plane,
+    reference_build_hyperplane_design,
+    reference_validate,
+    reference_verify_2design,
+    reference_verify_pg,
+)
+from structuregen import random_structures
+
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+PRIME_POWERS = [q for q in range(2, 65) if _is_prime_power(q)]
+SMALL_DESIGNS = [(q, n) for q in PRIME_POWERS for n in range(2, 11) if q ** n <= 1024]
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or everything an error carries: class, message, axiom, witness."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+        return (type(exc), str(exc), getattr(exc, "axiom", None),
+                getattr(exc, "witness", None))
+
+
+# ---------------------------------------------------------------------------
+# builders
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q,n", SMALL_DESIGNS, ids=[f"AG({n},{q})" for q, n in SMALL_DESIGNS])
+def test_hyperplane_design_matches_reference(q, n):
+    got = build_hyperplane_design(q, n)
+    want = reference_build_hyperplane_design(q, n)
+    assert got.blocks == want.blocks
+    assert got.parallel_classes == want.parallel_classes
+    assert got == want
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_affine_plane_matches_reference(q):
+    got = build_affine_plane(q)
+    want = reference_build_affine_plane(q)
+    assert got.blocks == want.blocks
+    assert got.parallel_classes == want.parallel_classes
+    assert got == want
+
+
+@pytest.mark.parametrize("q,n", [(1, 3), (6, 2), (10, 6), (2, 1)])
+def test_hyperplane_design_errors_match_reference(q, n):
+    assert outcome(build_hyperplane_design, q, n) == \
+        outcome(reference_build_hyperplane_design, q, n)
+
+
+@pytest.mark.parametrize("q", [1, 6, 65, 81])
+def test_affine_plane_errors_match_reference(q):
+    assert outcome(build_affine_plane, q) == outcome(reference_build_affine_plane, q)
+
+
+# ---------------------------------------------------------------------------
+# validation
+# ---------------------------------------------------------------------------
+
+def validate(*args, **kwargs):
+    """IncidenceStructure's validation, returning None as the reference does."""
+    IncidenceStructure(*args, **kwargs)
+
+
+VALIDATION_CASES = [
+    (3, ((0, 1), (0, 1))),
+    (3, ((1, 0),)),
+    (3, ((0, 3),)),
+    (3, ((),)),
+    (3, ((0, 1), (2, 5, 1))),          # outside and descending: outside wins
+    (3, ((-1, 0),)),
+    (3, ((0, 0),)),
+    (3, ((0, 2), (2, 1), (0, 2))),
+    (0, ((0,),)),
+    (3, ((0.5, 1),)),                   # the scan accepts floats in range
+    (3, ((math.nan, 5),)),              # NaN hides 5 from min and max
+    (3, ((0, math.nan, 7, math.nan, 1),)),
+    (3, ((math.nan, 1),)),
+    (3, ((5, math.nan),)),
+    (3, (("a", 1),)),                   # TypeError text of the plain scan
+    (3, ((1, "a"),)),
+    (3, (("a", "b"),)),
+    (3, ((None, 1),)),
+    (3, ((5, "a"),)),
+    (3, ((True, 2),)),
+]
+
+
+@pytest.mark.parametrize("n,blocks", VALIDATION_CASES)
+def test_validation_matches_reference(n, blocks):
+    assert outcome(validate, n, blocks) == outcome(reference_validate, n, blocks)
+
+
+GROUPED_CASES = [
+    (4, ((0, 1),), ((0, 1), (2,)), None),
+    (4, ((0, 1),), ((0, 1), (3, 2)), None),
+    (4, ((0, 1),), ((0, 1), (2, 3)), None),
+    (4, ((0, 1), (2, 3)), None, ((0,),)),
+    (4, ((0, 1), (1, 2), (0, 2, 3)), None, ((0, 1), (2,))),
+    (4, ((0, 1), (2, 3)), None, ((0, 1),)),
+    (4, ((0, 1), (2, 3), (0, 2), (1, 3)), ((0, 1), (2, 3)), ((0, 1), (2, 3))),
+]
+
+
+@pytest.mark.parametrize("n,blocks,groups,classes", GROUPED_CASES)
+def test_group_and_class_validation_matches_reference(n, blocks, groups, classes):
+    assert outcome(validate, n, blocks, groups=groups, parallel_classes=classes) == \
+        outcome(reference_validate, n, blocks, groups=groups, parallel_classes=classes)
+
+
+def test_validation_matches_reference_on_random_block_lists():
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(600):
+        n = rng.randrange(1, 7)
+        blocks = tuple(tuple(rng.randrange(-1, n + 2) for _ in range(rng.randrange(0, 4)))
+                       for _ in range(rng.randrange(1, 4)))
+        got = outcome(validate, n, blocks)
+        assert got == outcome(reference_validate, n, blocks), blocks
+        kinds.add(next((w for w in ("empty", "outside", "increasing", "duplicate")
+                        if got[0] != "ok" and w in got[1]), "ok"))
+    assert kinds == {"ok", "empty", "outside", "increasing", "duplicate"}
+
+
+# ---------------------------------------------------------------------------
+# verifiers
+# ---------------------------------------------------------------------------
+
+def _moved_point(rng, s):
+    """s with one point of one block replaced by a point off that block.
+
+    The parallel classes are dropped, since the block's class no longer
+    partitions the points; None if the result repeats a block.
+    """
+    blocks = [list(b) for b in s.blocks]
+    i = rng.randrange(len(blocks))
+    off = [p for p in range(s.num_points) if p not in blocks[i]]
+    if not off:
+        return None
+    blocks[i].remove(rng.choice(blocks[i]))
+    blocks[i] = sorted(blocks[i] + [rng.choice(off)])
+    try:
+        return IncidenceStructure(s.num_points, tuple(map(tuple, blocks)), groups=s.groups)
+    except ValueError:
+        return None
+
+
+def _swapped_point(rng, s):
+    """s with a point of one block moved to another, which gives one of
+    its points back, so block sizes and point degrees survive.
+
+    With parallel classes the second block is parallel to the first, so
+    the classes survive too; None if a block would repeat a point or
+    another block.
+    """
+    i = rng.randrange(len(s.blocks))
+    if s.parallel_classes is None:
+        j = rng.randrange(len(s.blocks))
+    else:
+        j = rng.choice(next(c for c in s.parallel_classes if i in c))
+    blocks = [list(b) for b in s.blocks]
+    p, p2 = rng.choice(blocks[i]), rng.choice(blocks[j])
+    if p in blocks[j] or p2 in blocks[i]:
+        return None
+    blocks[i] = sorted([x for x in blocks[i] if x != p] + [p2])
+    blocks[j] = sorted([x for x in blocks[j] if x != p2] + [p])
+    try:
+        return IncidenceStructure(s.num_points, tuple(map(tuple, blocks)),
+                                  groups=s.groups, parallel_classes=s.parallel_classes)
+    except ValueError:
+        return None
+
+
+# the 3x3 grid (kappa 3, rho 2, tau 1) beside the dual of K4 (points are
+# its 6 edges, lines its 4 vertices; tau 2): axioms 1 and 2 hold, 3 fails
+GRID_BESIDE_DUAL_K4 = IncidenceStructure(15, (
+    (0, 1, 2), (0, 3, 6), (1, 4, 7), (2, 5, 8), (3, 4, 5), (6, 7, 8),
+    (9, 10, 11), (9, 12, 13), (10, 12, 14), (11, 13, 14)))
+
+# all pairs of 6 points, resolved by a one-factorisation of K6: a
+# 2-(6,2,1) design whose non-parallel blocks meet in 0 or 1 points
+K6_PAIRS = IncidenceStructure(6, (
+    (0, 1), (2, 3), (4, 5), (0, 2), (1, 4), (3, 5), (0, 3), (1, 5), (2, 4),
+    (0, 4), (1, 3), (2, 5), (0, 5), (1, 2), (3, 4)),
+    parallel_classes=tuple(tuple(range(i, i + 3)) for i in range(0, 15, 3)))
+
+
+BASES = [build_affine_plane(q) for q in (2, 3, 4, 5, 7)]
+BASES += [restrict_parallel_classes(build_affine_plane(q), l) for q in (3, 4, 5) for l in (2, 3)]
+BASES += [build_hyperplane_design(2, 3), build_hyperplane_design(3, 3),
+          GRID_BESIDE_DUAL_K4, K6_PAIRS]
+
+
+def _mutants(seed, tries):
+    """Up to `tries` mutants of each kind per base; AG(2,2) has none."""
+    rng = random.Random(seed)
+    made = (make(rng, base) for base in BASES
+            for make in (_moved_point, _swapped_point) for _ in range(tries))
+    return [m for m in made if m is not None]
+
+
+SAMPLE = random_structures(200, seed=20250809)
+MUTANTS = _mutants(seed=5, tries=12)
+VERIFIERS = pytest.mark.parametrize(
+    "verify,reference",
+    [(verify_pg, reference_verify_pg), (verify_2design, reference_verify_2design)],
+    ids=["verify_pg", "verify_2design"])
+
+
+@VERIFIERS
+def test_verifiers_match_reference_on_structuregen_sample(verify, reference):
+    for s in SAMPLE:
+        assert outcome(verify, s) == outcome(reference, s), s
+
+
+@VERIFIERS
+def test_verifiers_match_reference_on_mutants(verify, reference):
+    for s in MUTANTS + BASES:
+        assert outcome(verify, s) == outcome(reference, s), s
+
+
+def test_mutants_reach_every_check():
+    axioms = {got[2] for got in (outcome(verify_pg, s) for s in MUTANTS) if got[0] != "ok"}
+    assert axioms == {1, 2, 3}
+    messages = {got[1] for got in (outcome(verify_2design, s) for s in MUTANTS)
+                if got[0] != "ok"}
+    assert any(m.startswith("replication differs") for m in messages)
+    assert any(m.startswith("pair occurs in 0 blocks") for m in messages)
+    assert any(m.startswith("pair occurs in 2 blocks") for m in messages)
+
+
+def test_bases_reach_axiom_3_and_an_unset_intersection_size():
+    assert outcome(verify_pg, GRID_BESIDE_DUAL_K4)[2] == 3
+    assert verify_2design(K6_PAIRS).m_int is None
+    assert verify_2design(build_hyperplane_design(3, 3)).m_int == 3
