@@ -11,12 +11,21 @@ rather than trusting any formula: row u of A^2 is the sum of rows[v]
 over the out-neighbours v of u, held as bit planes (plane i is an
 n-bit int with bit i of every count), so a whole row is added and
 compared with a few wide-int operations and the whole verification
-runs in exact integer arithmetic.
+runs in exact integer arithmetic.  Vertices with equal out-rows share
+their row of A^2, and the paper's graphs repeat out-rows (under the
+forward rule the out-row depends on the point alone; a Duval multiple
+repeats each base row m times).  So with D distinct out-rows r, each
+held by the vertices of a mask M_r, row u of A^2 is also the sum of
+|N+(u) & M_r| * r: when D <= k the verifier sums the D classes,
+weighted by their counts, instead of the k out-neighbours.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
 
 from .errors import (
@@ -262,17 +271,93 @@ def _add(planes: list[int], x: int) -> None:
         planes.append(x)
 
 
+def _add_planes(acc: list[int], planes: list[int], shift: int) -> None:
+    """Add the counts held in `planes`, times 2**shift, to those in `acc`.
+
+    A ripple-carry adder over whole planes: plane i of `planes` meets
+    plane i + shift of `acc`, and the carry runs on until it dies out.
+    """
+    if len(acc) < shift + len(planes):
+        acc.extend([0] * (shift + len(planes) - len(acc)))
+    carry = 0
+    i = shift
+    for plane in planes:
+        a = acc[i]
+        half = a ^ plane
+        acc[i] = half ^ carry
+        carry = (a & plane) | (carry & half)
+        i += 1
+    while carry:
+        if i == len(acc):
+            acc.append(carry)
+            return
+        a = acc[i]
+        acc[i] = a ^ carry
+        carry &= a
+        i += 1
+
+
+def _add_times(acc: list[int], planes: list[int], c: int) -> None:
+    """Add c times the counts in `planes` to `acc`: one shifted add per bit of c."""
+    shift = 0
+    while c:
+        if c & 1:
+            _add_planes(acc, planes, shift)
+        c >>= 1
+        shift += 1
+
+
+def _weighted_sum(terms: Iterable[tuple[int, int]]) -> list[int]:
+    """Bit planes of the sum of c * x over the (c, x) terms, x a 0/1 vector.
+
+    The vectors of one count are added into one plane stack, and each
+    stack is then multiplied by its count, so a count shared by many
+    terms costs one multiplication.  Terms with c = 0 are skipped.
+    """
+    stacks: dict[int, list[int]] = {}
+    for c, x in terms:
+        if c:
+            stack = stacks.get(c)
+            if stack is None:
+                stack = stacks[c] = []
+            _add(stack, x)
+    acc: list[int] = []
+    for c, stack in stacks.items():
+        _add_times(acc, stack, c)
+    return acc
+
+
 def _square_row(rows: tuple[int, ...], row: int) -> list[int]:
-    """The row of A^2 of a vertex with out-row `row`, as bit planes."""
+    """The row of A^2 of a vertex with out-row `row`, one add per out-neighbour."""
     planes: list[int] = []
     for v in _bits(row):
         _add(planes, rows[v])
     return planes
 
 
+def _square_row_by_class(reps: list[int], members: list[int], row: int) -> list[int]:
+    """The row of A^2 of a vertex with out-row `row`, one add per out-row class.
+
+    A^2[u] = sum over classes r of |N+(u) & M_r| * r, where r is a
+    distinct out-row and M_r the mask of the vertices that have it.
+    """
+    return _weighted_sum(((row & m).bit_count(), r) for r, m in zip(reps, members))
+
+
 def _value_planes(parts: list[tuple[int, int]], width: int) -> list[int]:
-    """Bit planes of the vector that equals `value` on each disjoint `mask`."""
-    return [sum(mask for value, mask in parts if (value >> i) & 1) for i in range(width)]
+    """Bit planes of the vector that equals `value` on each disjoint `mask`.
+
+    Every value must be below 2**width.
+    """
+    planes = [0] * width
+    for value, mask in parts:
+        i = 0
+        while value:
+            if value & 1:
+                planes[i] |= mask
+            value >>= 1
+            i += 1
+    return planes
 
 
 def _differ(got: list[int], want: list[int]) -> int:
@@ -291,13 +376,20 @@ def verify_dsrg(d: Digraph) -> DsrgParams:
     """Recover (v, k, t, lambda, mu) from A^2, or raise with a witness.
 
     Checks, in order: constant out-degree k, before any n^2 work;
-    in-degree k, from one bit-sliced sum of all rows; the graph is
-    neither empty nor complete; then, row by row, that row u of A^2
-    equals t*e_u + lambda*A_u + mu*(J - I - A)_u.  t, lambda and mu are
-    read from row 0: its diagonal, its first edge and its first
-    off-diagonal non-edge.  A failing row names the lowest column that
-    differs as the witness.  Rows of A^2 depend only on the out-row, so
-    each distinct out-row is summed once per call.
+    in-degree k, from one bit-sliced sum of the distinct out-rows, each
+    weighted by how many vertices have it; the graph is neither empty
+    nor complete; then, row by row, that row u of A^2 equals
+    t*e_u + lambda*A_u + mu*(J - I - A)_u.  t, lambda and mu are read
+    from row 0: its diagonal, its first edge and its first off-diagonal
+    non-edge.  A failing row names the lowest column that differs as
+    the witness.
+
+    Rows of A^2 depend only on the out-row, so the row of each of the D
+    distinct out-rows is summed once per call.  When D <= k it is summed
+    over the out-row classes, each weighted by how many out-neighbours
+    it holds (at most D row adds, then one shifted stack add per bit of
+    each distinct weight); otherwise the k out-rows of the
+    out-neighbours are added one by one.
     """
     n = d.n
     if n < 2:
@@ -307,12 +399,17 @@ def verify_dsrg(d: Digraph) -> DsrgParams:
     rows = d.rows
     full = (1 << n) - 1
     k = rows[0].bit_count()
-    for u, row in enumerate(rows):
+    # out-row classes, numbered in order of first appearance: reps[c] is
+    # the out-row of class c, and cls[u] the class of vertex u
+    sizes = Counter(rows)
+    reps = list(sizes)
+    for row in reps:
+        # the first vertex of the first bad class is the first bad vertex
         if row.bit_count() != k:
-            raise NotRegularError(u, f"out-degree {row.bit_count()} != {k}")
-    in_degrees: list[int] = []
-    for row in rows:
-        _add(in_degrees, row)
+            raise NotRegularError(rows.index(row), f"out-degree {row.bit_count()} != {k}")
+    ids = {row: c for c, row in enumerate(reps)}
+    cls = list(map(ids.__getitem__, rows))
+    in_degrees = _weighted_sum(zip(sizes.values(), reps))
     bad = _differ(in_degrees, _value_planes([(k, full)], k.bit_length()))
     if bad:
         v = _low_bit(bad)
@@ -322,28 +419,39 @@ def verify_dsrg(d: Digraph) -> DsrgParams:
     if k == n - 1:
         raise DegenerateError("graph is complete; mu is unconstrained")
 
-    first = _square_row(rows, rows[0])
+    if len(reps) <= k:
+        members = [0] * len(reps)
+        for u, c in enumerate(cls):
+            members[c] |= 1 << u
+        square = partial(_square_row_by_class, reps, members)
+    else:
+        square = partial(_square_row, rows)
+
+    first = square(rows[0])
     t = _count(first, 0)
     lam = _count(first, _low_bit(rows[0]))
     mu = _count(first, _low_bit(full ^ rows[0] ^ 1))
     width = max(t, lam, mu).bit_length()
-    # out-row -> (columns differing from lambda on the row and mu off it,
-    #             columns differing from lambda on the row and t off it);
+    # class -> (columns differing from lambda on the row and mu off it,
+    #           columns differing from lambda on the row and t off it);
     # the diagonal of vertex u is the one off-row column held to t
-    seen: dict[int, tuple[int, int]] = {}
-    for u, row in enumerate(rows):
-        masks = seen.get(row)
+    seen: list[tuple[int, int] | None] = [None] * len(reps)
+    for u, c in enumerate(cls):
+        row = rows[u]
+        masks = seen[c]
         if masks is None:
-            got = _square_row(rows, row) if u else first
+            got = square(row) if c else first
             off = full ^ row
             masks = (_differ(got, _value_planes([(lam, row), (mu, off)], width)),
                      _differ(got, _value_planes([(lam, row), (t, off)], width)))
-            seen[row] = masks
+            seen[c] = masks
+        if not (masks[0] or masks[1]):
+            continue
         diag = 1 << u
         bad = (masks[0] & ~diag) | (masks[1] & diag)
         if bad:
             w = _low_bit(bad)
-            value = _count(_square_row(rows, row), w)
+            value = _count(square(row), w)
             if w == u:
                 raise NonConstantError("t", u, f"diagonal entry {value} != {t}")
             if (row >> w) & 1:
@@ -356,12 +464,16 @@ def _blow_up(d: Digraph, m: int) -> Digraph:
     """A tensor J_m, unchecked: vertex u becomes u*m .. u*m + m - 1."""
     if m == 1:
         return d
-    # bit v of a row becomes bits v*m .. v*m + m - 1
+    # bit v of a row becomes bits v*m .. v*m + m - 1; equal rows spread once
     spread = str.maketrans({"0": "0" * m, "1": "1" * m})
     width = f"0{d.n}b"
+    spread_rows: dict[int, int] = {}
     rows = []
     for row in d.rows:
-        rows.extend([int(format(row, width).translate(spread), 2)] * m)
+        big = spread_rows.get(row)
+        if big is None:
+            big = spread_rows[row] = int(format(row, width).translate(spread), 2)
+        rows.extend([big] * m)
     return Digraph(d.n * m, tuple(rows))
 
 

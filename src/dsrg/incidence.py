@@ -366,13 +366,17 @@ def verify_pg(s: IncidenceStructure) -> PgParams:
         for p in b:
             meets[i] |= on[p]
     tau = None
-    for flag in anti_flags(s):
-        crossing = (on[flag.point] & meets[flag.block]).bit_count()
-        if tau is None:
-            tau = crossing
-        if crossing != tau:
-            raise NotPartialGeometryError(
-                3, tuple(flag), f"anti-flag sees {crossing} lines, expected {tau}")
+    # the anti-flags in anti_flags(s) order: points, then the blocks off each
+    for p, lines in enumerate(on):
+        for i, meeting in enumerate(meets):
+            if (lines >> i) & 1:
+                continue
+            crossing = (lines & meeting).bit_count()
+            if tau is None:
+                tau = crossing
+            if crossing != tau:
+                raise NotPartialGeometryError(
+                    3, (p, i), f"anti-flag sees {crossing} lines, expected {tau}")
     if tau is None:
         raise NotPartialGeometryError(3, None, "no anti-flag exists")
     if tau < 1:

@@ -11,7 +11,11 @@ success and None on rejection.
 
 popcount_verify_dsrg is the first DSRG verifier, one popcount per entry
 of A^2, kept as the reference for the bit-sliced verifier; witness_problem
-recounts a rejection's witness from the 0/1 matrix.  wire_rule builds an
+recounts a rejection's witness from the 0/1 matrix.  reference_verify_dsrg
+is the first bit-sliced verifier, which adds the out-row of every
+out-neighbour, kept verbatim with its plane helpers as the reference for
+the out-row-class kernel: its outcomes, witnesses and messages must be
+identical.  wire_rule builds an
 anti-flag digraph from one edge rule of the README's family table, one
 vertex pair at a time.  reference_are_isomorphic and
 reference_canonical_form are the package's first isomorphism search and
@@ -25,7 +29,7 @@ reference for its table-driven builders and bitmask verifiers.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 
 from dsrg import (
     BUDGET_EXCEEDED,
@@ -260,6 +264,107 @@ def popcount_verify_dsrg(d) -> DsrgParams:
                 elif paths != mu:
                     raise NonConstantError("mu", (u, w), f"entry {paths} != {mu}")
     assert lam is not None and mu is not None
+    return DsrgParams(n, k, t, lam, mu)
+
+
+# ---------------------------------------------------------------------------
+# The bit-sliced verify_dsrg as first written: row u of A^2 is the sum of
+# the out-rows of the k out-neighbours of u, added one by one into bit
+# planes.  Kept verbatim, helpers included, as the reference for
+# dsrg.digraph.verify_dsrg.
+# ---------------------------------------------------------------------------
+
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _add(planes: list[int], x: int) -> None:
+    for i, plane in enumerate(planes):
+        planes[i] = plane ^ x
+        x &= plane
+        if not x:
+            return
+    if x:
+        planes.append(x)
+
+
+def _square_row(rows: tuple[int, ...], row: int) -> list[int]:
+    planes: list[int] = []
+    for v in _bits(row):
+        _add(planes, rows[v])
+    return planes
+
+
+def _value_planes(parts: list[tuple[int, int]], width: int) -> list[int]:
+    return [sum(mask for value, mask in parts if (value >> i) & 1) for i in range(width)]
+
+
+def _differ(got: list[int], want: list[int]) -> int:
+    diff = 0
+    for a, b in zip_longest(got, want, fillvalue=0):
+        diff |= a ^ b
+    return diff
+
+
+def _count(planes: list[int], w: int) -> int:
+    return sum(((plane >> w) & 1) << i for i, plane in enumerate(planes))
+
+
+def reference_verify_dsrg(d: Digraph) -> DsrgParams:
+    """Recover (v, k, t, lambda, mu) from A^2, or raise with a witness.
+
+    Same checks and order as dsrg.verify_dsrg: out-degree, in-degree
+    (one plane add per row), degenerate, then row by row against
+    t*e_u + lambda*A_u + mu*(J - I - A)_u with t, lambda and mu read
+    from row 0, naming the lowest differing column.
+    """
+    n = d.n
+    if n < 2:
+        raise ValueError("need at least 2 vertices")
+    if n > MAX_VERIFY_ORDER:
+        raise TooLargeError(f"verification capped at {MAX_VERIFY_ORDER} vertices")
+    rows = d.rows
+    full = (1 << n) - 1
+    k = rows[0].bit_count()
+    for u, row in enumerate(rows):
+        if row.bit_count() != k:
+            raise NotRegularError(u, f"out-degree {row.bit_count()} != {k}")
+    in_degrees: list[int] = []
+    for row in rows:
+        _add(in_degrees, row)
+    bad = _differ(in_degrees, _value_planes([(k, full)], k.bit_length()))
+    if bad:
+        v = _low_bit(bad)
+        raise NotRegularError(v, f"in-degree {_count(in_degrees, v)} != {k}")
+    if k == 0:
+        raise DegenerateError("graph is empty; mu is unconstrained")
+    if k == n - 1:
+        raise DegenerateError("graph is complete; mu is unconstrained")
+
+    first = _square_row(rows, rows[0])
+    t = _count(first, 0)
+    lam = _count(first, _low_bit(rows[0]))
+    mu = _count(first, _low_bit(full ^ rows[0] ^ 1))
+    width = max(t, lam, mu).bit_length()
+    seen: dict[int, tuple[int, int]] = {}
+    for u, row in enumerate(rows):
+        masks = seen.get(row)
+        if masks is None:
+            got = _square_row(rows, row) if u else first
+            off = full ^ row
+            masks = (_differ(got, _value_planes([(lam, row), (mu, off)], width)),
+                     _differ(got, _value_planes([(lam, row), (t, off)], width)))
+            seen[row] = masks
+        diag = 1 << u
+        bad = (masks[0] & ~diag) | (masks[1] & diag)
+        if bad:
+            w = _low_bit(bad)
+            value = _count(_square_row(rows, row), w)
+            if w == u:
+                raise NonConstantError("t", u, f"diagonal entry {value} != {t}")
+            if (row >> w) & 1:
+                raise NonConstantError("lambda", (u, w), f"entry {value} != {lam}")
+            raise NonConstantError("mu", (u, w), f"entry {value} != {mu}")
     return DsrgParams(n, k, t, lam, mu)
 
 

@@ -1,21 +1,30 @@
-"""The bit-sliced verify_dsrg against the popcount reference verifier.
+"""verify_dsrg against the two reference verifiers in oracles.
 
-Accepted graphs must give equal parameters.  On mutants both verifiers
-must reject with the same error class, degree witnesses must name the
-same vertex, and every witness of the bit-sliced verifier must survive
-an independent recount.  It may differ from the reference's A^2
-witness: this verifier checks t row by row, the reference checks the
-whole diagonal first.
+Against the popcount verifier: accepted graphs must give equal
+parameters.  On mutants both verifiers must reject with the same error
+class, degree witnesses must name the same vertex, and every witness of
+verify_dsrg must survive an independent recount.  It may differ from the
+popcount verifier's A^2 witness: verify_dsrg checks t row by row, the
+popcount verifier checks the whole diagonal first.
+
+Against reference_verify_dsrg, the first bit-sliced verifier, which adds
+one out-row per out-neighbour: every outcome must be identical, the same
+parameters or the same error class, witness fields and message.  The
+plane-stack helpers of the out-row-class kernel are checked against
+plain per-column integer sums.
 """
 
 import random
 
 import pytest
 
+import dsrg.digraph
+
 from dsrg import (
     Digraph,
     DsrgError,
     DsrgParams,
+    Gdd,
     NotRegularError,
     PartitionSpiked,
     build_antiflag_backward_loopy,
@@ -24,8 +33,9 @@ from dsrg import (
     duval_multiple,
     verify_dsrg,
 )
+from dsrg.digraph import _add, _add_planes, _add_times, _weighted_sum
 from dsrg.families import catalog_instances
-from oracles import dense, popcount_verify_dsrg, witness_problem
+from oracles import dense, popcount_verify_dsrg, reference_verify_dsrg, witness_problem
 
 MAX_ORDER = 110
 MULTIPLES = 13
@@ -63,6 +73,17 @@ def _outcome(verify, d):
         return verify(d)
     except DsrgError as exc:
         return exc
+
+
+def _same_as_reference(d, got, where):
+    """got must equal reference_verify_dsrg's outcome on d exactly."""
+    want = _outcome(reference_verify_dsrg, d)
+    if isinstance(want, DsrgParams):
+        assert got == want, where
+        return
+    assert type(got) is type(want), f"{where}: {got!r} vs reference {want!r}"
+    assert vars(got) == vars(want), where
+    assert str(got) == str(want), where
 
 
 def _mutants(rows, rng):
@@ -122,7 +143,9 @@ def _swap_partners(rows, a, rng):
 def test_accepts_like_the_reference(name, build):
     for m, d in _graphs(build):
         want = popcount_verify_dsrg(d)
-        assert verify_dsrg(d) == want, f"{name} m={m}"
+        got = verify_dsrg(d)
+        assert got == want, f"{name} m={m}"
+        _same_as_reference(d, got, f"{name} m={m}")
 
 
 @pytest.mark.parametrize("name,build", INSTANCES, ids=[name for name, _ in INSTANCES])
@@ -135,6 +158,7 @@ def test_mutants_rejected_like_the_reference(name, build):
             where = f"{name} m={m} {label}"
             want = _outcome(popcount_verify_dsrg, mutant)
             got = _outcome(verify_dsrg, mutant)
+            _same_as_reference(mutant, got, where)
             if isinstance(want, DsrgParams):
                 assert got == want, where
                 continue
@@ -143,3 +167,112 @@ def test_mutants_rejected_like_the_reference(name, build):
                 assert got.vertex == want.vertex, where
             problem = witness_problem(dense(mutant), got)
             assert problem is None, f"{where}: {problem}"
+
+
+def test_both_kernels_run(monkeypatch):
+    """D <= k sums by out-row class, D > k by out-neighbour, where D is
+    the number of distinct out-rows."""
+    calls = {"_square_row": 0, "_square_row_by_class": 0}
+    for name in calls:
+        kernel = getattr(dsrg.digraph, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(dsrg.digraph, name, counted)
+
+    # partition-spiked and backward rules: every out-row distinct
+    spiked = build_digraph(PartitionSpiked(6, 8))   # n = 336 > k = 83
+    fano = build_antiflag_backward_loopy(build_fano())
+    for d in (spiked, fano):
+        assert len(set(d.rows)) == d.n > d.rows[0].bit_count()
+        verify_dsrg(d)
+    assert calls == {"_square_row": spiked.n + fano.n, "_square_row_by_class": 0}
+
+    # forward rule: the out-row depends on the point alone
+    gdd = build_digraph(Gdd(2, 3))
+    multiple = duval_multiple(gdd, 3)
+    calls.update(_square_row=0, _square_row_by_class=0)
+    for d in (gdd, multiple):
+        assert len(set(d.rows)) <= d.rows[0].bit_count()
+        verify_dsrg(d)
+    assert calls == {"_square_row": 0, "_square_row_by_class": 2 * len(set(gdd.rows))}
+
+
+# -- the plane-stack helpers -------------------------------------------------
+
+WIDTH = 61   # columns per test vector
+
+
+def _planes_of(values):
+    """Bit planes of a list of per-column counts."""
+    top = max(values, default=0).bit_length()
+    return [sum(((v >> i) & 1) << w for w, v in enumerate(values)) for i in range(top)]
+
+
+def _columns_of(planes):
+    """Per-column counts held in bit planes."""
+    return [sum(((p >> w) & 1) << i for i, p in enumerate(planes)) for w in range(WIDTH)]
+
+
+def _random_vector(rng, density=0.5):
+    return sum(1 << w for w in range(WIDTH) if rng.random() < density)
+
+
+def _column_sum(terms):
+    return [sum(c * ((x >> w) & 1) for c, x in terms) for w in range(WIDTH)]
+
+
+COUNTS = [1, 2, 3, 4, 7, 8, 64, 255, 256, 1000, 2**12 - 1, 2**12]
+
+
+@pytest.mark.parametrize("c", COUNTS)
+def test_add_times_matches_column_sums(c):
+    rng = random.Random(f"{SEED} times {c}")
+    for start in ([], [rng.randrange(2**13) for _ in range(WIDTH)]):
+        xs = [_random_vector(rng) for _ in range(rng.randrange(1, 20))]
+        stack: list[int] = []
+        for x in xs:
+            _add(stack, x)
+        acc = _planes_of(start) if start else []
+        _add_times(acc, stack, c)
+        base = start or [0] * WIDTH
+        want = [b + c * s for b, s in zip(base, _column_sum([(1, x) for x in xs]))]
+        assert _columns_of(acc) == want
+
+
+def test_add_planes_carries_past_the_top_plane():
+    """All ones plus all ones, shifted: the carry runs above both stacks."""
+    ones = (1 << WIDTH) - 1
+    for shift in range(4):
+        for width in range(1, 5):
+            top = [ones] * width   # every column holds 2**width - 1
+            acc = list(top)
+            _add_planes(acc, top, shift)
+            want = (2**width - 1) * (1 + 2**shift)
+            assert _columns_of(acc) == [want] * WIDTH, (shift, width)
+            assert len(acc) == want.bit_length()
+
+
+def test_add_planes_into_an_empty_accumulator():
+    rng = random.Random(f"{SEED} empty")
+    for shift in range(3):
+        values = [rng.randrange(2**9) for _ in range(WIDTH)]
+        acc: list[int] = []
+        _add_planes(acc, _planes_of(values), shift)
+        assert _columns_of(acc) == [v << shift for v in values]
+    acc = []
+    _add_planes(acc, [], 2)
+    assert _columns_of(acc) == [0] * WIDTH
+
+
+def test_weighted_sum_matches_column_sums():
+    rng = random.Random(f"{SEED} weighted")
+    for trial in range(40):
+        # few distinct counts, so several vectors share one stack
+        counts = rng.sample(COUNTS + [0], rng.randrange(1, 5))
+        terms = [(rng.choice(counts), _random_vector(rng, rng.random()))
+                 for _ in range(rng.randrange(1, 30))]
+        assert _columns_of(_weighted_sum(terms)) == _column_sum(terms), trial
+    assert _weighted_sum([]) == []
+    assert _weighted_sum([(0, (1 << WIDTH) - 1)]) == []
