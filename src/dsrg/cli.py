@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -166,14 +167,21 @@ def cmd_build(args, parser) -> int:
     return 1
 
 
+# The first token of a file and, if the first non-blank line has one, its
+# second: whitespace after the token that is not a str.splitlines boundary
+# stays on the line.  Compiled on first use (re caches it), not at import.
+_FIRST_TOKENS = r"\S+[^\S\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*(\S)?"
+
+
 def _load_digraph(path: str) -> Digraph:
+    """dgr/1 if the first non-blank line holds one token, else an edge list."""
     text = Path(path).read_text()
-    for line in text.splitlines():
-        if line.strip():
-            if len(line.split()) == 1:
-                return Digraph.from_dgr(text)
-            return Digraph.from_edge_list(text)
-    raise DsrgError(f"{path}: empty file")
+    first = re.search(_FIRST_TOKENS, text)
+    if first is None:
+        raise DsrgError(f"{path}: empty file")
+    if first.group(1) is None:
+        return Digraph.from_dgr(text)
+    return Digraph.from_edge_list(text)
 
 
 def cmd_verify(args, parser) -> int:

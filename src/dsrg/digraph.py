@@ -17,7 +17,9 @@ forward rule the out-row depends on the point alone; a Duval multiple
 repeats each base row m times).  So with D distinct out-rows r, each
 held by the vertices of a mask M_r, row u of A^2 is also the sum of
 |N+(u) & M_r| * r: when D <= k the verifier sums the D classes,
-weighted by their counts, instead of the k out-neighbours.
+weighted by their counts, instead of the k out-neighbours.  The dgr
+text layer works per class too: to_dgr formats each distinct out-row
+once and from_dgr checks and parses each distinct row line once.
 """
 
 from __future__ import annotations
@@ -59,10 +61,11 @@ class Digraph:
         object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        full = (1 << self.n) - 1
+        n = self.n
         for u, row in enumerate(self.rows):
-            if row < 0 or row & ~full:
-                raise ValueError(f"row {u} has bits outside 0..{self.n - 1}")
+            # int.bit_length, not row.bit_length: a non-int row raises TypeError
+            if row < 0 or int.bit_length(row) > n:
+                raise ValueError(f"row {u} has bits outside 0..{n - 1}")
             if (row >> u) & 1:
                 raise ValueError(f"loop at vertex {u}")
         if self.labels is not None and len(self.labels) != self.n:
@@ -97,14 +100,29 @@ class Digraph:
     # -- text formats -------------------------------------------------------
 
     def to_dgr(self) -> str:
-        """dgr/1: a line with n, then n lines of n characters from {0,1}."""
-        width = f"0{self.n}b"
+        """dgr/1: a line with n, then n lines of n characters from {0,1}.
+
+        Each distinct out-row is formatted once; vertices that repeat a
+        row repeat its line.
+        """
         lines = [str(self.n)]
-        lines.extend(format(row, width)[::-1] for row in self.rows)
-        return "\n".join(lines) + "\n"
+        row_lines: dict[int, str] = {}
+        for row in self.rows:
+            line = row_lines.get(row)
+            if line is None:
+                line = row_lines[row] = _format_row(row, self.n)
+            lines.append(line)
+        lines.append("")                  # the final newline, without a copy of the text
+        return "\n".join(lines)
 
     @classmethod
     def from_dgr(cls, text: str) -> "Digraph":
+        """Parse dgr/1; FormatError names the first bad line.
+
+        Each distinct stripped row line is checked and parsed once, at its
+        first occurrence, so a repeated line gets its first verdict and
+        the first error is the one a line-by-line parse would raise.
+        """
         lines = text.splitlines()
         if not lines:
             raise FormatError(1, "empty file")
@@ -117,12 +135,13 @@ class Digraph:
         if len(lines) < n + 1:
             raise FormatError(len(lines), f"expected {n} adjacency rows, got {len(lines) - 1}")
         rows = []
+        line_rows: dict[str, int] = {}
         for u in range(n):
             line = lines[1 + u].strip()
-            # only 0s and 1s: checked before int(), which also takes "_" and signs
-            if len(line) != n or line.count("0") + line.count("1") != n:
-                raise FormatError(2 + u, f"expected {n} characters from {{0,1}}")
-            rows.append(int(line[::-1], 2))
+            row = line_rows.get(line)
+            if row is None:
+                row = line_rows[line] = _parse_row(line, n, 2 + u)
+            rows.append(row)
         for i in range(n + 1, len(lines)):
             if lines[i].strip():
                 raise FormatError(1 + i, f"unexpected text after the {n} adjacency rows")
@@ -158,6 +177,21 @@ class Digraph:
         for u, v in edges:
             rows[u] |= 1 << v
         return cls(top + 1, tuple(rows))
+
+
+def _format_row(row: int, n: int) -> str:
+    """The dgr line of an out-row: character v is bit v."""
+    return format(row, f"0{n}b")[::-1]
+
+
+def _parse_row(line: str, n: int, lineno: int) -> int:
+    """The out-row of a stripped dgr line; FormatError(lineno) if malformed."""
+    # only 0s and 1s: checked before int(), which also takes "_", signs, a
+    # "0b" prefix and non-ASCII digits.  isascii() keeps lone surrogates away
+    # from encode(); one pass over the bytes is faster than two str.count().
+    if len(line) != n or not line.isascii() or line.encode().translate(None, b"01"):
+        raise FormatError(lineno, f"expected {n} characters from {{0,1}}")
+    return int(line[::-1], 2)
 
 
 def _low_bit(mask: int) -> int:

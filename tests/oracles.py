@@ -24,6 +24,10 @@ The reference_* structure functions are the package's first builders,
 validation and verifiers of dsrg.incidence (per-point dot products,
 frozenset intersections and a pair-count dict), kept verbatim as the
 reference for its table-driven builders and bitmask verifiers.
+reference_to_dgr and reference_from_dgr are the package's first dgr
+writer and parser, which format and parse every row line by line, kept
+verbatim as the reference for the ones that handle each distinct row
+once.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from dsrg import (
     DegenerateError,
     Digraph,
     DsrgParams,
+    FormatError,
     IncidenceStructure,
     IsoResult,
     NonConstantError,
@@ -696,3 +701,40 @@ def reference_verify_2design(s: IncidenceStructure) -> DesignParams:
         if len(sizes) == 1:
             m_int = sizes.pop()
     return DesignParams(s.num_points, len(s.blocks), k, r, lam, s=s_count, m_int=m_int)
+
+
+# ---------------------------------------------------------------------------
+# the first dgr writer and parser, one format or parse per row
+# ---------------------------------------------------------------------------
+
+def reference_to_dgr(d: Digraph) -> str:
+    """dgr/1: a line with n, then n lines of n characters from {0,1}."""
+    width = f"0{d.n}b"
+    lines = [str(d.n)]
+    lines.extend(format(row, width)[::-1] for row in d.rows)
+    return "\n".join(lines) + "\n"
+
+
+def reference_from_dgr(text: str) -> Digraph:
+    lines = text.splitlines()
+    if not lines:
+        raise FormatError(1, "empty file")
+    try:
+        n = int(lines[0].strip())
+    except ValueError:
+        raise FormatError(1, f"expected a vertex count, got {lines[0]!r}") from None
+    if n < 1:
+        raise FormatError(1, f"vertex count must be positive, got {n}")
+    if len(lines) < n + 1:
+        raise FormatError(len(lines), f"expected {n} adjacency rows, got {len(lines) - 1}")
+    rows = []
+    for u in range(n):
+        line = lines[1 + u].strip()
+        # only 0s and 1s: checked before int(), which also takes "_" and signs
+        if len(line) != n or line.count("0") + line.count("1") != n:
+            raise FormatError(2 + u, f"expected {n} characters from {{0,1}}")
+        rows.append(int(line[::-1], 2))
+    for i in range(n + 1, len(lines)):
+        if lines[i].strip():
+            raise FormatError(1 + i, f"unexpected text after the {n} adjacency rows")
+    return Digraph(n, tuple(rows))

@@ -1,11 +1,13 @@
+import random
 import re
+import sys
 import time
 
 import pytest
 
-from dsrg import (Digraph, TooLargeError, are_isomorphic, build_antiflag_forward, build_digraph,
-                  build_gdd, bundled_iso_fixture, from_json, verify_dsrg)
-from dsrg import families
+from dsrg import (Digraph, DsrgError, TooLargeError, are_isomorphic, build_antiflag_forward,
+                  build_digraph, build_gdd, bundled_iso_fixture, from_json, verify_dsrg)
+from dsrg import cli, families
 from dsrg.cli import CSV_HEADER, _spec_from_args, build_parser, catalog_rows, main, render_csv
 from dsrg.families import Gdd, PgAntiflag, catalog_instances
 
@@ -220,6 +222,73 @@ def test_verify_non_dsrg(tmp_path, capsys):
     code, _, stderr = run(capsys, "verify", str(path))
     assert code != 0
     assert "mu" in stderr
+
+
+# -- the file format, decided from the first non-blank line -----------------
+
+def _first_line_format(text):
+    """The loader's first rule, which split the whole file into lines."""
+    for line in text.splitlines():
+        if line.strip():
+            return "dgr" if len(line.split()) == 1 else "edges"
+    return None
+
+
+def _loaded_format(monkeypatch, path):
+    monkeypatch.setattr(Digraph, "from_dgr", classmethod(lambda cls, text: "dgr"))
+    monkeypatch.setattr(Digraph, "from_edge_list", classmethod(lambda cls, text: "edges"))
+    try:
+        return cli._load_digraph(str(path))
+    except DsrgError as exc:
+        assert str(exc) == f"{path}: empty file"
+        return None
+    finally:
+        monkeypatch.undo()
+
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+def test_load_format_matches_the_first_line_rule(tmp_path, monkeypatch):
+    path = tmp_path / "g"
+    rng = random.Random(20107)
+    alphabet = WHITESPACE + ["\r\n", "0", "1", "12", "x"]
+    cases = ["", "\n", " \t\n\x0c", "3", "3 ", "0 1", "\x1f3\x1f", "3\x1f4", "3\x854",
+             "\u20283\u2028 4", "3\xa04\n", "\n\n  0\t1\n"]
+    cases += ["".join(rng.choice(alphabet) for _ in range(rng.randrange(9)))
+              for _ in range(3000)]
+    for text in cases:
+        path.write_bytes(text.encode())
+        # read_text turns \r\n and \r into \n: the rule sees what the parsers see
+        assert _loaded_format(monkeypatch, path) == _first_line_format(path.read_text()), text
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\x0c", "\u2028"])
+def test_verify_dgr_and_edge_list_with_any_line_separator(tmp_path, capsys, sep):
+    d = build_antiflag_forward(build_gdd(2, 3))
+    lead = sep + " \t" + sep + "\x0b" + sep
+    # dgr/1 needs n on line 1; an edge list may start with blank lines
+    for name, text in (("g.dgr", d.to_dgr()), ("g.txt", lead + d.to_edge_list())):
+        path = tmp_path / name
+        path.write_bytes(text.replace("\n", sep).encode())
+        code, stdout, stderr = run(capsys, "verify", str(path))
+        assert (code, stderr) == (0, "")
+        assert "(36, 12, 5, 2, 5)" in stdout
+    path = tmp_path / "lead.dgr"
+    path.write_bytes((lead + d.to_dgr().replace("\n", sep)).encode())
+    code, _, stderr = run(capsys, "verify", str(path))
+    assert (code, stderr) == (1, "error: line 1: expected a vertex count, got ''\n")
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\n", "\r\n\x0c\u2028 \u3000"])
+def test_verify_empty_file(tmp_path, capsys, text):
+    path = tmp_path / "empty"
+    path.write_bytes(text.encode())
+    with pytest.raises(DsrgError) as err:
+        cli._load_digraph(str(path))
+    assert str(err.value) == f"{path}: empty file"
+    code, _, stderr = run(capsys, "verify", str(path))
+    assert (code, stderr) == (1, f"error: {path}: empty file\n")
 
 
 # ---------------------------------------------------------------------------

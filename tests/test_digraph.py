@@ -1,10 +1,14 @@
+import random
 import time
 
 import pytest
 
+import dsrg.digraph
+
 from dsrg import (
     DegenerateError,
     Digraph,
+    DsrgError,
     FormatError,
     IncidenceStructure,
     NoAntiFlagsError,
@@ -12,13 +16,16 @@ from dsrg import (
     NotDsrgError,
     NotPartitionStructureError,
     NotRegularError,
+    PartitionSpiked,
     PreconditionFailedError,
     TNotMuError,
     TooLargeError,
+    Transversal,
     build_affine_plane,
     build_antiflag_backward,
     build_antiflag_backward_loopy,
     build_antiflag_forward,
+    build_digraph,
     build_fano,
     build_gdd,
     build_hyperplane_design,
@@ -28,7 +35,8 @@ from dsrg import (
     restrict_parallel_classes,
     verify_dsrg,
 )
-from oracles import dense, schoolbook_square
+from dsrg.families import catalog_instances
+from oracles import dense, reference_from_dgr, reference_to_dgr, schoolbook_square
 
 
 def cycle(n):
@@ -46,6 +54,19 @@ def test_digraph_validation():
         Digraph(2, (4, 0))             # bit out of range
     with pytest.raises(ValueError):
         Digraph(2, (0,))               # wrong row count
+
+
+def test_digraph_validation_order_and_messages():
+    with pytest.raises(ValueError, match=r"^row 1 has bits outside 0\.\.2$"):
+        Digraph(3, (0, 8, -1))         # the first bad row is named
+    with pytest.raises(ValueError, match=r"^row 0 has bits outside 0\.\.2$"):
+        Digraph(3, (-1, 0, 0))
+    with pytest.raises(ValueError, match=r"^loop at vertex 1$"):
+        Digraph(3, (4, 2, 16))         # the loop comes before the stray bit
+    Digraph(3, (0b110, 0b101, 0b011))  # every bit inside 0..n-1 is fine
+    for bad in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            Digraph(2, (bad, 0))
 
 
 def test_dgr_round_trip():
@@ -79,6 +100,155 @@ def test_dgr_parse_errors_carry_line_numbers():
 def test_dgr_loop_is_rejected():
     with pytest.raises(ValueError):
         Digraph.from_dgr("2\n10\n01\n")
+
+
+# ---------------------------------------------------------------------------
+# dgr text against the first writer and parser (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+IO_MAX_ORDER = 110
+IO_SEED = 20107
+
+
+def _random_distinct(n, rng):
+    """A loopless digraph on n vertices whose out-rows are all different."""
+    while True:
+        rows = tuple(rng.getrandbits(n) & ~(1 << u) for u in range(n))
+        if len(set(rows)) == n:
+            return Digraph(n, rows)
+
+
+def _io_graphs():
+    """(name, graph): the catalog to order 110 with its multiples, and all-distinct graphs."""
+    out = []
+    for spec, formula_only in catalog_instances(IO_MAX_ORDER):
+        if formula_only:
+            continue
+        d = build_digraph(spec)
+        out.append((f"{spec.name} {spec.describe()}", d))
+        p = verify_dsrg(d)
+        if p.t == p.mu:
+            out += [(f"{spec.name} {spec.describe()} x{m}", duval_multiple(d, m))
+                    for m in range(2, IO_MAX_ORDER // d.n + 1)]
+    out.append(("partition-spiked q=6;l=8", build_digraph(PartitionSpiked(6, 8))))
+    rng = random.Random(IO_SEED)
+    for n in (1, 2, 5, 31, 64, 97):
+        out.append((f"random all-distinct n={n}", _random_distinct(n, rng)))
+    return out
+
+
+IO_GRAPHS = _io_graphs()
+
+
+def _parse_outcome(parse, text):
+    """The rows parsed, or the error class, FormatError line and message."""
+    try:
+        d = parse(text)
+    except (DsrgError, ValueError) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    return d.n, d.rows
+
+
+def _bad_char(line, rng):
+    i = rng.randrange(len(line))
+    return line[:i] + rng.choice("x2_") + line[i + 1:]
+
+
+def _corruptions(text, rng):
+    """(what, corrupted text) for seeded corruptions of a dgr text."""
+    lines = text.splitlines()
+    n = len(lines) - 1
+    def at(u, line):
+        return "\n".join(lines[:u] + [line] + lines[u + 1:]) + "\n"
+    u = rng.randrange(1, n + 1)
+    row = lines[u]
+    out = [("bad character", at(u, _bad_char(row, rng))),
+           ("leading + (one long)", at(u, "+" + row)),
+           ("leading + (right length)", at(u, "+" + row[1:])),
+           ("0b prefix", at(u, "0b" + row[2:])),
+           ("non-ASCII digit", at(u, "\uff11" + row[1:])),
+           ("lone surrogate", at(u, row[:-1] + "\ud800")),
+           ("one short", at(u, row[:-1])),
+           ("one long", at(u, row + rng.choice("01"))),
+           ("trailing spaces", at(u, row + "  \t")),
+           ("CRLF", text.replace("\n", "\r\n")),
+           ("missing row", "\n".join(lines[:u] + lines[u + 1:]) + "\n"),
+           ("trailing garbage", text + "\ngarbage\n"),
+           ("bad vertex count", at(0, f"{n}x"))]
+    if n >= 2:
+        u = rng.randrange(1, n)
+        copy = list(lines)
+        copy[u + 1] = lines[u]
+        out.append(("repeat of a good line", "\n".join(copy) + "\n"))
+        copy[u + 1] = lines[u] + "   "
+        out.append(("repeat of a good line with trailing spaces", "\n".join(copy) + "\n"))
+        copy[u + 1] = _bad_char(lines[u], rng)
+        out.append(("bad line right after the good line it corrupts",
+                    "\n".join(copy) + "\n"))
+    repeats = [v for v in range(1, n) if lines[v] == lines[v + 1]]
+    if repeats:
+        v = rng.choice(repeats)
+        out.append(("bad line right after an identical good line",
+                    at(v + 1, _bad_char(lines[v + 1], rng))))
+        out.append(("trailing spaces on a repeated line", at(v + 1, lines[v + 1] + " ")))
+    return out
+
+
+def test_io_graphs_cover_repeats_and_all_distinct():
+    kinds = {len(set(d.rows)) == d.n for _, d in IO_GRAPHS}
+    assert kinds == {True, False}
+    assert any(name.startswith("transversal") for name, _ in IO_GRAPHS)
+    assert any(" x" in name for name, _ in IO_GRAPHS)
+
+
+@pytest.mark.parametrize("name, d", IO_GRAPHS, ids=[name for name, _ in IO_GRAPHS])
+def test_dgr_text_and_rows_match_the_reference(name, d):
+    text = d.to_dgr()
+    assert text == reference_to_dgr(d)
+    parsed = Digraph.from_dgr(text)
+    assert parsed.n == d.n and parsed.rows == d.rows
+    assert _parse_outcome(Digraph.from_dgr, text) == _parse_outcome(reference_from_dgr, text)
+
+
+@pytest.mark.parametrize("name, d", IO_GRAPHS, ids=[name for name, _ in IO_GRAPHS])
+def test_dgr_corruptions_match_the_reference(name, d):
+    rng = random.Random(f"{IO_SEED} {name}")
+    for what, bad in _corruptions(d.to_dgr(), rng):
+        got = _parse_outcome(Digraph.from_dgr, bad)
+        assert got == _parse_outcome(reference_from_dgr, bad), what
+
+
+def test_dgr_repeated_lines_share_one_row_object():
+    d = build_digraph(Transversal(3))
+    rows = Digraph.from_dgr(d.to_dgr()).rows
+    assert len({id(row) for row in rows}) == len(set(rows)) < d.n
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(dsrg.digraph, name)
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(dsrg.digraph, name, counted)
+    return calls
+
+
+def test_dgr_io_works_once_per_distinct_row(monkeypatch):
+    d = build_digraph(Transversal(4))
+    assert d.n == 192 and len(set(d.rows)) == 16
+    formatted = _count_calls(monkeypatch, "_format_row")
+    parsed = _count_calls(monkeypatch, "_parse_row")
+    text = d.to_dgr()
+    assert text == reference_to_dgr(d)
+    assert len(formatted) == 16 and set(formatted) == set(d.rows)
+    assert Digraph.from_dgr(text).rows == d.rows
+    assert len(parsed) == 16 and len(set(parsed)) == 16
+    # all distinct: one call per row
+    e = _random_distinct(40, random.Random(IO_SEED))
+    del formatted[:], parsed[:]
+    Digraph.from_dgr(e.to_dgr())
+    assert len(formatted) == len(parsed) == 40
 
 
 def test_edge_list_round_trip():
