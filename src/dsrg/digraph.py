@@ -19,7 +19,9 @@ held by the vertices of a mask M_r, row u of A^2 is also the sum of
 |N+(u) & M_r| * r: when D <= k the verifier sums the D classes,
 weighted by their counts, instead of the k out-neighbours.  The dgr
 text layer works per class too: to_dgr formats each distinct out-row
-once and from_dgr checks and parses each distinct row line once.
+once, and from_dgr walks the text by line offsets without splitting
+it, so a row line that repeats the line before costs one compare and
+each distinct line is checked and parsed once.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ from .incidence import AntiFlag, IncidenceStructure, anti_flags, verify_2design
 from .params import DsrgParams
 
 MAX_VERIFY_ORDER = 4096
+
+# the line separators of str.splitlines; "\r\n" counts as one
+_ASCII_SEPARATORS = "\n\r\x0b\x0c\x1c\x1d\x1e"
+_LINE_SEPARATORS = _ASCII_SEPARATORS + "\x85\u2028\u2029"
 
 
 @dataclass(frozen=True)
@@ -119,32 +125,54 @@ class Digraph:
     def from_dgr(cls, text: str) -> "Digraph":
         """Parse dgr/1; FormatError names the first bad line.
 
-        Each distinct stripped row line is checked and parsed once, at its
-        first occurrence, so a repeated line gets its first verdict and
-        the first error is the one a line-by-line parse would raise.
+        The lines are those of str.splitlines, walked by offset in the
+        text without splitting it.  A row whose line, separator included,
+        repeats the line before costs one compare; any other line is
+        sliced and looked up in a dict local to the call, and checked and
+        parsed at its first occurrence, so the first error is the one a
+        line-by-line parse would raise.  A too-short file is reported
+        before a bad row, as that parse does.
         """
-        lines = text.splitlines()
-        if not lines:
+        if not text:
             raise FormatError(1, "empty file")
+        cut, o = _line_end(text, 0)
+        head = text[:cut]
         try:
-            n = int(lines[0].strip())
+            n = int(head.strip())
         except ValueError:
-            raise FormatError(1, f"expected a vertex count, got {lines[0]!r}") from None
+            raise FormatError(1, f"expected a vertex count, got {head!r}") from None
         if n < 1:
             raise FormatError(1, f"vertex count must be positive, got {n}")
-        if len(lines) < n + 1:
-            raise FormatError(len(lines), f"expected {n} adjacency rows, got {len(lines) - 1}")
+        end = len(text)
         rows = []
         line_rows: dict[str, int] = {}
+        prev = ""                         # the last line sliced, "" if it ends in a lone "\r"
         for u in range(n):
-            line = lines[1 + u].strip()
-            row = line_rows.get(line)
-            if row is None:
-                row = line_rows[line] = _parse_row(line, n, 2 + u)
+            if prev and text.startswith(prev, o):
+                o += len(prev)
+            elif o == end:
+                _count_rows(text, o, u, n)    # raises: the rows ran out
+            else:
+                stop = _line_end(text, o)[1]
+                raw = text[o:stop]
+                row = line_rows.get(raw)
+                if row is None:
+                    try:
+                        row = line_rows[raw] = _parse_row(raw.strip(), n, 2 + u)
+                    except FormatError:
+                        _count_rows(text, o, u, n)    # a short file is reported first
+                        raise
+                # "x\r" must not match the "x\r" of "x\r\n"
+                prev = "" if raw[-1] == "\r" else raw
+                o = stop
             rows.append(row)
-        for i in range(n + 1, len(lines)):
-            if lines[i].strip():
-                raise FormatError(1 + i, f"unexpected text after the {n} adjacency rows")
+        lineno = 1 + n
+        while o < end:
+            lineno += 1
+            cut, stop = _line_end(text, o)
+            if text[o:cut].strip():
+                raise FormatError(lineno, f"unexpected text after the {n} adjacency rows")
+            o = stop
         return cls(n, tuple(rows))
 
     def to_edge_list(self) -> str:
@@ -182,6 +210,40 @@ class Digraph:
 def _format_row(row: int, n: int) -> str:
     """The dgr line of an out-row: character v is bit v."""
     return format(row, f"0{n}b")[::-1]
+
+
+def _line_end(text: str, o: int) -> tuple[int, int]:
+    """(cut, stop) of the line at o: text[o:cut] is the line, text[o:stop] adds its separator.
+
+    The separators are those of str.splitlines.  The one that ended the
+    line before is searched first, the others only up to what it found,
+    so a file that keeps to one separator is walked by finds that stop
+    within the line, and the finds of a whole walk cover the text a
+    bounded number of times.  ASCII text (str.isascii is O(1)) can hold
+    only the ASCII separators, so the others are not searched there.
+    """
+    end = len(text)
+    first = text[o - 1] if o else "\n"
+    cut = text.find(first, o)
+    if cut < 0:
+        cut = end
+    for sep in _ASCII_SEPARATORS if text.isascii() else _LINE_SEPARATORS:
+        if sep != first:
+            i = text.find(sep, o, cut)
+            if i >= 0:
+                cut = i
+    if cut == end:
+        return end, end
+    return cut, cut + (2 if text.startswith("\r\n", cut) else 1)
+
+
+def _count_rows(text: str, o: int, u: int, n: int) -> None:
+    """FormatError if the text from o, where row u starts, holds fewer than n - u rows."""
+    while u < n and o < len(text):
+        o = _line_end(text, o)[1]
+        u += 1
+    if u < n:
+        raise FormatError(1 + u, f"expected {n} adjacency rows, got {u}")
 
 
 def _parse_row(line: str, n: int, lineno: int) -> int:

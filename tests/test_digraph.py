@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -154,6 +155,24 @@ def _bad_char(line, rng):
     return line[:i] + rng.choice("x2_") + line[i + 1:]
 
 
+# the line separators of str.splitlines; "\r\n" is one more
+SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029"]
+
+
+def _head_variants(n):
+    """Spellings of the vertex count that int() reads as n."""
+    digits = str(n)
+    fullwidth = str.maketrans("0123456789", "".join(chr(0xFF10 + i) for i in range(10)))
+    return [f" {n}", f"+{n}", f"0{n}", f"{digits[0]}_{digits[1:]}" if n >= 10 else f"0_{n}",
+            digits.translate(fullwidth), f"{n}\t"]
+
+
+def _join(lines, seps):
+    """Lines ended by seps, cycled; the last line too."""
+    return "".join(line + seps[i % len(seps)] for i, line in enumerate(lines))
+
+
 def _corruptions(text, rng):
     """(what, corrupted text) for seeded corruptions of a dgr text."""
     lines = text.splitlines()
@@ -162,7 +181,21 @@ def _corruptions(text, rng):
         return "\n".join(lines[:u] + [line] + lines[u + 1:]) + "\n"
     u = rng.randrange(1, n + 1)
     row = lines[u]
-    out = [("bad character", at(u, _bad_char(row, rng))),
+    out = [(f"every line ended by {sep!r}", _join(lines, [sep])) for sep in SEPARATORS]
+    out += [("mixed separators", _join(lines, rng.sample(SEPARATORS, len(SEPARATORS)))),
+            ("mixed separators, no final one", _join(lines, rng.sample(SEPARATORS, 3)).rstrip("".join(SEPARATORS))),
+            ("a lone CR line, then a CRLF line", _join(lines, ["\r", "\r\n"])),
+            ("a lone CR line, then an LF line", _join(lines, ["\r", "\n"]))]
+    out += [(f"vertex count spelled {head!r}", at(0, head)) for head in _head_variants(n)]
+    out += [("no final newline", text[:-1]),
+            ("trailing blank lines", text + "\n\n"),
+            ("trailing whitespace-only lines", text + "  \n\t\u3000\r\n\x1f"),
+            ("trailing text without a newline", text + "x"),
+            ("trailing text after blank lines", text + "\n \n0\n"),
+            ("row padded with spaces, tabs and U+3000", at(u, " \t\u3000" + row + "\u3000\t ")),
+            ("every row padded", "\n".join([lines[0]] + [f"\t{line} " for line in lines[1:]]) + "\n"),
+            ("a row padded with a separator", at(u, "\x0c" + row))]
+    out += [("bad character", at(u, _bad_char(row, rng))),
            ("leading + (one long)", at(u, "+" + row)),
            ("leading + (right length)", at(u, "+" + row[1:])),
            ("0b prefix", at(u, "0b" + row[2:])),
@@ -185,6 +218,16 @@ def _corruptions(text, rng):
         copy[u + 1] = _bad_char(lines[u], rng)
         out.append(("bad line right after the good line it corrupts",
                     "\n".join(copy) + "\n"))
+        copy = list(lines)
+        copy[u], copy[u + 1] = lines[u][:-1], lines[u + 1] + lines[u][-1]
+        out.append(("a row one short, the next one long", "\n".join(copy) + "\n"))
+    if n >= 3:
+        u = rng.randrange(1, n - 1)
+        copy = list(lines)
+        copy[u + 2] = lines[u]
+        out.append(("repeat of a good line two rows on", "\n".join(copy) + "\n"))
+        copy[u + 2] = _bad_char(lines[u], rng)
+        out.append(("bad line two rows after the line it corrupts", "\n".join(copy) + "\n"))
     repeats = [v for v in range(1, n) if lines[v] == lines[v + 1]]
     if repeats:
         v = rng.choice(repeats)
@@ -192,6 +235,40 @@ def _corruptions(text, rng):
                     at(v + 1, _bad_char(lines[v + 1], rng))))
         out.append(("trailing spaces on a repeated line", at(v + 1, lines[v + 1] + " ")))
     return out
+
+
+def test_separators_are_those_of_splitlines():
+    every_char = "".join(map(chr, range(0x110000)))
+    ends = {line[-1] for line in every_char.splitlines(keepends=True)[:-1]}
+    assert ends == {sep[0] for sep in SEPARATORS} == set(dsrg.digraph._LINE_SEPARATORS)
+
+
+SMALL_TEXTS = ["", "\n", "\r\n", " \n", "1", "1\n", "1\n0", "1\n0\n", "1\r0\r\n\r",
+               "1\n\n0\n", "0\n", "-1\n", "x\n0\n", "\n1\n0\n", "2\n01\n", "2\n0x\n",
+               "2\n0x\n10\n", "2\n01\r10\n", "2\n01\r\n10", "2\n01\x0c\n10\n",
+               "2\n0\n10\n", "2\n011\n10\n", "2\n0\n110\n", "2\n01\n10\n\n \n",
+               "2\n01\n10\n\nx", "2\n01\n10\n\u2028x", "2\n01\n10\n\x1f\n",
+               "3\n011\r011\r\n110\n", "3\n011\r011\n110\n", "3\n011\r\n011\r\n110\r\n",
+               "3\n011\r\r\n011\n110\n", "3\n011\n101\n011\n", "3\n010\n010\n010\n",
+               "3\n 011\n011 \n\u3000110\t\n"]
+
+
+@pytest.mark.parametrize("text", SMALL_TEXTS)
+def test_small_dgr_texts_match_the_reference(text):
+    assert _parse_outcome(Digraph.from_dgr, text) == _parse_outcome(reference_from_dgr, text)
+
+
+def test_dgr_parse_allocates_far_less_than_the_text():
+    text = build_digraph(Transversal(7)).to_dgr()
+    assert len(text) > 4_000_000
+    tracemalloc.start()
+    try:
+        d = Digraph.from_dgr(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.n == 2058
+    assert peak < len(text) // 4
 
 
 def test_io_graphs_cover_repeats_and_all_distinct():
