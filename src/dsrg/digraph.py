@@ -30,7 +30,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
-from itertools import zip_longest
+from itertools import compress, zip_longest
 
 from .errors import (
     DegenerateError,
@@ -260,13 +260,15 @@ def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The set bits of a non-negative mask, ascending, in one C-level pass:
+    its binary digits, reversed and mapped to 0/1 bytes, select from the
+    positions 0..width-1."""
+    flags = format(mask, "b")[::-1].encode().translate(_BIT_FLAGS)
+    return list(compress(range(len(flags)), flags))
 
 
 # ---------------------------------------------------------------------------

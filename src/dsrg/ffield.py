@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotPrimePowerError, TooLargeError
 
-MAX_ORDER = 4096
+MAX_ORDER = 256
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -141,7 +141,10 @@ class FiniteField:
 
 
 def make_field(q: int) -> FiniteField:
-    """Build GF(q) for a prime power q, 2 <= q <= 4096.
+    """Build GF(q) for a prime power q, 2 <= q <= MAX_ORDER = 256.
+
+    No builder needs more: affine planes stop at q = 64, and the
+    incidence budget of build_hyperplane_design at q = 211 (n = 2).
 
     Deterministic: the modulus is the lexicographically smallest monic
     irreducible of degree e, so two calls yield identical tables.

@@ -21,6 +21,16 @@ order of the plain pair loops, so the first failure and its witness
 are those of a brute pair count.  verify_pg's axiom 2 and verify_gdd
 count pairs in a dict.
 
+Validation runs on every structure, builder output included.  With
+parallel classes it first tries an exact acceptance test: one set union
+per class must equal {0..n-1} with the block lengths summing to n, each
+block must start at a point >= 0 and equal its sorted list, and no block
+may repeat.  A union equal to {0..n-1} from n points holds each int in
+range exactly once, so every block is in range and strictly increasing
+and every class partitions the points.  What the test does not accept
+goes through the per-block and per-class loops, which name the first
+failure.
+
 All orderings are canonical and documented per builder, so identical
 inputs give identical structures element by element.
 """
@@ -124,20 +134,33 @@ class IncidenceStructure:
         self._validate()
 
     def _validate(self):
+        """Check the points, blocks, groups and parallel classes.
+
+        With parallel classes, the blocks and classes first meet an exact
+        acceptance test (_fast_accepts): the class indices sort to
+        0..b-1; per class the block lengths sum to n and the union of its
+        blocks equals set(range(n)); every block is non-empty, its first
+        point is >= 0 and it equals its sorted list; no two blocks are
+        equal.  It is sound: a set equal to {0..n-1} holds only points
+        that hash and compare equal to an int in range, one per int, so
+        NaN, 0.5, -1, n, str and None fail it, and a point that equals an
+        int but has no order (a complex number) makes the compare with 0
+        or the sort raise TypeError, which the test reads as False.  With
+        n points in n block slots, the blocks of a class are disjoint and
+        repeat no point, so each block lies in range and, being sorted,
+        is strictly increasing, and each class covers 0..n-1 once.  What
+        the test does not accept goes through the block loop
+        (_check_blocks) and the class loop below, so an error has the
+        class and message of the loops' first failure.  The group checks
+        run in either case, between the two loops.
+        """
         n = self.num_points
         if n < 1:
             raise ValueError("structure needs at least one point")
-        seen = set()
-        for i, b in enumerate(self.blocks):
-            if not b:
-                raise ValueError(f"block {i} is empty")
-            if _outside(b, n):
-                raise ValueError(f"block {i} has a point outside 0..{n - 1}")
-            if any(map(ge, b, b[1:])):
-                raise ValueError(f"block {i} is not strictly increasing")
-            if b in seen:
-                raise ValueError(f"duplicate block {b}")
-            seen.add(b)
+        classes = self.parallel_classes
+        scan = classes is None or not _fast_accepts(n, self.blocks, classes)
+        if scan:
+            _check_blocks(n, self.blocks)
         everything = list(range(n))
         if self.groups is not None:
             flat = [p for g in self.groups for p in g]
@@ -146,11 +169,11 @@ class IncidenceStructure:
             for g in self.groups:
                 if any(map(ge, g, g[1:])):
                     raise ValueError("group classes must be strictly increasing")
-        if self.parallel_classes is not None:
-            flat = [i for c in self.parallel_classes for i in c]
+        if scan and classes is not None:
+            flat = [i for c in classes for i in c]
             if sorted(flat) != list(range(len(self.blocks))):
                 raise ValueError("parallel classes do not partition the block list")
-            for c in self.parallel_classes:
+            for c in classes:
                 covered: list[int] = []
                 for i in c:
                     covered.extend(self.blocks[i])
@@ -166,6 +189,40 @@ class IncidenceStructure:
             for p in b:
                 out[p].append(i)
         return out
+
+
+def _check_blocks(n: int, blocks) -> None:
+    """Raise ValueError at the first empty, out-of-range, unsorted or repeated
+    block (or the TypeError of a plain scan over points that do not compare)."""
+    seen = set()
+    for i, b in enumerate(blocks):
+        if not b:
+            raise ValueError(f"block {i} is empty")
+        if _outside(b, n):
+            raise ValueError(f"block {i} has a point outside 0..{n - 1}")
+        if any(map(ge, b, b[1:])):
+            raise ValueError(f"block {i} is not strictly increasing")
+        if b in seen:
+            raise ValueError(f"duplicate block {b}")
+        seen.add(b)
+
+
+def _fast_accepts(n: int, blocks, classes) -> bool:
+    """The acceptance test of IncidenceStructure._validate, whose docstring
+    argues it: True only if _check_blocks and the class loop would accept;
+    False on any TypeError, e.g. of unhashable or unordered points."""
+    try:
+        if sorted(i for c in classes for i in c) != list(range(len(blocks))):
+            return False
+        members = [[blocks[i] for i in c] for c in classes]
+        if any(sum(map(len, m)) != n for m in members):
+            return False
+        everything = set(range(n))
+        return (all(set().union(*m) == everything for m in members)
+                and all(b and b[0] >= 0 and list(b) == sorted(b) for b in blocks)
+                and len(set(blocks)) == len(blocks))
+    except TypeError:
+        return False
 
 
 def _outside(b, n: int) -> bool:

@@ -27,7 +27,8 @@ reference for its table-driven builders and bitmask verifiers.
 reference_to_dgr and reference_from_dgr are the package's first dgr
 writer and parser, which format and parse every row line by line, kept
 verbatim as the reference for the ones that handle each distinct row
-once.
+once.  reference_bits is the first bit lister, one lowest bit at a time,
+and the references above list bits with it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dsrg import (
     make_field,
     verify_mapping,
 )
-from dsrg.digraph import MAX_VERIFY_ORDER, _bits
+from dsrg.digraph import MAX_VERIFY_ORDER
 from dsrg.incidence import Block, DesignParams, PgParams
 
 
@@ -279,6 +280,17 @@ def popcount_verify_dsrg(d) -> DsrgParams:
 # dsrg.digraph.verify_dsrg.
 # ---------------------------------------------------------------------------
 
+def reference_bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending: the package's first _bits, which
+    peels the lowest bit off one at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
@@ -295,7 +307,7 @@ def _add(planes: list[int], x: int) -> None:
 
 def _square_row(rows: tuple[int, ...], row: int) -> list[int]:
     planes: list[int] = []
-    for v in _bits(row):
+    for v in reference_bits(row):
         _add(planes, rows[v])
     return planes
 
@@ -384,8 +396,8 @@ class _Neighborhoods:
     __slots__ = ("out", "inn")
 
     def __init__(self, d: Digraph):
-        self.out = [_bits(row) for row in d.rows]
-        self.inn = [_bits(col) for col in d.columns()]
+        self.out = [reference_bits(row) for row in d.rows]
+        self.inn = [reference_bits(col) for col in d.columns()]
 
 
 def _signatures(g: _Neighborhoods, colors: list[int], dist2: bool) -> list[tuple]:

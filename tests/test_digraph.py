@@ -37,7 +37,13 @@ from dsrg import (
     verify_dsrg,
 )
 from dsrg.families import catalog_instances
-from oracles import dense, reference_from_dgr, reference_to_dgr, schoolbook_square
+from oracles import (
+    dense,
+    reference_bits,
+    reference_from_dgr,
+    reference_to_dgr,
+    schoolbook_square,
+)
 
 
 def cycle(n):
@@ -326,6 +332,20 @@ def test_dgr_io_works_once_per_distinct_row(monkeypatch):
     del formatted[:], parsed[:]
     Digraph.from_dgr(e.to_dgr())
     assert len(formatted) == len(parsed) == 40
+
+
+def test_bits_match_the_reference():
+    masks = [0, 1, 2, 3, 1 << 63, 1 << 64, 1 << 4095, (1 << 4095) | 1]
+    masks += [(1 << w) - 1 for w in (9, 10, 300, 4096)]
+    masks += [row for _, d in IO_GRAPHS for row in d.rows]
+    rng = random.Random(IO_SEED)
+    masks += [rng.getrandbits(rng.randrange(1, 5000)) for _ in range(300)]
+    # sparse to dense masks of a fixed width
+    for width in (17, 40, 288, 4096):
+        for count in (1, width // 17, width // 16, width // 16 + 1):
+            masks.append(sum(1 << p for p in rng.sample(range(width), count)))
+    for mask in masks:
+        assert dsrg.digraph._bits(mask) == reference_bits(mask), mask
 
 
 def test_edge_list_round_trip():

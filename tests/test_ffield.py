@@ -40,6 +40,9 @@ def test_rejects_orders_above_cap():
         make_field(4097)
     with pytest.raises(TooLargeError):
         make_field(5000)
+    for q in (257, 1024):
+        with pytest.raises(TooLargeError, match=f"field order {q} exceeds cap 256"):
+            make_field(q)
     make_field(128)  # larger extension degrees stay workable
 
 

@@ -5,17 +5,23 @@ per-point, frozenset and pair-dict implementations.  Built structures
 must be equal element by element; validation and the pg / 2-design
 verifiers must give the same result, or the same error class, message,
 axiom and witness, on the structuregen sample and on seeded mutants.
+Validation's set-based acceptance test (_fast_accepts) must accept no
+structure that the reference rejects, and must accept every builder
+output that carries parallel classes without the block loop.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+import dsrg.incidence
 from dsrg import (
     IncidenceStructure,
     build_affine_plane,
     build_hyperplane_design,
+    build_partition_structure,
     restrict_parallel_classes,
     verify_2design,
     verify_pg,
@@ -150,6 +156,152 @@ def test_validation_matches_reference_on_random_block_lists():
         kinds.add(next((w for w in ("empty", "outside", "increasing", "duplicate")
                         if got[0] != "ok" and w in got[1]), "ok"))
     assert kinds == {"ok", "empty", "outside", "increasing", "duplicate"}
+
+
+# ---------------------------------------------------------------------------
+# the set-based acceptance test for structures with parallel classes
+# ---------------------------------------------------------------------------
+
+CLASS_BASES = [build_affine_plane(q) for q in (2, 3, 4, 5, 7)]
+CLASS_BASES += [build_hyperplane_design(2, 3), build_hyperplane_design(3, 3)]
+CLASS_BASES += [restrict_parallel_classes(build_affine_plane(q), l)
+                for q in (3, 4, 5) for l in (1, 2, 3)]
+
+
+def _new_point(rng, p, n):
+    """A stand-in for point p: a number that may equal some point (float(p),
+    1.0, True, False) or something that equals none."""
+    same = [float(p), p + 0.5, str(p)] if type(p) is int else []
+    return rng.choice([math.nan, 1.0, 0.5, True, False, -1, n, "a", None] + same)
+
+
+def _class_mutant(rng, s):
+    """(n, blocks, classes) of s after one to three seeded defects or relabellings."""
+    n = s.num_points
+    blocks = [list(b) for b in s.blocks]
+    classes = [list(c) for c in s.parallel_classes]
+    for _ in range(rng.randrange(1, 4)):
+        kind = rng.randrange(13)
+        i = rng.randrange(len(blocks))
+        b = blocks[i]
+        c = rng.choice(classes)
+        if kind == 0 and b:                        # a point replaced
+            j = rng.randrange(len(b))
+            b[j] = _new_point(rng, b[j], n)
+        elif kind == 1:                            # block list shuffled
+            rng.shuffle(blocks)
+        elif kind == 2:                            # block list shuffled, classes follow
+            order = list(range(len(blocks)))
+            rng.shuffle(order)
+            blocks = [blocks[k] for k in order]
+            where = {old: new for new, old in enumerate(order)}
+            classes = [[where.get(k, k) for k in cl] for cl in classes]
+        elif kind == 3:                            # points of a block shuffled
+            rng.shuffle(b)
+        elif kind == 4:                            # block truncated or emptied
+            del b[rng.randrange(len(b) + 1):]
+        elif kind == 5:                            # block duplicated
+            blocks[i] = list(rng.choice(blocks))
+        elif kind == 6 and b:                      # a point repeated in its block
+            j = rng.randrange(len(b))
+            b.insert(j, b[j])
+        elif kind == 7:                            # extra class index
+            extra = rng.choice([len(blocks), rng.randrange(len(blocks))])
+            c.insert(rng.randrange(len(c) + 1), extra)
+        elif kind == 8 and c:                      # missing class index
+            del c[rng.randrange(len(c))]
+        elif kind == 9 and c:                      # bool or float class index
+            j = rng.randrange(len(c))
+            c[j] = rng.choice([True, False, float(c[j])])
+        elif kind == 10:                           # two classes swapped
+            rng.shuffle(classes)
+        elif kind == 11:                           # a class copies another's blocks
+            valid = range(len(blocks))
+            for k, k2 in zip(c, rng.choice(classes)):
+                if type(k) is type(k2) is int and k in valid and k2 in valid:
+                    blocks[k2] = list(blocks[k])
+        elif kind == 12:                           # an empty block added to a class
+            c.append(len(blocks))
+            blocks.append([])
+    return n, tuple(map(tuple, blocks)), tuple(map(tuple, classes))
+
+
+def _class_mutants(seed, per_base):
+    rng = random.Random(seed)
+    return [_class_mutant(rng, base) for _ in range(per_base) for base in CLASS_BASES]
+
+
+CLASS_MUTANTS = _class_mutants(seed=11, per_base=200)
+
+
+def _kind(got):
+    if got[0] == "ok":
+        return "ok"
+    if got[0] is TypeError:
+        return "TypeError"
+    return next(w for w in ("empty", "outside", "increasing", "duplicate", "block list",
+                            "is not a partition") if w in got[1])
+
+
+def test_fast_acceptance_never_accepts_what_the_reference_rejects():
+    accepted = 0
+    for n, blocks, classes in CLASS_MUTANTS:
+        if dsrg.incidence._fast_accepts(n, blocks, classes):
+            accepted += 1
+            assert outcome(reference_validate, n, blocks, parallel_classes=classes) == \
+                ("ok", None), (blocks, classes)
+    assert 100 < accepted < len(CLASS_MUTANTS) // 2
+
+
+def test_validation_matches_reference_on_class_mutants():
+    kinds = set()
+    for n, blocks, classes in CLASS_MUTANTS:
+        got = outcome(validate, n, blocks, parallel_classes=classes)
+        assert got == outcome(reference_validate, n, blocks, parallel_classes=classes), \
+            (blocks, classes)
+        kinds.add(_kind(got))
+    assert kinds == {"ok", "TypeError", "empty", "outside", "increasing", "duplicate",
+                     "block list", "is not a partition"}
+
+
+def test_fast_acceptance_admits_points_equal_to_their_ints():
+    blocks = ((0, 1.0), (2, 3), (False, 2), (True, 3), (Fraction(0), 3), (1, Fraction(2)))
+    classes = ((0, 1), (2, 3), (4, 5))
+    assert dsrg.incidence._fast_accepts(4, blocks, classes)
+    assert outcome(reference_validate, 4, blocks, parallel_classes=classes) == ("ok", None)
+    assert not dsrg.incidence._fast_accepts(4.0, blocks, classes)
+    assert outcome(validate, 4.0, blocks, parallel_classes=classes) == \
+        outcome(reference_validate, 4.0, blocks, parallel_classes=classes)
+    for bad in (math.nan, 0.5, -1, 4, "1", None, [1], {1: 1}, Fraction(1, 2), 1 + 0j):
+        mutant = ((0, bad),) + blocks[1:]
+        assert not dsrg.incidence._fast_accepts(4, mutant, classes), bad
+        assert outcome(validate, 4, mutant, parallel_classes=classes) == \
+            outcome(reference_validate, 4, mutant, parallel_classes=classes), bad
+    # a lone point equal to an int but without an order is still refused
+    for n, lone, classes in ((1, ((0j,),), ((0,),)), (2, ((0j,), (1,)), ((0, 1),))):
+        assert not dsrg.incidence._fast_accepts(n, lone, classes)
+        got = outcome(validate, n, lone, parallel_classes=classes)
+        assert got[0] is TypeError
+        assert got == outcome(reference_validate, n, lone, parallel_classes=classes)
+
+
+def _class_carrying_builds():
+    yield from (build_affine_plane(q) for q in PRIME_POWERS)
+    yield from (build_hyperplane_design(q, n) for q, n in SMALL_DESIGNS)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        plane = build_affine_plane(q)
+        yield from (restrict_parallel_classes(plane, l) for l in range(1, q + 2))
+    yield restrict_parallel_classes(build_hyperplane_design(2, 4), 5)
+    yield from (build_partition_structure(q, l) for q in (1, 2, 3, 5) for l in (2, 3, 7))
+
+
+def test_builders_with_classes_never_reach_the_block_loop(monkeypatch):
+    def refuse(n, blocks):
+        raise AssertionError("block loop reached")
+    monkeypatch.setattr(dsrg.incidence, "_check_blocks", refuse)
+    assert all(s.parallel_classes for s in _class_carrying_builds())
+    with pytest.raises(AssertionError, match="block loop reached"):
+        IncidenceStructure(2, ((0,), (0,)), parallel_classes=((0,), (1,)))
 
 
 # ---------------------------------------------------------------------------
