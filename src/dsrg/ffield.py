@@ -12,6 +12,7 @@ is O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import NotPrimePowerError, TooLargeError
 
@@ -189,12 +190,14 @@ def make_field(q: int) -> FiniteField:
             break
     assert exp is not None, "no primitive element found"
 
+    # a + b digit by digit: row a lists, for b = 0..q-1 (most significant
+    # digit outermost), the sum of the digits (a_i + b_i) % p times p^i
+    powers_of_p = [p ** i for i in reversed(range(e))]
     add_rows = []
     mul_rows = []
     for a in range(q):
-        va = vecs[a]
-        add_rows.append(tuple(index_of(tuple((x + y) % p for x, y in zip(va, vecs[b])))
-                              for b in range(q)))
+        shifted = [tuple((a // w + t) % p * w for t in range(p)) for w in powers_of_p]
+        add_rows.append(tuple(map(sum, product(*shifted))))
         if a == 0:
             mul_rows.append((0,) * q)
             continue

@@ -8,18 +8,26 @@ designs, plain partitions and the 7-point projective plane; verifiers
 check the partial-geometry, group-divisible and 2-design axioms and
 report the first violated axiom with a witness.
 
-The field builders read GF(q) table rows directly.  A hyperplane
-design's linear form a.x is tabulated over all points one coordinate
-at a time (each value's row of `add_table`, read at a_i * F_q), and
-the point indices are bucketed by value in one pass; every block takes
-its indices from one shared point list.  Pair counts are int bitmasks
-and `int.bit_count()`: verify_pg's axiom 3 ANDs a point's block mask
-with the mask of the blocks meeting a line, and verify_2design ANDs
-per-point block masks (lambda) and per-block point masks (the
-intersection size of non-parallel blocks).  Pairs are scanned in the
-order of the plain pair loops, so the first failure and its witness
-are those of a brute pair count.  verify_pg's axiom 2 and verify_gdd
-count pairs in a dict.
+The field builders read GF(q) table rows directly and build one
+parallel class per step in C-level calls.  An affine plane's slope-m
+class is the transpose (`zip`) of its q point columns, column x read
+through the `itemgetter` of `add_table` row m*x.  A hyperplane design's
+class of direction a is solved for the last nonzero coordinate x_L of
+a: the block {x : a.x = c} holds, for each prefix x' = (x_0..x_{L-1}),
+the one row x_L = a_L^-1 (c - a'.x') of the cell of points with that
+prefix, whatever the coordinates after L.  The prefix values a'.x' are
+one memoized `bytes` per prefix of a, each cell is read through the
+itemgetter its prefix value picks, and one transpose gives the q sorted
+blocks of the class.  Every block takes its indices from one shared
+point list.
+
+Pair counts are int bitmasks and `int.bit_count()`: verify_pg's axiom 3
+ANDs a point's block mask with the mask of the blocks meeting a line,
+and verify_2design ANDs per-point block masks (lambda) and per-block
+point masks (the intersection size of non-parallel blocks).  Pairs are
+scanned in the order of the plain pair loops, so the first failure and
+its witness are those of a brute pair count.  verify_pg's axiom 2 and
+verify_gdd count pairs in a dict.
 
 Validation runs on every structure, builder output included.  With
 parallel classes it first tries an exact acceptance test: one set union
@@ -40,7 +48,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from operator import ge, getitem, itemgetter
+from operator import ge, itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -245,6 +253,17 @@ def _outside(b, n: int) -> bool:
 # builders
 # ---------------------------------------------------------------------------
 
+_call = itemgetter.__call__   # operator.call, which needs Python 3.11
+
+
+def _power_exceeds(q: int, n: int, budget: int) -> bool:
+    """Whether q**n > budget; for q >= 2 and n >= budget.bit_length() the
+    answer is yes (q**n >= 2**n > budget) without computing the power."""
+    if q >= 2 and n >= budget.bit_length():
+        return True
+    return q ** n > budget
+
+
 def build_gdd(l: int, q: int, block_budget: int = DEFAULT_BLOCK_BUDGET) -> IncidenceStructure:
     """Group divisible design on ql points: l consecutive groups of size q,
     blocks = all q^l transversals in lexicographic order."""
@@ -252,7 +271,7 @@ def build_gdd(l: int, q: int, block_budget: int = DEFAULT_BLOCK_BUDGET) -> Incid
         raise ValueError(f"need at least 2 groups, got {l}")
     if q < 2:
         raise ValueError(f"need group size at least 2, got {q}")
-    if q ** l > block_budget:
+    if _power_exceeds(q, l, block_budget):
         raise OutOfBudgetError(f"{q}^{l} blocks exceed budget {block_budget}")
     groups = tuple(tuple(range(g * q, (g + 1) * q)) for g in range(l))
     blocks = tuple(tuple(g * q + pick[g] for g in range(l))
@@ -272,12 +291,12 @@ def build_affine_plane(q: int) -> IncidenceStructure:
     f = make_field(q)
     points = list(range(q * q))
     columns = [points[x * q:(x + 1) * q] for x in range(q)]   # columns[x][y] = x*q + y
+    shifted = [itemgetter(*add_row) for add_row in f.add_table]   # shifted[w](col)[b] = col[w + b]
     blocks: list[Block] = []
     for slope in f.mul_table:
-        at_slope = itemgetter(*slope)   # y = m*x + b at x = 0..q-1, read off add row b
-        for add_row in f.add_table:
-            blocks.append(tuple(map(getitem, columns, at_slope(add_row))))
-    blocks.extend(tuple(column) for column in columns)
+        # column x read from y = m*x on gives the point of every line y = m*x + b
+        blocks.extend(zip(*map(_call, map(shifted.__getitem__, slope), columns)))
+    blocks.extend(map(tuple, columns))
     classes = tuple(tuple(range(i * q, (i + 1) * q)) for i in range(q + 1))
     return IncidenceStructure(q * q, tuple(blocks), parallel_classes=classes)
 
@@ -295,7 +314,7 @@ def build_hyperplane_design(q: int, n: int,
     """
     if n < 2:
         raise ValueError(f"need dimension at least 2, got {n}")
-    if q ** n > block_budget:
+    if _power_exceeds(q, n, block_budget):
         raise OutOfBudgetError(f"{q}^{n} points exceed budget {block_budget}")
     # b*k = q(q^n-1)/(q-1) blocks of q^(n-1) points; q < 2 is left to make_field
     incidences = q ** n * (q ** n - 1) // (q - 1) if q > 1 else 0
@@ -305,23 +324,43 @@ def build_hyperplane_design(q: int, n: int,
             f"incidences, above the budget {MAX_HYPERPLANE_INCIDENCES}")
     f = make_field(q)
     points = list(range(q ** n))
+    # cells[L][x'] lists, by x_L, the points with prefix x' = (x_0..x_{L-1}):
+    # single points for L = n-1, else rows of the q^(n-1-L) free suffixes
+    cells = []
+    for last in range(n):
+        width = q ** (n - 1 - last)
+        rows = [points[i:i + width] for i in range(0, q ** n, width)] if width > 1 else points
+        cells.append([rows[i:i + q] for i in range(0, len(rows), q)])
+    shifted = [itemgetter(*add_row) for add_row in f.add_table]   # shifted[w](cell)[d] = cell[w + d]
+    neg_one = f.add_table[1].index(0)
+    spreads: dict[int, list[bytes]] = {}
+    prefix_values = {b"": b"\0"}
+
+    def values_of(prefix: bytes) -> bytes:
+        """a'.x' for every prefix x', in index order, as one byte per value."""
+        if prefix not in prefix_values:
+            t = prefix[-1]
+            if t not in spreads:   # spreads[t][v] = v + t*y for y = 0..q-1
+                at_multiples = itemgetter(*f.mul_table[t])
+                spreads[t] = [bytes(at_multiples(add_row)) for add_row in f.add_table]
+            prefix_values[prefix] = b"".join(map(spreads[t].__getitem__, values_of(prefix[:-1])))
+        return prefix_values[prefix]
+
     blocks: list[Block] = []
-    for a in product(f.elements(), repeat=n):
-        nz = next((i for i, ai in enumerate(a) if ai), None)
-        if nz is None or a[nz] != 1:
-            continue
-        # values[x] = a.x, one coordinate at a time: the prefix value v
-        # spreads to v + a_i*t for t = 0..q-1
-        values = [0]
-        for ai in a:
-            at_multiples = itemgetter(*f.mul_table[ai])
-            spread = [at_multiples(add_row) for add_row in f.add_table]
-            values = list(chain.from_iterable(map(spread.__getitem__, values)))
-        buckets: list[list[int]] = [[] for _ in range(q)]
-        append = [bucket.append for bucket in buckets]
-        for x, val in zip(points, values):
-            append[val](x)
-        blocks.extend(map(tuple, buckets))
+    for lead in reversed(range(n)):
+        for tail in product(range(q), repeat=n - 1 - lead):
+            # a up to its last nonzero coordinate a_L: a block holds one
+            # x_L = a_L^-1 (c - a'.x') per prefix x', with any suffix after L
+            a = (bytes(lead) + b"\1" + bytes(tail)).rstrip(b"\0")
+            last = len(a) - 1
+            inv = f.inv_table[a[last]]
+            # picks[v] = shifted[-inv*v] reads the rows x_L = d - inv*v, d = 0..q-1,
+            # of a cell whose prefix value is v: there a.x = a_L*d
+            picks = itemgetter(*f.mul_table[f.mul_table[neg_one][inv]])(shifted)
+            columns = map(_call, map(picks.__getitem__, values_of(a[:last])), cells[last])
+            by_value = itemgetter(*f.mul_table[inv])(list(zip(*columns)))   # block c is d = inv*c
+            blocks.extend(by_value if last == n - 1
+                          else map(tuple, map(chain.from_iterable, by_value)))
     classes = tuple(tuple(range(i * q, (i + 1) * q)) for i in range(len(blocks) // q))
     return IncidenceStructure(q ** n, tuple(blocks), parallel_classes=classes)
 

@@ -23,7 +23,11 @@ canonical labelling, kept verbatim as the reference for dsrg.iso.
 The reference_* structure functions are the package's first builders,
 validation and verifiers of dsrg.incidence (per-point dot products,
 frozenset intersections and a pair-count dict), kept verbatim as the
-reference for its table-driven builders and bitmask verifiers.
+reference for its table-driven builders and bitmask verifiers;
+reference_bucket_hyperplane_blocks is the hyperplane kernel that came
+next, one list.append per point, kept as the reference for the kernel
+that builds each parallel class in one transpose.  reference_add_table
+is make_field's first addition table, one digit-vector sum per entry.
 reference_to_dgr and reference_from_dgr are the package's first dgr
 writer and parser, which format and parse every row line by line, kept
 verbatim as the reference for the ones that handle each distinct row
@@ -34,7 +38,8 @@ and the references above list bits with it.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product, zip_longest
+from itertools import chain, combinations, product, zip_longest
+from operator import itemgetter
 
 from dsrg import (
     BUDGET_EXCEEDED,
@@ -59,6 +64,13 @@ from dsrg import (
 )
 from dsrg.digraph import MAX_VERIFY_ORDER
 from dsrg.incidence import Block, DesignParams, PgParams
+
+
+def is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def brute_pg(num_points, blocks):
@@ -539,6 +551,25 @@ def reference_canonical_form(d: Digraph, budget: int = DEFAULT_NODE_BUDGET
 
 
 # ---------------------------------------------------------------------------
+# the first GF(p^e) addition table
+# ---------------------------------------------------------------------------
+
+def reference_add_table(p: int, e: int) -> tuple[tuple[int, ...], ...]:
+    """make_field's first addition table: per entry, add the base-p digit
+    vectors of a and b mod p and read the sum back as an index."""
+    q = p ** e
+
+    def digits(value):
+        return [value // p ** i % p for i in range(e)]
+
+    def index_of(vec):
+        return sum(c * p ** i for i, c in enumerate(vec))
+
+    return tuple(tuple(index_of([(x + y) % p for x, y in zip(digits(a), digits(b))])
+                       for b in range(q)) for a in range(q))
+
+
+# ---------------------------------------------------------------------------
 # the first incidence builders, validation and verifiers
 # ---------------------------------------------------------------------------
 
@@ -616,6 +647,32 @@ def reference_build_hyperplane_design(q: int, n: int,
             blocks.append(tuple(i for i, val in enumerate(values) if val == c))
     classes = tuple(tuple(range(i * q, (i + 1) * q)) for i in range(len(blocks) // q))
     return IncidenceStructure(q ** n, tuple(blocks), parallel_classes=classes)
+
+
+def reference_bucket_hyperplane_blocks(q: int, n: int) -> list[Block]:
+    """The blocks of build_hyperplane_design's second kernel, for in-budget (q, n).
+
+    a.x is tabulated over all points one coordinate at a time, then the
+    point indices are bucketed by value with one list.append per point.
+    """
+    f = make_field(q)
+    points = list(range(q ** n))
+    blocks: list[Block] = []
+    for a in product(f.elements(), repeat=n):
+        nz = next((i for i, ai in enumerate(a) if ai), None)
+        if nz is None or a[nz] != 1:
+            continue
+        values = [0]
+        for ai in a:
+            at_multiples = itemgetter(*f.mul_table[ai])
+            spread = [at_multiples(add_row) for add_row in f.add_table]
+            values = list(chain.from_iterable(map(spread.__getitem__, values)))
+        buckets: list[list[int]] = [[] for _ in range(q)]
+        append = [bucket.append for bucket in buckets]
+        for x, val in zip(points, values):
+            append[val](x)
+        blocks.extend(map(tuple, buckets))
+    return blocks
 
 
 def _reference_pair_counts(s: IncidenceStructure) -> dict[tuple[int, int], int]:

@@ -1,8 +1,10 @@
 import pytest
 
 from dsrg import NotPrimePowerError, TooLargeError, make_field
+from oracles import is_prime_power, reference_add_table
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64]
+ALL_ORDERS = [q for q in range(2, 257) if is_prime_power(q)]
 
 
 def test_prime_field_is_plain_modular_arithmetic():
@@ -116,3 +118,9 @@ def test_modulus_has_no_roots(q):
         for coeff in reversed(f.modulus_poly):
             value = (value * x + coeff) % p
         assert value != 0
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_add_table_matches_the_per_entry_formula(q):
+    f = make_field(q)
+    assert f.add_table == reference_add_table(f.p, f.e)

@@ -1,4 +1,8 @@
+import hashlib
+import json
+import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +112,32 @@ def test_gdd_budget_guard():
         build_gdd(3, 7, block_budget=100)
 
 
+@pytest.mark.parametrize("q,l", [(2, 2), (2, 3), (3, 3), (2, 4)])
+def test_gdd_budget_is_exact(q, l):
+    assert len(build_gdd(l, q, block_budget=q ** l).blocks) == q ** l
+    with pytest.raises(OutOfBudgetError, match=f"^{q}\\^{l} blocks exceed budget {q ** l - 1}$"):
+        build_gdd(l, q, block_budget=q ** l - 1)
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (2, 4)])
+def test_hyperplane_point_budget_is_exact(q, n):
+    assert build_hyperplane_design(q, n, block_budget=q ** n).num_points == q ** n
+    with pytest.raises(OutOfBudgetError, match=f"^{q}\\^{n} points exceed budget {q ** n - 1}$"):
+        build_hyperplane_design(q, n, block_budget=q ** n - 1)
+
+
+@pytest.mark.parametrize("build,args,message", [
+    (build_hyperplane_design, (3, 10 ** 7), "3^10000000 points exceed budget 100000"),
+    (build_gdd, (10 ** 7, 3), "3^10000000 blocks exceed budget 1000000"),
+], ids=["hyperplane", "gdd"])
+def test_huge_exponent_is_refused_before_the_power(build, args, message):
+    start = time.perf_counter()
+    with pytest.raises(OutOfBudgetError) as info:
+        build(*args)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == message
+
+
 def test_affine_plane_3():
     s = build_affine_plane(3)
     assert s.num_points == 9
@@ -170,6 +200,19 @@ def test_hyperplane_design_is_affine_resolvable(q, n):
     d = verify_2design(s)
     assert d.s == q
     assert d.m_int == q ** (n - 2)
+
+
+STRUCTURE_GOLDENS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())["structures"]
+
+
+@pytest.mark.parametrize("key", sorted(STRUCTURE_GOLDENS))
+def test_structure_matches_bench_golden(key):
+    # keys are plane-q and hyperplane-q-n, the full sizes the benchmark builds
+    kind, *args = key.split("-")
+    s = build_affine_plane(*map(int, args)) if kind == "plane" \
+        else build_hyperplane_design(*map(int, args))
+    assert hashlib.sha256(to_json(s).encode()).hexdigest() == STRUCTURE_GOLDENS[key]
 
 
 def test_hyperplane_budget():

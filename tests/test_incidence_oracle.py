@@ -2,9 +2,11 @@
 
 The reference_* functions in oracles.py are the package's first
 per-point, frozenset and pair-dict implementations.  Built structures
-must be equal element by element; validation and the pg / 2-design
-verifiers must give the same result, or the same error class, message,
-axiom and witness, on the structuregen sample and on seeded mutants.
+must be equal element by element, and the hyperplane blocks equal those
+of the per-point bucketing kernel up to q^n = 4096 and at AG(2,211);
+validation and the pg / 2-design verifiers must give the same result,
+or the same error class, message, axiom and witness, on the
+structuregen sample and on seeded mutants.
 Validation's set-based acceptance test (_fast_accepts) must accept no
 structure that the reference rejects, and must accept every builder
 output that carries parallel classes without the block loop.
@@ -26,7 +28,10 @@ from dsrg import (
     verify_2design,
     verify_pg,
 )
+from dsrg.incidence import MAX_HYPERPLANE_INCIDENCES
 from oracles import (
+    is_prime_power,
+    reference_bucket_hyperplane_blocks,
     reference_build_affine_plane,
     reference_build_hyperplane_design,
     reference_validate,
@@ -36,14 +41,7 @@ from oracles import (
 from structuregen import random_structures
 
 
-def _is_prime_power(q):
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    while q % p == 0:
-        q //= p
-    return q == 1
-
-
-PRIME_POWERS = [q for q in range(2, 65) if _is_prime_power(q)]
+PRIME_POWERS = [q for q in range(2, 65) if is_prime_power(q)]
 SMALL_DESIGNS = [(q, n) for q in PRIME_POWERS for n in range(2, 11) if q ** n <= 1024]
 
 
@@ -67,6 +65,16 @@ def test_hyperplane_design_matches_reference(q, n):
     assert got.blocks == want.blocks
     assert got.parallel_classes == want.parallel_classes
     assert got == want
+
+
+# every in-budget design with q^n <= 4096, and the largest n = 2 design in budget
+BUCKET_DESIGNS = [(q, n) for q in PRIME_POWERS for n in range(2, 13) if q ** n <= 4096
+                  and q ** n * (q ** n - 1) // (q - 1) <= MAX_HYPERPLANE_INCIDENCES] + [(211, 2)]
+
+
+@pytest.mark.parametrize("q,n", BUCKET_DESIGNS, ids=[f"AG({n},{q})" for q, n in BUCKET_DESIGNS])
+def test_hyperplane_design_matches_bucket_kernel(q, n):
+    assert list(build_hyperplane_design(q, n).blocks) == reference_bucket_hyperplane_blocks(q, n)
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
