@@ -26,7 +26,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .digraph import Digraph, _blow_up, verify_dsrg
+from .digraph import MAX_VERIFY_ORDER, Digraph, _blow_up, verify_dsrg
 from .errors import DsrgError, NotFeasibleError
 from .families import (
     FAMILIES,
@@ -191,8 +191,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_catalog(args, parser) -> int:
-    if args.max_order > 4096:
-        parser.error("--max-order is capped at 4096")
+    if args.max_order > MAX_VERIFY_ORDER:
+        parser.error(f"--max-order is capped at {MAX_VERIFY_ORDER}")
     families = tuple(args.families.split(",")) if args.families else None
     if families:
         unknown = set(families) - set(FAMILIES)

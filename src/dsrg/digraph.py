@@ -1,34 +1,32 @@
 """Loopless digraphs as packed bit rows, with exact DSRG verification.
 
 Row u is a Python int whose bit v is set iff there is an edge u -> v.
+The paper's graphs repeat out-rows (under the forward rule an
+anti-flag's out-row depends on its point alone; a Duval multiple
+repeats each base row m times), so each Digraph indexes its row
+classes once, when it is built: `distinct` holds the distinct out-rows
+in order of first appearance, `row_class[u]` the class of vertex u and
+`members[c]` the vertex mask of class c.  Row checks, columns(),
+to_dgr, the multiple, the verifier and iso work once per class.
+
 The anti-flag builders take an incidence structure, number its
 non-incident (point, block) pairs in lexicographic order, and wire
 edges by the four membership rules, all through one routine: forward
 (p in B') or backward (p' in B), each optionally with the edges
 between distinct anti-flags on a common block (forward) or point
 (backward).  The verifier recovers (v, k, t, lambda, mu) from A^2
-rather than trusting any formula: row u of A^2 is the sum of rows[v]
-over the out-neighbours v of u, held as bit planes (plane i is an
-n-bit int with bit i of every count), so a whole row is added and
-compared with a few wide-int operations and the whole verification
-runs in exact integer arithmetic.  Vertices with equal out-rows share
-their row of A^2, and the paper's graphs repeat out-rows (under the
-forward rule the out-row depends on the point alone; a Duval multiple
-repeats each base row m times).  So with D distinct out-rows r, each
-held by the vertices of a mask M_r, row u of A^2 is also the sum of
-|N+(u) & M_r| * r: when D <= k the verifier sums the D classes,
-weighted by their counts, instead of the k out-neighbours.  The dgr
-text layer works per class too: to_dgr formats each distinct out-row
-once, and from_dgr walks the text by line offsets without splitting
-it, so a row line that repeats the line before costs one compare and
-each distinct line is checked and parsed once.
+rather than trusting any formula, in exact integer arithmetic: a row
+of A^2 is held as bit planes (plane i is an n-bit int with bit i of
+every count), so it is added and compared with a few wide-int
+operations.  from_dgr walks the text by line offsets without
+splitting it, so a row line that repeats the line before costs one
+compare.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, zip_longest
 
@@ -62,19 +60,30 @@ class Digraph:
     n: int
     rows: tuple[int, ...]
     labels: tuple[AntiFlag, ...] | None = None
+    distinct: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    row_class: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    members: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
+        rows = tuple(self.rows)
+        object.__setattr__(self, "rows", rows)
         n = self.n
-        for u, row in enumerate(self.rows):
-            # int.bit_length, not row.bit_length: a non-int row raises TypeError
-            if row < 0 or int.bit_length(row) > n:
-                raise ValueError(f"row {u} has bits outside 0..{n - 1}")
-            if (row >> u) & 1:
-                raise ValueError(f"loop at vertex {u}")
-        if self.labels is not None and len(self.labels) != self.n:
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        if not {int}.issuperset(map(type, rows)):
+            # a row-keyed dict would put 2.0 in the class of 2: check vertex by vertex
+            for u, row in enumerate(rows):
+                _check_classes((row,), (1 << u,), n)
+        ids: dict[int, int] = {}
+        row_class = tuple([ids.setdefault(row, len(ids)) for row in rows])
+        members = [0] * len(ids)
+        for u, c in enumerate(row_class):
+            members[c] |= 1 << u
+        _check_classes(ids, members, n)
+        object.__setattr__(self, "distinct", tuple(ids))
+        object.__setattr__(self, "row_class", row_class)
+        object.__setattr__(self, "members", tuple(members))
+        if self.labels is not None and len(self.labels) != n:
             raise ValueError("label count does not match vertex count")
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -89,9 +98,9 @@ class Digraph:
     def columns(self) -> list[int]:
         """In-neighbor masks: bit u of columns()[v] == edge u -> v."""
         cols = [0] * self.n
-        for u, row in enumerate(self.rows):
+        for row, mask in zip(self.distinct, self.members):
             for v in _bits(row):
-                cols[v] |= 1 << u
+                cols[v] |= mask
         return cols
 
     def edges(self) -> list[tuple[int, int]]:
@@ -106,20 +115,10 @@ class Digraph:
     # -- text formats -------------------------------------------------------
 
     def to_dgr(self) -> str:
-        """dgr/1: a line with n, then n lines of n characters from {0,1}.
-
-        Each distinct out-row is formatted once; vertices that repeat a
-        row repeat its line.
-        """
-        lines = [str(self.n)]
-        row_lines: dict[int, str] = {}
-        for row in self.rows:
-            line = row_lines.get(row)
-            if line is None:
-                line = row_lines[row] = _format_row(row, self.n)
-            lines.append(line)
-        lines.append("")                  # the final newline, without a copy of the text
-        return "\n".join(lines)
+        """dgr/1: a line with n, then n lines of n characters from {0,1}."""
+        lines = [_format_row(row, self.n) for row in self.distinct]
+        # the final "" adds the last newline without a copy of the text
+        return "\n".join([str(self.n), *map(lines.__getitem__, self.row_class), ""])
 
     @classmethod
     def from_dgr(cls, text: str) -> "Digraph":
@@ -254,6 +253,21 @@ def _parse_row(line: str, n: int, lineno: int) -> int:
     if len(line) != n or not line.isascii() or line.encode().translate(None, b"01"):
         raise FormatError(lineno, f"expected {n} characters from {{0,1}}")
     return int(line[::-1], 2)
+
+
+def _check_classes(reps: Iterable[int], members: Iterable[int], n: int) -> None:
+    """ValueError naming the first vertex with a bit outside 0..n-1 (checked
+    first) or a loop, where reps[c] is the row of the vertices in members[c]."""
+    bad, message = n, ""
+    for row, mask in zip(reps, members):
+        # int.bit_length, not row.bit_length: a non-int row raises TypeError
+        if row < 0 or int.bit_length(row) > n:
+            if (first := _low_bit(mask)) < bad:
+                bad, message = first, f"row {first} has bits outside 0..{n - 1}"
+        elif row & mask and (loop := _low_bit(row & mask)) < bad:
+            bad, message = loop, f"loop at vertex {loop}"
+    if message:
+        raise ValueError(message)
 
 
 def _low_bit(mask: int) -> int:
@@ -433,12 +447,8 @@ def _square_row(rows: tuple[int, ...], row: int) -> list[int]:
     return planes
 
 
-def _square_row_by_class(reps: list[int], members: list[int], row: int) -> list[int]:
-    """The row of A^2 of a vertex with out-row `row`, one add per out-row class.
-
-    A^2[u] = sum over classes r of |N+(u) & M_r| * r, where r is a
-    distinct out-row and M_r the mask of the vertices that have it.
-    """
+def _square_row_by_class(reps: tuple[int, ...], members: tuple[int, ...], row: int) -> list[int]:
+    """The row of A^2 of a vertex with out-row `row`, one add per out-row class."""
     return _weighted_sum(((row & m).bit_count(), r) for r, m in zip(reps, members))
 
 
@@ -482,32 +492,24 @@ def verify_dsrg(d: Digraph) -> DsrgParams:
     non-edge.  A failing row names the lowest column that differs as
     the witness.
 
-    Rows of A^2 depend only on the out-row, so the row of each of the D
-    distinct out-rows is summed once per call.  When D <= k it is summed
-    over the out-row classes, each weighted by how many out-neighbours
-    it holds (at most D row adds, then one shifted stack add per bit of
-    each distinct weight); otherwise the k out-rows of the
-    out-neighbours are added one by one.
+    Rows of A^2 depend only on the out-row, so each is summed once per
+    row class.  When the number D of classes is at most k, row u of A^2
+    is the sum of |N+(u) & M_r| * r over the classes r with vertex mask
+    M_r; otherwise the k out-rows of the out-neighbours are added.
     """
     n = d.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if n > MAX_VERIFY_ORDER:
         raise TooLargeError(f"verification capped at {MAX_VERIFY_ORDER} vertices")
-    rows = d.rows
+    rows, reps, members = d.rows, d.distinct, d.members
     full = (1 << n) - 1
     k = rows[0].bit_count()
-    # out-row classes, numbered in order of first appearance: reps[c] is
-    # the out-row of class c, and cls[u] the class of vertex u
-    sizes = Counter(rows)
-    reps = list(sizes)
-    for row in reps:
+    for row, mask in zip(reps, members):
         # the first vertex of the first bad class is the first bad vertex
         if row.bit_count() != k:
-            raise NotRegularError(rows.index(row), f"out-degree {row.bit_count()} != {k}")
-    ids = {row: c for c, row in enumerate(reps)}
-    cls = list(map(ids.__getitem__, rows))
-    in_degrees = _weighted_sum(zip(sizes.values(), reps))
+            raise NotRegularError(_low_bit(mask), f"out-degree {row.bit_count()} != {k}")
+    in_degrees = _weighted_sum((mask.bit_count(), row) for row, mask in zip(reps, members))
     bad = _differ(in_degrees, _value_planes([(k, full)], k.bit_length()))
     if bad:
         v = _low_bit(bad)
@@ -518,9 +520,6 @@ def verify_dsrg(d: Digraph) -> DsrgParams:
         raise DegenerateError("graph is complete; mu is unconstrained")
 
     if len(reps) <= k:
-        members = [0] * len(reps)
-        for u, c in enumerate(cls):
-            members[c] |= 1 << u
         square = partial(_square_row_by_class, reps, members)
     else:
         square = partial(_square_row, rows)
@@ -534,7 +533,7 @@ def verify_dsrg(d: Digraph) -> DsrgParams:
     #           columns differing from lambda on the row and t off it);
     # the diagonal of vertex u is the one off-row column held to t
     seen: list[tuple[int, int] | None] = [None] * len(reps)
-    for u, c in enumerate(cls):
+    for u, c in enumerate(d.row_class):
         row = rows[u]
         masks = seen[c]
         if masks is None:
@@ -562,16 +561,14 @@ def _blow_up(d: Digraph, m: int) -> Digraph:
     """A tensor J_m, unchecked: vertex u becomes u*m .. u*m + m - 1."""
     if m == 1:
         return d
-    # bit v of a row becomes bits v*m .. v*m + m - 1; equal rows spread once
+    # bit v of a row becomes bits v*m .. v*m + m - 1, once per class
     spread = str.maketrans({"0": "0" * m, "1": "1" * m})
     width = f"0{d.n}b"
-    spread_rows: dict[int, int] = {}
-    rows = []
-    for row in d.rows:
-        big = spread_rows.get(row)
-        if big is None:
-            big = spread_rows[row] = int(format(row, width).translate(spread), 2)
-        rows.extend([big] * m)
+    big = [int(format(row, width).translate(spread), 2) for row in d.distinct]
+    spread_rows = list(map(big.__getitem__, d.row_class))
+    rows = [0] * (d.n * m)
+    for i in range(m):
+        rows[i::m] = spread_rows
     return Digraph(d.n * m, tuple(rows))
 
 

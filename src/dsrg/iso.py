@@ -11,6 +11,9 @@ per vertex), and only the distinct histograms are expanded into the
 sorted color tuples they stand for, so the colors are exactly those of
 sorting the tuples themselves.  A node individualizes one vertex of
 the smallest non-singleton color class (ties to the lowest color id).
+Neighbor lists, the root invariant and a mapping's row images are
+computed once per row class of the Digraph (in-neighbors once per row
+class of its transpose), so the vertices of a class share them.
 
 `are_isomorphic` first compares the two graphs' multisets of the
 per-vertex invariant {|N+(u) & N+(w)| : w in N+(u)}, one popcount per
@@ -64,6 +67,12 @@ class IsoResult:
     rounds: int = 0
 
 
+def _images(d: Digraph, perm) -> list[int]:
+    """Per vertex of d, the image of its out-row under perm (bit perm[v]
+    for bit v), taken once per out-row class."""
+    return _per_vertex(d, [sum(1 << perm[v] for v in _bits(row)) for row in d.distinct])
+
+
 def verify_mapping(d1: Digraph, d2: Digraph, perm) -> bool:
     """True iff perm sends every edge and non-edge of d1 onto d2."""
     if d1.n != d2.n or len(perm) != d1.n:
@@ -71,38 +80,30 @@ def verify_mapping(d1: Digraph, d2: Digraph, perm) -> bool:
             f"sizes differ: {d1.n} vertices, {d2.n} vertices, mapping of {len(perm)}")
     if sorted(perm) != list(range(d1.n)):
         raise ValueError("mapping is not a permutation")
-    for u in range(d1.n):
-        image = 0
-        for v in _bits(d1.rows[u]):
-            image |= 1 << perm[v]
-        if image != d2.rows[perm[u]]:
-            return False
-    return True
+    return _images(d1, perm) == list(map(d2.rows.__getitem__, perm))
 
 
 def apply_mapping(d: Digraph, perm) -> Digraph:
     """Relabel d so that old vertex u becomes perm[u]."""
-    rows = [0] * d.n
-    for u in range(d.n):
-        image = 0
-        for v in _bits(d.rows[u]):
-            image |= 1 << perm[v]
-        rows[perm[u]] = image
-    labels = None
-    if d.labels is not None:
-        lab = [None] * d.n
-        for u, flag in enumerate(d.labels):
-            lab[perm[u]] = flag
-        labels = tuple(lab)
-    return Digraph(d.n, tuple(rows), labels=labels)
+    inverse = sorted(range(d.n), key=perm.__getitem__)    # old vertex of each new one
+    rows = tuple(map(_images(d, perm).__getitem__, inverse))
+    labels = None if d.labels is None else tuple(map(d.labels.__getitem__, inverse))
+    return Digraph(d.n, rows, labels=labels)
+
+
+def _per_vertex(d: Digraph, per_class: list) -> list:
+    """Spread one value per out-row class of d to every vertex of the class."""
+    return list(map(per_class.__getitem__, d.row_class))
 
 
 class _Neighborhoods:
     __slots__ = ("out", "inn", "most")
 
     def __init__(self, d: Digraph):
-        self.out = [_bits(row) for row in d.rows]
-        self.inn = [_bits(col) for col in d.columns()]
+        # the vertices of a class share a list; in-columns are the transpose's rows
+        self.out = _per_vertex(d, list(map(_bits, d.distinct)))
+        t = d.transpose()
+        self.inn = _per_vertex(t, list(map(_bits, t.distinct)))
         # a histogram count is at most an in-degree, or for 2-walks the
         # largest out-degree squared
         self.most = max([len(nbrs) for nbrs in self.inn] +
@@ -260,7 +261,8 @@ class _Search:
 def _intersection_profile(d: Digraph) -> list[tuple[int, ...]]:
     """Per vertex u, the sorted multiset {|N+(u) & N+(w)| : w in N+(u)}."""
     rows = d.rows
-    return [tuple(sorted((row & rows[w]).bit_count() for w in _bits(row))) for row in rows]
+    return _per_vertex(d, [tuple(sorted((row & rows[w]).bit_count() for w in _bits(row)))
+                           for row in d.distinct])
 
 
 def are_isomorphic(d1: Digraph, d2: Digraph,

@@ -32,7 +32,9 @@ reference_to_dgr and reference_from_dgr are the package's first dgr
 writer and parser, which format and parse every row line by line, kept
 verbatim as the reference for the ones that handle each distinct row
 once.  reference_bits is the first bit lister, one lowest bit at a time,
-and the references above list bits with it.
+and the references above list bits with it.  reference_columns is the
+first Digraph.columns, one vertex at a time, kept as the reference for
+the one that ORs each out-row class's vertex mask into its columns.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ def popcount_verify_dsrg(d) -> DsrgParams:
     if n > MAX_VERIFY_ORDER:
         raise TooLargeError(f"verification capped at {MAX_VERIFY_ORDER} vertices")
     rows = d.rows
-    cols = d.columns()
+    cols = reference_columns(d)
     k = rows[0].bit_count()
     for u in range(n):
         if rows[u].bit_count() != k:
@@ -301,6 +303,15 @@ def reference_bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def reference_columns(d: Digraph) -> list[int]:
+    """In-neighbor masks: bit u of reference_columns(d)[v] == edge u -> v."""
+    cols = [0] * d.n
+    for u, row in enumerate(d.rows):
+        for v in reference_bits(row):
+            cols[v] |= 1 << u
+    return cols
 
 
 def _low_bit(mask: int) -> int:
@@ -409,7 +420,7 @@ class _Neighborhoods:
 
     def __init__(self, d: Digraph):
         self.out = [reference_bits(row) for row in d.rows]
-        self.inn = [reference_bits(col) for col in d.columns()]
+        self.inn = [reference_bits(col) for col in reference_columns(d)]
 
 
 def _signatures(g: _Neighborhoods, colors: list[int], dist2: bool) -> list[tuple]:

@@ -304,6 +304,15 @@ def test_catalog_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_catalog_max_order_is_capped_at_the_verification_cap(capsys, monkeypatch):
+    for cap in (4096, 100):
+        monkeypatch.setattr(cli, "MAX_VERIFY_ORDER", cap)
+        with pytest.raises(SystemExit) as err:
+            main(["catalog", "--max-order", str(cap + 1)])
+        assert err.value.code == 2
+        assert f"--max-order is capped at {cap}" in capsys.readouterr().err
+
+
 def test_catalog_rows_content():
     rows = catalog_rows()
     by_tuple = {(r.params.tuple(), r.family, r.marker()): r for r in rows}

@@ -40,6 +40,7 @@ from dsrg.families import catalog_instances
 from oracles import (
     dense,
     reference_bits,
+    reference_columns,
     reference_from_dgr,
     reference_to_dgr,
     schoolbook_square,
@@ -74,6 +75,15 @@ def test_digraph_validation_order_and_messages():
     for bad in (1.0, "1", None):
         with pytest.raises(TypeError):
             Digraph(2, (bad, 0))
+    # rows are checked once per class of equal rows, and still name the first bad vertex
+    with pytest.raises(TypeError):
+        Digraph(3, (2, 2.0, 0))        # 2.0 == 2, but it is no int row
+    with pytest.raises(ValueError, match=r"^loop at vertex 1$"):
+        Digraph(3, (2, 2, 0))          # the loop is on the class's second vertex
+    with pytest.raises(ValueError, match=r"^row 1 has bits outside 0\.\.2$"):
+        Digraph(3, (0, 8, 8))          # a class out of range is named at its first vertex
+    with pytest.raises(ValueError, match=r"^row 1 has bits outside 0\.\.2$"):
+        Digraph(3, (4, 8, 4))          # before the loop on a later vertex of an earlier class
 
 
 def test_dgr_round_trip():
@@ -332,6 +342,42 @@ def test_dgr_io_works_once_per_distinct_row(monkeypatch):
     del formatted[:], parsed[:]
     Digraph.from_dgr(e.to_dgr())
     assert len(formatted) == len(parsed) == 40
+
+
+def _relabelled(d, rng):
+    """d with its vertices shuffled, built edge by edge."""
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    rows = [0] * d.n
+    for u, row in enumerate(d.rows):
+        rows[perm[u]] = sum(1 << perm[v] for v in reference_bits(row))
+    return Digraph(d.n, tuple(rows))
+
+
+def _brute_row_classes(d):
+    """(distinct, row_class, members) grouped one vertex at a time."""
+    first, members = {}, {}
+    for u, row in enumerate(d.rows):
+        first.setdefault(row, u)
+        members[row] = members.get(row, 0) | 1 << u
+    distinct = sorted(first, key=first.__getitem__)
+    number = {row: c for c, row in enumerate(distinct)}
+    return (tuple(distinct), tuple(number[row] for row in d.rows),
+            tuple(members[row] for row in distinct))
+
+
+def test_row_class_index_and_columns_match_the_references():
+    rng = random.Random(IO_SEED)
+    graphs = []
+    for name, d in IO_GRAPHS:
+        graphs += [(name, d), (f"{name} relabelled", _relabelled(d, rng))]
+        graphs.append((f"{name} from dgr", Digraph.from_dgr(d.to_dgr())))
+        if d.edge_count():
+            graphs.append((f"{name} from edge list", Digraph.from_edge_list(d.to_edge_list())))
+    graphs.append(("partition-spiked q=10;l=20", build_digraph(PartitionSpiked(10, 20))))
+    for name, d in graphs:
+        assert (d.distinct, d.row_class, d.members) == _brute_row_classes(d), name
+        assert d.columns() == reference_columns(d), name
 
 
 def test_bits_match_the_reference():

@@ -71,6 +71,28 @@ def test_some_transposition_breaks_a_nonsymmetric_graph():
     assert not verify_mapping(d, d, perm)
 
 
+def test_every_vertex_of_a_row_class_is_checked():
+    d = build_antiflag_forward(build_gdd(2, 3))   # the out-row depends on the point
+    first = {}
+    for u, row in enumerate(d.rows):
+        first.setdefault(row, u)
+    # two later vertices of different classes that every class's first row
+    # treats alike: checking the first vertex of each class would pass the swap
+    u, w = next((u, w) for u in range(d.n) for w in range(u + 1, d.n)
+                if d.rows[u] != d.rows[w] and u not in first.values()
+                and w not in first.values()
+                and all(d.has_edge(r, u) == d.has_edge(r, w) for r in first.values()))
+    perm = list(range(d.n))
+    perm[u], perm[w] = w, u
+    assert all(sum(1 << perm[v] for v in range(d.n) if d.has_edge(r, v)) == d.rows[perm[r]]
+               for r in first.values())
+    assert not verify_mapping(d, d, perm)
+    # apply_mapping by its definition: u -> v is an edge iff perm[u] -> perm[v] is
+    image = apply_mapping(d, perm)
+    assert all(image.has_edge(perm[a], perm[b]) == d.has_edge(a, b)
+               for a in range(d.n) for b in range(d.n))
+
+
 def test_size_mismatch_and_bad_permutation():
     d1 = build_antiflag_forward(build_gdd(2, 2))
     d2 = build_antiflag_forward(build_gdd(2, 3))
