@@ -38,6 +38,8 @@ from .incidence import (
     build_gdd,
     build_hyperplane_design,
     build_partition_structure,
+    dual,
+    duality_mapping,
     from_json,
     restrict_parallel_classes,
     to_json,

@@ -314,13 +314,7 @@ def main(argv: list[str] | None = None) -> int:
                 "iso": cmd_iso, "spectrum": cmd_spectrum}
     try:
         return handlers[args.command](args, parser)
-    except DsrgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DsrgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,21 +1,19 @@
 """Bundled example structures and the 36-vertex isomorphism fixture.
 
-The fixture file pairs anti-flag labels of two differently constructed
-(36, 12, 5, 2, 5) graphs: the forward graph on the vertex-edge
-structure of K_{3,3} and the backward graph on two pencils of a 3x3
-grid.  Labels use 1-based points exactly as in the data file; the
-loader translates them to canonical anti-flag vertex indices.
+The fixture pairs two differently constructed (36, 12, 5, 2, 5) graphs:
+the forward graph on the vertex-edge structure of K_{3,3} and the
+backward graph on two pencils of a 3x3 grid.  The grid is the dual of
+K_{3,3} (its points are the 9 edges, its lines the 6 vertices), and the
+backward graph is the converse of the forward one, so the duality
+(p, B) -> (B, p) maps the first graph onto the second.  The data file
+data/k33_pencils_iso36.txt lists the same mapping by hand; a test
+checks it against the duality.
 """
 
 from __future__ import annotations
 
-from importlib import resources
-
 from .digraph import Digraph, build_antiflag_backward, build_antiflag_forward
-from .errors import FormatError
-from .incidence import IncidenceStructure, anti_flags, build_gdd
-
-FIXTURE_NAME = "k33_pencils_iso36.txt"
+from .incidence import IncidenceStructure, build_gdd, dual, duality_mapping
 
 
 def k33_edge_structure() -> IncidenceStructure:
@@ -24,57 +22,13 @@ def k33_edge_structure() -> IncidenceStructure:
 
 
 def grid_two_pencil_structure() -> IncidenceStructure:
-    """9 points with the rows and columns of a 3x3 grid as two parallel classes."""
-    blocks = ((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8))
-    return IncidenceStructure(9, blocks, parallel_classes=((0, 1, 2), (3, 4, 5)))
-
-
-def _fixture_text() -> str:
-    return resources.files("dsrg.data").joinpath(FIXTURE_NAME).read_text()
-
-
-def _label_to_vertex(token: str, structure: IncidenceStructure,
-                     index: dict, lineno: int) -> int:
-    """Translate 'point,block' or 'block,point' (1-based digit strings)."""
-    parts = token.split(",")
-    if len(parts) != 2:
-        raise FormatError(lineno, f"expected 'a,b', got {token!r}")
-    first, second = parts
-    if len(first) > 1 and len(second) == 1:
-        block_str, point_str = first, second
-    elif len(first) == 1 and len(second) > 1:
-        point_str, block_str = first, second
-    else:
-        raise FormatError(lineno, f"cannot tell point from block in {token!r}")
-    point = int(point_str) - 1
-    block = tuple(sorted(int(ch) - 1 for ch in block_str))
-    try:
-        return index[(point, structure.blocks.index(block))]
-    except (KeyError, ValueError):
-        raise FormatError(lineno, f"{token!r} is not an anti-flag") from None
+    """9 points with the rows and columns of a 3x3 grid as two parallel
+    classes: the dual of k33_edge_structure()."""
+    return dual(k33_edge_structure())
 
 
 def bundled_iso_fixture() -> tuple[Digraph, Digraph, tuple[int, ...]]:
-    """The two 36-vertex graphs and the bundled vertex mapping between them."""
+    """The two 36-vertex graphs and the duality mapping between them."""
     left = k33_edge_structure()
-    right = grid_two_pencil_structure()
-    d1 = build_antiflag_forward(left)
-    d2 = build_antiflag_backward(right)
-    idx1 = {tuple(f): i for i, f in enumerate(anti_flags(left))}
-    idx2 = {tuple(f): i for i, f in enumerate(anti_flags(right))}
-    perm = [-1] * d1.n
-    for lineno, raw in enumerate(_fixture_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        sides = line.split("<->")
-        if len(sides) != 2:
-            raise FormatError(lineno, f"expected 'left <-> right', got {raw!r}")
-        u = _label_to_vertex(sides[0].strip(), left, idx1, lineno)
-        v = _label_to_vertex(sides[1].strip(), right, idx2, lineno)
-        if perm[u] != -1:
-            raise FormatError(lineno, "duplicate left vertex")
-        perm[u] = v
-    if sorted(perm) != list(range(d1.n)):
-        raise FormatError(0, "fixture rows do not form a bijection")
-    return d1, d2, tuple(perm)
+    return (build_antiflag_forward(left), build_antiflag_backward(dual(left)),
+            duality_mapping(left))

@@ -6,7 +6,8 @@ into groups and a partition of the blocks into parallel classes.
 Builders produce group divisible designs, affine planes, hyperplane
 designs, plain partitions and the 7-point projective plane; verifiers
 check the partial-geometry, group-divisible and 2-design axioms and
-report the first violated axiom with a witness.
+report the first violated axiom with a witness.  dual swaps points and
+blocks; duality_mapping numbers the anti-flag map (p, B) -> (B, p).
 
 The field builders read GF(q) table rows directly and build one
 parallel class per step in C-level calls.  An affine plane's slope-m
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from operator import ge, itemgetter
 from typing import NamedTuple
 
@@ -586,6 +587,28 @@ def anti_flags(s: IncidenceStructure) -> list[AntiFlag]:
             for p in range(s.num_points)
             for i in range(len(s.blocks))
             if p not in sets[i]]
+
+
+def dual(s: IncidenceStructure) -> IncidenceStructure:
+    """Points and blocks swapped: point i is block i of s, block p lists the
+    blocks of s through point p, and groups and parallel classes swap.  A
+    dual that is not a structure (of a partition structure, or with a point
+    on no block) raises the validation's ValueError."""
+    return IncidenceStructure(len(s.blocks), tuple(map(tuple, s.point_to_blocks())),
+                              groups=s.parallel_classes, parallel_classes=s.groups)
+
+
+def duality_mapping(s: IncidenceStructure) -> tuple[int, ...]:
+    """Entry i is the index of (B, p) among the anti-flags of dual(s), where
+    (p, B) is the i-th anti-flag of s.  The dual's anti-flags run by B, then
+    p, so those off block B take consecutive indices after those off the
+    blocks before it."""
+    offset = list(accumulate((s.num_points - len(b) for b in s.blocks), initial=0))
+    perm = []
+    for _, b in anti_flags(s):
+        perm.append(offset[b])
+        offset[b] += 1
+    return tuple(perm)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
     python3.10 tests/smoke_py310.py
 
 Builds and verifies Transversal(4) and Gdd(2, 3, 2), round-trips both
-through dgr text, and compares the SHA-256 of the catalog_rows(500)
+through dgr text, checks the duality mapping of the bundled 36-vertex
+fixture (forward graph, transposed backward graph, dual structure) and
+compares the SHA-256 of the catalog_rows(500)
 table with perfbench/golden.json, which it only reads.  Prints one line
 per check and exits 1 if any check fails.  Its name does not start with
 test_, so pytest does not collect it.
@@ -17,7 +19,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dsrg import Digraph, Gdd, Transversal, build_digraph, expected_params, verify_dsrg  # noqa: E402
+from dsrg import (Digraph, Gdd, Transversal, build_digraph, bundled_iso_fixture,  # noqa: E402
+                  expected_params, verify_dsrg, verify_mapping)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
 
 
@@ -29,6 +32,7 @@ def checks():
         back = Digraph.from_dgr(text)
         yield f"{spec.name} {spec.describe()} dgr round trip", (back.rows == d.rows
                                                                 and back.to_dgr() == text)
+    yield "36-vertex fixture duality mapping verifies", verify_mapping(*bundled_iso_fixture())
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["catalog"]["500"]
     table = render_table(catalog_rows(max_order=500))
     yield "catalog 500 table digest", hashlib.sha256(table.encode()).hexdigest() == golden["table"]

@@ -224,6 +224,13 @@ def test_verify_non_dsrg(tmp_path, capsys):
     assert "mu" in stderr
 
 
+def test_verify_missing_file(tmp_path, capsys):
+    code, stdout, stderr = run(capsys, "verify", str(tmp_path / "absent.dgr"))
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: [Errno 2] ")
+    assert stderr.endswith("absent.dgr'\n")
+
+
 # -- the file format, decided from the first non-blank line -----------------
 
 def _first_line_format(text):
