@@ -212,8 +212,8 @@ def cmd_iso(args, parser) -> int:
     d1 = _load_digraph(args.path1)
     d2 = _load_digraph(args.path2)
     result = are_isomorphic(d1, d2, budget=budget)
-    print(f"nodes={result.nodes} pruned={result.pruned} rounds={result.rounds}",
-          file=sys.stderr)
+    print(f"nodes={result.nodes} pruned={result.pruned} rounds={result.rounds} "
+          f"depth={result.depth}", file=sys.stderr)
     if result.status == ISOMORPHIC:
         print("ISOMORPHIC")
         for u, v in enumerate(result.mapping):

@@ -6,18 +6,23 @@ vertex-regular, so plain degree refinement never splits anything; the
 refinement here colors by multisets of out- and in-neighbor colors,
 iterated to a fixpoint, and once a vertex has been individualized it
 also mixes in the color multiset at the end of directed 2-walks.  Each
-multiset is summed as a packed per-color histogram (one big integer
-per vertex), and only the distinct histograms are expanded into the
-sorted color tuples they stand for, so the colors are exactly those of
-sorting the tuples themselves.  A node individualizes one vertex of
-the smallest non-singleton color class (ties to the lowest color id).
-Neighbor lists, the root invariant and a mapping's row images are
-computed once per row class of the Digraph (in-neighbors once per row
-class of its transpose), so the vertices of a class share them.
+multiset is summed as a packed per-color histogram (one big integer),
+and only the distinct histograms are expanded into the sorted color
+tuples they stand for, so the colors are exactly those of sorting the
+tuples themselves.  The histograms are summed once per row class, not
+once per vertex: vertices with one out-row share their out- and 2-walk
+histograms whatever their own colors, and vertices with one in-column
+(a row class of the transpose) share their in-histogram, so each class
+sums once and its rank is spread to its members.  A node
+individualizes one vertex of the smallest non-singleton color class
+(ties to the lowest color id).  The root invariant and a mapping's row
+images are also computed once per row class.
 
-`are_isomorphic` first compares the two graphs' multisets of the
-per-vertex invariant {|N+(u) & N+(w)| : w in N+(u)}, one popcount per
-arc; unequal multisets prove the pair non-isomorphic before any tree
+`are_isomorphic` first compares what an isomorphism must preserve:
+the sorted sizes of the out-row classes and of the in-column classes
+(it maps classes onto classes of the same size), and the multisets of
+the per-vertex invariant {|N+(u) & N+(w)| : w in N+(u)}, one popcount
+per arc.  A difference proves the pair non-isomorphic before any tree
 node.  Otherwise that invariant colors the root, the two graphs are
 refined jointly under one color numbering, the first graph
 individualizes the first vertex of the target class and the second
@@ -31,8 +36,10 @@ strings compose to an automorphism; a branch in the orbit of an
 explored sibling under the automorphisms found so far that fix the
 path to the node is skipped, because its subtree is an image of an
 explored one and holds no earlier least leaf (McKay and Piperno,
-Practical graph isomorphism II, 2014).  IsoResult counts tree nodes,
-skipped branches and refinement rounds.
+Practical graph isomorphism II, 2014).  Each node keeps its orbits as a
+union-find forest and merges only the automorphisms found since it
+last looked.  IsoResult counts tree nodes, skipped branches,
+refinement rounds and the deepest tree level reached.
 """
 
 from __future__ import annotations
@@ -57,7 +64,8 @@ class IsoResult:
     """Outcome of an isomorphism search; mapping is set only when found.
 
     nodes counts search-tree nodes, pruned the branches skipped as
-    automorphic images of explored ones, rounds the refinement rounds.
+    automorphic images of explored ones, rounds the refinement rounds,
+    depth the deepest tree level reached (the root is level 0).
     """
 
     status: str
@@ -65,12 +73,13 @@ class IsoResult:
     nodes: int = 0
     pruned: int = 0
     rounds: int = 0
+    depth: int = 0
 
 
 def _images(d: Digraph, perm) -> list[int]:
     """Per vertex of d, the image of its out-row under perm (bit perm[v]
     for bit v), taken once per out-row class."""
-    return _per_vertex(d, [sum(1 << perm[v] for v in _bits(row)) for row in d.distinct])
+    return _spread([sum(1 << perm[v] for v in _bits(row)) for row in d.distinct], d.row_class)
 
 
 def verify_mapping(d1: Digraph, d2: Digraph, perm) -> bool:
@@ -91,19 +100,29 @@ def apply_mapping(d: Digraph, perm) -> Digraph:
     return Digraph(d.n, rows, labels=labels)
 
 
-def _per_vertex(d: Digraph, per_class: list) -> list:
-    """Spread one value per out-row class of d to every vertex of the class."""
-    return list(map(per_class.__getitem__, d.row_class))
+def _spread(per_class: list, row_class: tuple[int, ...]) -> list:
+    """Spread one value per class to every vertex, row_class[v] being v's class."""
+    return list(map(per_class.__getitem__, row_class))
 
 
 class _Neighborhoods:
-    __slots__ = ("out", "inn", "most")
+    """Neighbor lists of a digraph, one per row class.
+
+    out[c] lists the out-neighbors of out-row class c, and walk[c] the
+    out-row class of each of them; inn[c] lists the in-neighbors of
+    in-column class c, a row class of the transpose.  out_class[v] and
+    in_class[v] are the classes of vertex v.
+    """
+
+    __slots__ = ("out", "out_class", "walk", "inn", "in_class", "most")
 
     def __init__(self, d: Digraph):
-        # the vertices of a class share a list; in-columns are the transpose's rows
-        self.out = _per_vertex(d, list(map(_bits, d.distinct)))
+        self.out = list(map(_bits, d.distinct))
+        self.out_class = d.row_class
+        self.walk = [list(map(d.row_class.__getitem__, nbrs)) for nbrs in self.out]
         t = d.transpose()
-        self.inn = _per_vertex(t, list(map(_bits, t.distinct)))
+        self.inn = list(map(_bits, t.distinct))
+        self.in_class = t.row_class
         # a histogram count is at most an in-degree, or for 2-walks the
         # largest out-degree squared
         self.most = max([len(nbrs) for nbrs in self.inn] +
@@ -115,14 +134,16 @@ _FIELDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 
 
 def _histograms(g: _Neighborhoods, colors: list[int], one: list[int],
-                dist2: bool) -> list[list[int]]:
-    """Packed color histograms of each vertex's out-neighbors, in-neighbors
-    and (with dist2) 2-walk ends: field c of a histogram counts color c."""
+                dist2: bool) -> list[tuple[list[int], tuple[int, ...]]]:
+    """Packed color histograms of the out-neighbors, in-neighbors and (with
+    dist2) 2-walk ends, one per row class, each list paired with the
+    vertices' classes: field c of a histogram counts color c."""
     weight = list(map(one.__getitem__, colors))
     out = [sum(map(weight.__getitem__, nbrs)) for nbrs in g.out]
-    parts = [out, [sum(map(weight.__getitem__, nbrs)) for nbrs in g.inn]]
+    parts = [(out, g.out_class),
+             ([sum(map(weight.__getitem__, nbrs)) for nbrs in g.inn], g.in_class)]
     if dist2:
-        parts.append([sum(map(out.__getitem__, nbrs)) for nbrs in g.out])
+        parts.append(([sum(map(out.__getitem__, ends)) for ends in g.walk], g.out_class))
     return parts
 
 
@@ -148,9 +169,11 @@ def _signatures(graphs: list[_Neighborhoods], colorings: list[list[int]],
     parts = [_histograms(g, c, one, dist2) for g, c in zip(graphs, colorings)]
     ranked = []
     for i in range(len(parts[0])):
-        distinct = sorted(set().union(*(p[i] for p in parts)), key=color_tuple)
+        distinct = sorted(set().union(*(p[i][0] for p in parts)), key=color_tuple)
         rank = {h: r for r, h in enumerate(distinct)}
-        ranked.append([list(map(rank.__getitem__, p[i])) for p in parts])
+        # each class's rank, spread lazily to the vertices of the class
+        ranked.append([map([rank[h] for h in per_class].__getitem__, row_class)
+                       for per_class, row_class in (p[i] for p in parts)])
     return [list(zip(colors, *(r[j] for r in ranked))) for j, colors in enumerate(colorings)]
 
 
@@ -181,25 +204,37 @@ class _BudgetHit(Exception):
     pass
 
 
-def _orbits(n: int, automorphisms, path: tuple[int, ...]) -> list[int]:
-    """Least vertex of each vertex's orbit under the group generated by
-    the automorphisms that fix every vertex of path."""
-    parent = list(range(n))
+class _Orbits:
+    """Orbits of the vertices under the group generated by the
+    automorphisms that fix every vertex of path: a union-find forest
+    whose roots are the least vertices of their orbits."""
 
-    def find(x: int) -> int:
+    __slots__ = ("parent", "path", "known")
+
+    def __init__(self, n: int, path: tuple[int, ...]):
+        self.parent = list(range(n))
+        self.path = path
+        self.known = 0      # automorphisms merged so far
+
+    def find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for perm in automorphisms:
-        if any(perm[x] != x for x in path):
-            continue
-        for x, y in enumerate(perm):
-            a, b = find(x), find(y)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return [find(x) for x in range(n)]
+    def update(self, automorphisms: list[tuple[int, ...]]) -> None:
+        """Merge the automorphisms appended since the last call."""
+        new = automorphisms[self.known:]
+        self.known = len(automorphisms)
+        find, parent = self.find, self.parent
+        for perm in new:
+            if any(perm[x] != x for x in self.path):
+                continue
+            for x, y in enumerate(perm):
+                a, b = find(x), find(y)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
 
 
 class _Search:
@@ -216,13 +251,14 @@ class _Search:
         self.budget = budget
         self.leaf = leaf
         self.automorphisms: list[tuple[int, ...]] = []
-        self.nodes = self.pruned = self.rounds = 0
+        self.nodes = self.pruned = self.rounds = self.depth = 0
 
     def visit(self, colorings: list[list[int]], path: tuple[int, ...] = ()) -> bool:
         """Search the subtree below colorings, reached by individualizing path."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise _BudgetHit
+        self.depth = max(self.depth, len(path))
         colorings, rounds = _refine(self.graphs, colorings, dist2=bool(path))
         self.rounds += rounds
         if colorings is None:
@@ -236,14 +272,15 @@ class _Search:
         fresh = len(counts)
         pair = len(colorings) == 2
         fixed = colorings[0].index(target)
-        explored: list[int] = []
-        known, orbit, seen = 0, None, set()
+        # The automorphisms that fix path keep the colors, so each orbit lies
+        # in the target class, whose vertices come in increasing order: the
+        # least vertex of a grown orbit came earlier, was explored or pruned,
+        # and is in seen, which needs no update when orbits merge.
+        orbits = _Orbits(n, path)
+        seen: set[int] = set()      # least vertices of the explored orbits
         for u in [u for u, c in enumerate(colorings[-1]) if c == target]:
-            if len(self.automorphisms) != known:
-                known = len(self.automorphisms)
-                orbit = _orbits(n, self.automorphisms, path)
-                seen = {orbit[x] for x in explored}
-            if orbit is not None and orbit[u] in seen:
+            orbits.update(self.automorphisms)
+            if orbits.find(u) in seen:
                 self.pruned += 1
                 continue
             children = [list(c) for c in colorings]
@@ -252,17 +289,20 @@ class _Search:
             children[-1][u] = fresh
             if self.visit(children, path + (u,)):
                 return True
-            explored.append(u)
-            if orbit is not None:
-                seen.add(orbit[u])
+            seen.add(orbits.find(u))
         return False
 
 
 def _intersection_profile(d: Digraph) -> list[tuple[int, ...]]:
     """Per vertex u, the sorted multiset {|N+(u) & N+(w)| : w in N+(u)}."""
     rows = d.rows
-    return _per_vertex(d, [tuple(sorted((row & rows[w]).bit_count() for w in _bits(row)))
-                           for row in d.distinct])
+    return _spread([tuple(sorted((row & rows[w]).bit_count() for w in _bits(row)))
+                    for row in d.distinct], d.row_class)
+
+
+def _class_sizes(row_class: tuple[int, ...]) -> list[int]:
+    """Sorted sizes of the classes named by row_class."""
+    return sorted(Counter(row_class).values())
 
 
 def are_isomorphic(d1: Digraph, d2: Digraph,
@@ -273,10 +313,14 @@ def are_isomorphic(d1: Digraph, d2: Digraph,
     invariant differs or after exhausting the search tree, or
     BUDGET_EXCEEDED after expanding `budget` tree nodes.
     """
-    if d1.n != d2.n or d1.edge_count() != d2.edge_count():
+    if (d1.n != d2.n or d1.edge_count() != d2.edge_count()
+            or _class_sizes(d1.row_class) != _class_sizes(d2.row_class)):
         return IsoResult(NOT_ISOMORPHIC)
     p1, p2 = _intersection_profile(d1), _intersection_profile(d2)
     if sorted(p1) != sorted(p2):
+        return IsoResult(NOT_ISOMORPHIC)
+    g1, g2 = _Neighborhoods(d1), _Neighborhoods(d2)
+    if _class_sizes(g1.in_class) != _class_sizes(g2.in_class):
         return IsoResult(NOT_ISOMORPHIC)
     rank = {p: i for i, p in enumerate(sorted(set(p1)))}
     n = d1.n
@@ -293,7 +337,7 @@ def are_isomorphic(d1: Digraph, d2: Digraph,
             mapping = tuple(candidate)
         return mapping is not None
 
-    search = _Search([_Neighborhoods(d1), _Neighborhoods(d2)], budget, leaf)
+    search = _Search([g1, g2], budget, leaf)
     try:
         search.visit([[rank[p] for p in p1], [rank[p] for p in p2]])
     except _BudgetHit:
@@ -301,15 +345,15 @@ def are_isomorphic(d1: Digraph, d2: Digraph,
     else:
         status = NOT_ISOMORPHIC if mapping is None else ISOMORPHIC
     return IsoResult(status, mapping=mapping, nodes=search.nodes,
-                     pruned=search.pruned, rounds=search.rounds)
+                     pruned=search.pruned, rounds=search.rounds, depth=search.depth)
 
 
-def _leaf_string(g: _Neighborhoods, labels: list[int]) -> str:
-    """Row-major adjacency string of the graph relabeled by labels."""
+def _leaf_string(d: Digraph, labels: tuple[int, ...]) -> str:
+    """Row-major adjacency string of d relabeled by labels."""
     n = len(labels)
     rows = [0] * n
-    for u, nbrs in enumerate(g.out):
-        rows[labels[u]] = sum(1 << labels[v] for v in nbrs)
+    for label, image in zip(labels, _images(d, labels)):
+        rows[label] = image
     return "".join(format(row, f"0{n}b")[::-1] for row in rows)
 
 
@@ -321,13 +365,12 @@ def canonical_form(d: Digraph, budget: int = DEFAULT_NODE_BUDGET) -> tuple[str, 
     permutation reproduces it.  Exhaustive up to automorphism pruning,
     so keep the input small.
     """
-    g = _Neighborhoods(d)
     first = best = None
 
     def leaf(colorings: list[list[int]]) -> bool:
         nonlocal first, best
         labels = tuple(colorings[0])
-        s = _leaf_string(g, labels)
+        s = _leaf_string(d, labels)
         for ref in (first, best):
             if ref is not None and s == ref[0]:
                 if labels != ref[1]:
@@ -342,7 +385,7 @@ def canonical_form(d: Digraph, budget: int = DEFAULT_NODE_BUDGET) -> tuple[str, 
             best = (s, labels)
         return False
 
-    search = _Search([g], budget, leaf)
+    search = _Search([_Neighborhoods(d)], budget, leaf)
     try:
         search.visit([[0] * d.n])
     except _BudgetHit:

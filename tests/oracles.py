@@ -35,6 +35,9 @@ once.  reference_bits is the first bit lister, one lowest bit at a time,
 and the references above list bits with it.  reference_columns is the
 first Digraph.columns, one vertex at a time, kept as the reference for
 the one that ORs each out-row class's vertex mask into its columns.
+reference_orbits is the search's first orbit computation, rebuilt from
+every automorphism each time one is found, kept verbatim as the
+reference for the union-find that merges only the new ones.
 """
 
 from __future__ import annotations
@@ -559,6 +562,27 @@ def reference_canonical_form(d: Digraph, budget: int = DEFAULT_NODE_BUDGET
 
     search([0] * n, 0)
     return best[0], best[1]
+
+
+def reference_orbits(n: int, automorphisms, path: tuple[int, ...]) -> list[int]:
+    """Least vertex of each vertex's orbit under the group generated by
+    the automorphisms that fix every vertex of path."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in automorphisms:
+        if any(perm[x] != x for x in path):
+            continue
+        for x, y in enumerate(perm):
+            a, b = find(x), find(y)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
 
 
 # ---------------------------------------------------------------------------

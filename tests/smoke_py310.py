@@ -4,23 +4,27 @@
 
 Builds and verifies Transversal(4) and Gdd(2, 3, 2), round-trips both
 through dgr text, checks the duality mapping of the bundled 36-vertex
-fixture (forward graph, transposed backward graph, dual structure) and
-compares the SHA-256 of the catalog_rows(500)
-table with perfbench/golden.json, which it only reads.  Prints one line
+fixture (forward graph, transposed backward graph, dual structure),
+finds and checks an isomorphism from gdd(2,3) to a relabelled copy, and
+compares the SHA-256s of the catalog_rows(500) table and of the
+canonical form of partition(1,4) with perfbench/golden.json, which it
+only reads.  Prints one line
 per check and exits 1 if any check fails.  Its name does not start with
 test_, so pytest does not collect it.
 """
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dsrg import (Digraph, Gdd, Transversal, build_digraph, bundled_iso_fixture,  # noqa: E402
-                  expected_params, verify_dsrg, verify_mapping)
+from dsrg import (ISOMORPHIC, Digraph, Gdd, Partition, Transversal,  # noqa: E402
+                  apply_mapping, are_isomorphic, build_digraph, bundled_iso_fixture,
+                  canonical_form, expected_params, verify_dsrg, verify_mapping)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
 
 
@@ -33,9 +37,20 @@ def checks():
         yield f"{spec.name} {spec.describe()} dgr round trip", (back.rows == d.rows
                                                                 and back.to_dgr() == text)
     yield "36-vertex fixture duality mapping verifies", verify_mapping(*bundled_iso_fixture())
-    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["catalog"]["500"]
+    gdd = build_digraph(Gdd(2, 3))
+    perm = list(range(gdd.n))
+    random.Random(1).shuffle(perm)
+    copy = apply_mapping(gdd, perm)
+    result = are_isomorphic(gdd, copy)
+    yield "gdd l=2;q=3 isomorphic to a relabelled copy", (
+        result.status == ISOMORPHIC and verify_mapping(gdd, copy, result.mapping))
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    text, _ = canonical_form(build_digraph(Partition(1, 4)))
+    yield "partition q=1;l=4 canonical form digest", (
+        hashlib.sha256(text.encode()).hexdigest() == golden["canonical"]["partition-1-4"])
     table = render_table(catalog_rows(max_order=500))
-    yield "catalog 500 table digest", hashlib.sha256(table.encode()).hexdigest() == golden["table"]
+    yield "catalog 500 table digest", (
+        hashlib.sha256(table.encode()).hexdigest() == golden["catalog"]["500"]["table"])
 
 
 def main() -> int:

@@ -397,8 +397,9 @@ def test_iso_cli_reports_counters_on_stderr(tmp_path, capsys):
     assert code == 0
     mapping = "".join(f"{u} -> {v}\n" for u, v in enumerate(result.mapping))
     assert stdout == "ISOMORPHIC\n" + mapping
-    assert re.fullmatch(r"nodes=\d+ pruned=\d+ rounds=\d+\n", stderr)
-    assert stderr == f"nodes={result.nodes} pruned={result.pruned} rounds={result.rounds}\n"
+    assert re.fullmatch(r"nodes=\d+ pruned=\d+ rounds=\d+ depth=\d+\n", stderr)
+    assert stderr == (f"nodes={result.nodes} pruned={result.pruned} rounds={result.rounds} "
+                      f"depth={result.depth}\n")
 
 
 def test_iso_cli_not_isomorphic(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,19 +23,24 @@ from dsrg import (
     build_gdd,
     bundled_iso_fixture,
     canonical_form,
+    duval_multiple,
     grid_two_pencil_structure,
     k33_edge_structure,
     verify_dsrg,
     verify_mapping,
 )
 from dsrg import iso
-from dsrg.families import ApPencils, Gdd, Partition, PartitionSpiked
+from dsrg.families import ApPencils, Gdd, Partition, PartitionSpiked, Transversal
 from dsrg.iso import _Neighborhoods, _refine
 
 import oracles
 from oracles import reference_are_isomorphic, reference_canonical_form
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = PERFBENCH / "golden.json"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
 
 SIX_CYCLE = Digraph(6, tuple(1 << ((u + 1) % 6) for u in range(6)))
 TWO_TRIANGLES = Digraph(6, (2, 4, 1, 16, 32, 8))
@@ -176,8 +183,10 @@ def test_refinement_fixpoint_is_equitable():
     for c1 in classes:
         members = [v for v in range(d.n) if colors[v] == c1]
         for c2 in classes:
-            out_counts = {sum(1 for w in g.out[v] if colors[w] == c2) for v in members}
-            in_counts = {sum(1 for w in g.inn[v] if colors[w] == c2) for v in members}
+            out_counts = {sum(1 for w in g.out[g.out_class[v]] if colors[w] == c2)
+                          for v in members}
+            in_counts = {sum(1 for w in g.inn[g.in_class[v]] if colors[w] == c2)
+                         for v in members}
             assert len(out_counts) == 1 and len(in_counts) == 1
 
 
@@ -255,6 +264,11 @@ REFINED = {
     "gdd(2,4)": lambda: build_digraph(Gdd(2, 4)),
     "partition-spiked(2,4)": lambda: build_digraph(PartitionSpiked(2, 4)),
     "in-star(300)": lambda: in_star(300),
+    # out- and in-classes that differ and are not runs of consecutive vertices
+    "gdd(2,2);m=3": lambda: build_digraph(Gdd(2, 2, 3)),
+    "transversal 3 relabelled": lambda: shuffled_copy(build_digraph(Transversal(3)), 5)[0],
+    "gdd(2,3) converse": lambda: build_digraph(Gdd(2, 3)).transpose(),
+    "random(30), rows all distinct": lambda: random_digraph(30, 8),
 }
 
 
@@ -267,6 +281,8 @@ def test_refinement_numbers_colors_like_the_reference(name):
     of one color with out-degree 1.  Pairs are refined jointly.
     """
     d = REFINED[name]()
+    if name.startswith("random"):
+        assert len(d.distinct) == len(d.transpose().distinct) == d.n
     copy, _ = shuffled_copy(d, 9)
     rng = random.Random(4)
     for ncolors in (1, 2, 3, 7):
@@ -302,14 +318,63 @@ def test_automorphism_pruning_cuts_the_canonical_tree(monkeypatch):
     assert new < old // 10
 
 
+# canonical_form tree nodes, captured before the orbits were merged
+# incrementally: pruning must skip exactly the same branches
+CANONICAL_NODES = {
+    "gdd(2,2)": (lambda: build_digraph(Gdd(2, 2)), 5),
+    "gdd(2,2);m=2": (lambda: build_digraph(Gdd(2, 2, 2)), 69),
+    "partition(1,4)": (lambda: build_digraph(Partition(1, 4)), 9),
+    "partition(2,3)": (lambda: build_digraph(Partition(2, 3)), 39),
+    "ap-pencils(2,3)": (lambda: build_digraph(ApPencils(2, 3)), 10),
+}
+
+
+@pytest.mark.parametrize("name", CANONICAL_NODES)
+def test_canonical_node_counts_are_pinned(monkeypatch, name):
+    make, nodes = CANONICAL_NODES[name]
+    d = make()
+    assert _count_nodes(monkeypatch, iso, lambda: canonical_form(d)) == nodes
+
+
+def orbits_of(n, automorphisms, path):
+    orbits = iso._Orbits(n, path)
+    orbits.update(automorphisms)
+    return [orbits.find(x) for x in range(n)]
+
+
 def test_pruning_uses_only_automorphisms_that_fix_the_path():
     rotate_both = (1, 2, 0, 4, 5, 3)        # automorphisms of TWO_TRIANGLES
     rotate_second = (0, 1, 2, 4, 5, 3)
     autos = [rotate_both, rotate_second]
     assert all(verify_mapping(TWO_TRIANGLES, TWO_TRIANGLES, a) for a in autos)
-    assert iso._orbits(6, autos, ()) == [0, 0, 0, 3, 3, 3]
-    assert iso._orbits(6, autos, (0,)) == [0, 1, 2, 3, 3, 3]
-    assert iso._orbits(6, autos, (0, 3)) == [0, 1, 2, 3, 4, 5]
+    assert orbits_of(6, autos, ()) == [0, 0, 0, 3, 3, 3]
+    assert orbits_of(6, autos, (0,)) == [0, 1, 2, 3, 3, 3]
+    assert orbits_of(6, autos, (0, 3)) == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_incremental_orbits_equal_the_orbits_rebuilt_from_scratch(seed):
+    """Merging only the automorphisms added since the last look gives, after
+    every addition, the orbits of all of them rebuilt from scratch."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 30)
+    path = tuple(rng.sample(range(n), rng.randrange(min(n, 4))))
+    free = [x for x in range(n) if x not in path]
+    orbits = iso._Orbits(n, path)
+    automorphisms = []
+    for _ in range(rng.randrange(1, 8)):
+        for _ in range(rng.randrange(3)):       # some batches add nothing
+            perm = list(range(n))
+            if rng.random() < 0.7:              # fixes the path: moves only free vertices
+                cycle = rng.sample(free, min(len(free), rng.randrange(2, 4)))
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    perm[a] = b
+            else:
+                rng.shuffle(perm)
+            automorphisms.append(tuple(perm))
+        orbits.update(automorphisms)
+        assert [orbits.find(x) for x in range(n)] == \
+            oracles.reference_orbits(n, automorphisms, path)
 
 
 def _fwd_bwd(s):
@@ -393,15 +458,100 @@ def test_equal_invariants_still_search():
     assert result.nodes > 0 and result.rounds > 0
 
 
+def test_out_class_sizes_decide_before_any_other_invariant(monkeypatch):
+    """A 4-cycle against a graph with two equal out-rows: same size and arc count."""
+    cycle = Digraph(4, (2, 4, 8, 1))
+    merged = Digraph(4, (4, 4, 8, 1))
+
+    def unreachable(d):
+        raise AssertionError("the intersection invariant was computed")
+
+    monkeypatch.setattr(iso, "_intersection_profile", unreachable)
+    result = are_isomorphic(cycle, merged)
+    assert (result.status, result.nodes, result.rounds, result.depth) == \
+        (NOT_ISOMORPHIC, 0, 0, 0)
+
+
+def test_in_column_class_sizes_decide_before_the_search(monkeypatch):
+    """gdd(3,3) and the 3-fold multiple of ap-pencils(3,3) (n=162) agree in
+    arcs, out-row class sizes {18^9} and intersection multisets; their
+    in-column class sizes are {6^27} and {18^9}.  Without this check the
+    search exhausts 163 nodes."""
+    a = build_digraph(Gdd(3, 3))
+    b = duval_multiple(build_digraph(ApPencils(3, 3)), 3)
+    assert sorted(iso._intersection_profile(a)) == sorted(iso._intersection_profile(b))
+    for d in (a, b):
+        assert sorted(Counter(d.row_class).values()) == [18] * 9
+    assert sorted(Counter(a.transpose().row_class).values()) == [6] * 27
+    assert sorted(Counter(b.transpose().row_class).values()) == [18] * 9
+
+    def unreachable(*args):
+        raise AssertionError("the search was started")
+
+    monkeypatch.setattr(iso, "_Search", unreachable)
+    result = are_isomorphic(a, b)
+    assert (result.status, result.nodes, result.rounds, result.depth) == \
+        (NOT_ISOMORPHIC, 0, 0, 0)
+
+
 def test_gdd_2_5_forward_vs_backward_needs_no_node():
     result = are_isomorphic(*_fwd_bwd(build_gdd(2, 5)))
     assert (result.status, result.nodes) == (NOT_ISOMORPHIC, 0)
 
 
 def test_counters_default_to_zero_and_are_reported():
-    assert (IsoResult(NOT_ISOMORPHIC).pruned, IsoResult(NOT_ISOMORPHIC).rounds) == (0, 0)
+    empty = IsoResult(NOT_ISOMORPHIC)
+    assert (empty.pruned, empty.rounds, empty.depth) == (0, 0, 0)
     d1, d2, _ = bundled_iso_fixture()
     result = are_isomorphic(d1, d2)
     assert result.nodes > 0
     assert result.rounds >= result.nodes     # every node refines at least once
     assert result.pruned == 0                # only canonical_form prunes
+    assert 0 < result.depth < result.nodes   # one path from the root to the leaf
+
+
+def test_depth_is_the_deepest_level_reached():
+    """The 6-cycle and two triangles are refuted by exhausting a tree
+    whose every level individualizes one more vertex; the budget stops a
+    search at its last expanded level."""
+    result = are_isomorphic(SIX_CYCLE, TWO_TRIANGLES)
+    assert result.status == NOT_ISOMORPHIC and result.depth >= 1
+    d1, d2, _ = bundled_iso_fixture()
+    assert are_isomorphic(d1, d2, budget=1).depth == 0
+    assert are_isomorphic(d1, d2, budget=2).depth == 1
+
+
+# sha256 of repr([(op name, output)]) over one pass of the iso-pairs
+# workload in perfbench/workloads.py, captured before the histograms were
+# summed per row class: an IsoResult as (status, mapping, nodes, pruned,
+# rounds), a canonical form as (string, labelling)
+ISO_PAIRS_DIGESTS = {
+    1: "db908696239cdbb75e3f59dc09069ae266dbddc509a5efc1df6d99bdaf6518a8",
+    2: "e852d5e0f704f4d40679d7702fc2f9d9ecf05653b6e26a9b0a80a9a0cb5d5d0e",
+}
+
+# (nodes, pruned, rounds, depth) of each iso-pairs are_isomorphic op,
+# by name up to the relabelling number
+ISO_PAIRS_COUNTERS = {
+    "bundled 36-vertex fixture": (3, 0, 7, 2),
+    "gdd l=2;q=3 relabelled": (3, 0, 7, 2),
+    "gdd l=2;q=4 relabelled": (5, 0, 12, 4),
+    "transversal q=3 relabelled": (3, 0, 7, 2),
+    "gdd l=2;q=3 forward vs backward": (0, 0, 0, 0),
+    "gdd l=2;q=4 forward vs backward": (0, 0, 0, 0),
+    "K33 forward vs grid forward": (0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ISO_PAIRS_DIGESTS))
+def test_iso_pairs_outputs_are_pinned(seed):
+    outputs, counters = [], {}
+    for op in workloads.make("iso-pairs", seed, json.loads(GOLDEN.read_text())):
+        out = op.call()
+        assert op.check(out) is None
+        if isinstance(out, IsoResult):
+            counters[op.name.split(" #")[0]] = (out.nodes, out.pruned, out.rounds, out.depth)
+            out = (out.status, out.mapping, out.nodes, out.pruned, out.rounds)
+        outputs.append((op.name, out))
+    assert counters == ISO_PAIRS_COUNTERS
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == ISO_PAIRS_DIGESTS[seed]
