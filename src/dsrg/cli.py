@@ -9,7 +9,7 @@ instead of a fabricated graph.
 
 The build flags and their usage errors are derived from the family
 registry in families.py: one int flag per spec field, and a family
-needs every field that has no default.
+needs every field that has no default and takes no other.
 
 DSRG_BUDGET in the environment overrides the default block budget of
 the builders and the default node budget of the isomorphism search;
@@ -42,6 +42,8 @@ from .iso import BUDGET_EXCEEDED, DEFAULT_NODE_BUDGET, ISOMORPHIC, are_isomorphi
 from .params import DsrgParams, Spectrum, _raw_spectrum, spectrum
 
 CSV_HEADER = "v,k,t,lambda,mu,family,family_params,verified,theta1,theta2,m1,m2"
+# every spec field of the registry, in flag order: one int build flag each
+_SPEC_FIELDS = tuple(dict.fromkeys(f.name for cls in FAMILIES.values() for f in fields(cls)))
 
 
 @dataclass(frozen=True)
@@ -97,28 +99,22 @@ def catalog_rows(max_order: int = 110, families: tuple[str, ...] | None = None,
     return rows
 
 
+def _cells(r: CatalogRow, yes: str, no: str, blank: str) -> list[str]:
+    """The row's cells in CSV_HEADER order; blank stands in for a missing spectrum."""
+    s = r.spectrum
+    tail = (s.theta1, s.theta2, s.m1, s.m2) if s else (blank,) * 4
+    return [str(c) for c in (*r.params.tuple(), r.family, r.marker(),
+                             yes if r.verified else no, *tail)]
+
+
 def render_csv(rows: list[CatalogRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        p = r.params
-        s = r.spectrum
-        tail = f"{s.theta1},{s.theta2},{s.m1},{s.m2}" if s else ",,,"
-        lines.append(f"{p.v},{p.k},{p.t},{p.lam},{p.mu},{r.family},"
-                     f"{r.marker()},{'true' if r.verified else 'false'},{tail}")
+    lines = [CSV_HEADER] + [",".join(_cells(r, "true", "false", "")) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def render_table(rows: list[CatalogRow]) -> str:
-    headers = ("v", "k", "t", "lambda", "mu", "family", "family_params",
-               "verified", "theta1", "theta2", "m1", "m2")
-    cells = []
-    for r in rows:
-        p = r.params
-        s = r.spectrum
-        cells.append((str(p.v), str(p.k), str(p.t), str(p.lam), str(p.mu),
-                      r.family, r.marker(), "yes" if r.verified else "NO",
-                      str(s.theta1) if s else "-", str(s.theta2) if s else "-",
-                      str(s.m1) if s else "-", str(s.m2) if s else "-"))
+    headers = CSV_HEADER.split(",")
+    cells = [_cells(r, "yes", "NO", "-") for r in rows]
     widths = [max(len(h), *(len(row[i]) for row in cells)) if cells else len(h)
               for i, h in enumerate(headers)]
     def fmt(row):
@@ -131,8 +127,12 @@ def render_table(rows: list[CatalogRow]) -> str:
 # ---------------------------------------------------------------------------
 
 def _spec_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> FamilySpec:
-    """The spec of --family from its flags; a missing or bad value is a usage error."""
+    """The spec of --family from its flags; a missing, foreign or bad value is a usage error."""
     cls = FAMILIES[args.family]
+    own = {f.name for f in fields(cls)}
+    for name in _SPEC_FIELDS:
+        if name not in own and getattr(args, name) is not None:
+            parser.error(f"--family {args.family} does not take --{FLAG_NAMES.get(name, name)}")
     values = {}
     for f in fields(cls):
         value = getattr(args, f.name)
@@ -150,8 +150,10 @@ def _spec_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 def cmd_build(args, parser) -> int:
     spec = _spec_from_args(args, parser)
     block_budget = _budget_arg(args.block_budget, DEFAULT_BLOCK_BUDGET, parser)
-    expected = expected_params(spec)
+    # the builder's budget and size guards run before the closed form,
+    # whose integers grow with the spec's exponents
     d = build_digraph(spec, block_budget=block_budget)
+    expected = expected_params(spec)
     got = verify_dsrg(d)
     if args.out:
         Path(args.out).write_text(d.to_dgr())
@@ -278,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build one family instance")
     p_build.add_argument("--family", required=True, choices=list(FAMILIES))
-    for name in dict.fromkeys(f.name for cls in FAMILIES.values() for f in fields(cls)):
+    for name in _SPEC_FIELDS:
         p_build.add_argument(f"--{FLAG_NAMES.get(name, name)}", dest=name, type=int)
     p_build.add_argument("--out", help="write the digraph in dgr/1 format")
     p_build.add_argument("--edges-out", help="write the digraph as an edge list")

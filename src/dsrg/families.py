@@ -6,7 +6,12 @@ A family is a frozen dataclass whose int fields are its parameters;
 FAMILIES maps each family name to its class and is the only list of
 families, so the CLI derives its flags and usage errors from it.
 expected_params evaluates the closed form exactly (Python integers
-never wrap, so there is no overflow to report); build_digraph performs
+never wrap, so there is no overflow to report).  The pencil-type
+families share one closed form, the anti-flag parameters of a partial
+geometry pg(kappa, rho, tau): ap-pencils is pg(q, l, l-1), transversal
+is ap-pencils with l = q, affine-resolvable is pg(s, l, l-1) scaled by
+m, and gdd is pg(q, l, l-1) scaled by m * q^(l-2).  Each has t = mu,
+so the scaled tuple is again a DSRG tuple.  build_digraph performs
 the construction when one is available and raises UnbuildableError for
 parameter choices that only make sense as formula evaluations;
 catalog_instances is the deterministic instance grid of the catalog.
@@ -45,9 +50,16 @@ FLAG_NAMES = {"lam": "lambda"}   # spec field -> its describe key and CLI flag
 
 
 class Family:
-    """Base of the family specs: frozen dataclasses of int fields."""
+    """Base of the family specs: frozen dataclasses of int fields, checked
+    on construction against the least values `minima` lists in field order."""
 
     name: ClassVar[str]
+    minima: ClassVar[dict[str, int]] = {}
+
+    def __post_init__(self):
+        if any(getattr(self, f) < lo for f, lo in self.minima.items()):
+            bounds = ", ".join(f"{f} >= {lo}" for f, lo in self.minima.items())
+            raise ValueError(f"need {bounds}, got {self}")
 
     def describe(self) -> str:
         """`field=value` pairs joined by ';', fields left at their default omitted."""
@@ -63,10 +75,7 @@ class Gdd(Family):
     q: int
     m: int = 1
     name: ClassVar[str] = "gdd"
-
-    def __post_init__(self):
-        if self.l < 2 or self.q < 2 or self.m < 1:
-            raise ValueError(f"need l >= 2, q >= 2, m >= 1, got {self}")
+    minima: ClassVar[dict[str, int]] = {"l": 2, "q": 2, "m": 1}
 
 
 @dataclass(frozen=True)
@@ -94,10 +103,7 @@ class ApPencils(Family):
     q: int
     l: int
     name: ClassVar[str] = "ap-pencils"
-
-    def __post_init__(self):
-        if self.q < 2 or self.l < 2:
-            raise ValueError(f"need q >= 2, l >= 2, got {self}")
+    minima: ClassVar[dict[str, int]] = {"q": 2, "l": 2}
 
 
 @dataclass(frozen=True)
@@ -106,10 +112,12 @@ class Transversal(Family):
 
     q: int
     name: ClassVar[str] = "transversal"
+    minima: ClassVar[dict[str, int]] = {"q": 2}
 
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"need q >= 2, got {self}")
+    @property
+    def l(self) -> int:
+        """The pencil count: transversal q is ap-pencils with l = q."""
+        return self.q
 
 
 @dataclass(frozen=True)
@@ -119,23 +127,14 @@ class Partition(Family):
     q: int
     l: int
     name: ClassVar[str] = "partition"
-
-    def __post_init__(self):
-        if self.q < 1 or self.l < 3:
-            raise ValueError(f"need q >= 1, l >= 3, got {self}")
+    minima: ClassVar[dict[str, int]] = {"q": 1, "l": 3}
 
 
 @dataclass(frozen=True)
-class PartitionSpiked(Family):
+class PartitionSpiked(Partition):
     """Partition blocks with the extra same-block edges; t != mu."""
 
-    q: int
-    l: int
     name: ClassVar[str] = "partition-spiked"
-
-    def __post_init__(self):
-        if self.q < 1 or self.l < 3:
-            raise ValueError(f"need q >= 1, l >= 3, got {self}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +146,7 @@ class AffineResolvable(Family):
     s: int
     l: int
     name: ClassVar[str] = "affine-resolvable"
-
-    def __post_init__(self):
-        if self.m < 1 or self.s < 2 or self.l < 2:
-            raise ValueError(f"need m >= 1, s >= 2, l >= 2, got {self}")
+    minima: ClassVar[dict[str, int]] = {"m": 1, "s": 2, "l": 2}
 
 
 @dataclass(frozen=True)
@@ -189,34 +185,28 @@ FAMILIES = {cls.name: cls for cls in (Gdd, PgAntiflag, ApPencils, Transversal, P
 FamilySpec = Union[tuple(FAMILIES.values())]
 
 
+def _pg(kappa: int, rho: int, tau: int) -> DsrgParams:
+    """The anti-flag parameters of pg(kappa, rho, tau), spec checks left out."""
+    ratio = (kappa - 1) * (rho - 1) // tau
+    k = kappa * rho * ratio
+    return DsrgParams(k * (1 + ratio), k, kappa * rho - tau,
+                      (kappa - 1) * (rho - 1), kappa * rho - tau)
+
+
 def expected_params(spec: FamilySpec) -> DsrgParams:
     """Evaluate the family's closed-form parameter tuple exactly."""
     match spec:
         case Gdd(l=l, q=q, m=m):
-            base = DsrgParams(l * q ** l * (q - 1),
-                              l * q ** (l - 1) * (q - 1),
-                              q ** (l - 2) * (l * q - l + 1),
-                              q ** (l - 2) * (l - 1) * (q - 1),
-                              q ** (l - 2) * (l * q - l + 1))
-            return base.scaled(m) if m > 1 else base
+            return _pg(q, l, l - 1).scaled(m * q ** (l - 2))
         case PgAntiflag(kappa=kappa, rho=rho, tau=tau):
-            ratio = (kappa - 1) * (rho - 1) // tau
-            k = kappa * rho * ratio
-            return DsrgParams(k * (1 + ratio), k,
-                              kappa * rho - tau,
-                              (kappa - 1) * (rho - 1),
-                              kappa * rho - tau)
-        case ApPencils(q=q, l=l):
-            return DsrgParams(l * q * q * (q - 1), l * q * (q - 1),
-                              l * q - l + 1, (l - 1) * (q - 1), l * q - l + 1)
-        case Transversal(q=q):
-            return DsrgParams(q ** 3 * (q - 1), q ** 2 * (q - 1),
-                              q * q - q + 1, (q - 1) ** 2, q * q - q + 1)
-        case Partition(q=q, l=l):
-            return DsrgParams(q * l * (l - 1), q * (l - 1), q, 0, q)
+            return _pg(kappa, rho, tau)
+        case ApPencils(q=q, l=l) | Transversal(q=q, l=l):
+            return _pg(q, l, l - 1)
         case PartitionSpiked(q=q, l=l):
             return DsrgParams(q * l * (l - 1), 2 * q * (l - 1) - 1,
                               q * l - 1, q * l - 2, 2 * q)
+        case Partition(q=q, l=l):
+            return DsrgParams(q * l * (l - 1), q * (l - 1), q, 0, q)
         case TwoDesignBackLoopy(v=v, b=b, k=k, r=r, lam=lam):
             return DsrgParams(v * (b - r),
                               k * (b - r) + (b - r - 1),
@@ -227,9 +217,7 @@ def expected_params(spec: FamilySpec) -> DsrgParams:
             return DsrgParams(v * (b - r), k * (b - r),
                               k * (r - lam), (k - 1) * (r - lam), k * (r - lam))
         case AffineResolvable(m=m, s=s, l=l):
-            return DsrgParams(m * l * s * s * (s - 1), m * l * s * (s - 1),
-                              m * (l * s - l + 1), m * (l - 1) * (s - 1),
-                              m * (l * s - l + 1))
+            return _pg(s, l, l - 1).scaled(m)
     raise TypeError(f"unknown family spec {spec!r}")
 
 
@@ -261,14 +249,12 @@ def build_structure(spec: FamilySpec, block_budget: int = DEFAULT_BLOCK_BUDGET):
         case PgAntiflag():
             raise UnbuildableError("no generic partial-geometry construction; "
                                    "use ap-pencils or transversal")
-        case ApPencils(q=q, l=l):
+        case ApPencils(q=q, l=l) | Transversal(q=q, l=l):
             if l > q + 1:
                 raise UnbuildableError(f"the affine plane of order {q} has only "
                                        f"{q + 1} parallel classes, asked for {l}")
             return restrict_parallel_classes(build_affine_plane(q), l)
-        case Transversal(q=q):
-            return restrict_parallel_classes(build_affine_plane(q), q)
-        case Partition(q=q, l=l) | PartitionSpiked(q=q, l=l):
+        case Partition(q=q, l=l):
             return build_partition_structure(q, l)
         case AffineResolvable(m=m, s=s, l=l):
             e = _power_exponent(m, s)
@@ -280,7 +266,7 @@ def build_structure(spec: FamilySpec, block_budget: int = DEFAULT_BLOCK_BUDGET):
                 raise UnbuildableError(f"design has {len(design.parallel_classes)} "
                                        f"parallel classes, asked for {l}")
             return restrict_parallel_classes(design, l)
-        case TwoDesignBack() | TwoDesignBackLoopy():
+        case TwoDesignBack():
             if astuple(spec) != FANO_DESIGN_TUPLE:
                 raise UnbuildableError("only the 7-point plane is bundled "
                                        "as a 2-design source")
@@ -334,16 +320,12 @@ def catalog_instances(max_order: int) -> list[tuple[FamilySpec, bool]]:
     q = 2
     while 2 * q * q * (q - 1) <= max_order:
         if _is_prime_power(q):
+            # the affine plane of order 2 has only 3 pencils; the closed
+            # form still evaluates for l up to 8, so those go formula-only
             l = 2
-            while l <= q + 1 and l * q * q * (q - 1) <= max_order:
-                out.append((ApPencils(q, l), False))
+            while l <= (8 if q == 2 else q + 1) and l * q * q * (q - 1) <= max_order:
+                out.append((ApPencils(q, l), l > q + 1))
                 l += 1
-            if q == 2:
-                # the affine plane of order 2 has only 3 pencils; the closed
-                # form still evaluates for l up to 8, so those go formula-only
-                for l in range(4, 9):
-                    if l * q * q * (q - 1) <= max_order:
-                        out.append((ApPencils(q, l), True))
         q += 1
     q = 2
     while q ** 3 * (q - 1) <= max_order:

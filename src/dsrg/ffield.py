@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import isqrt
 
 from .errors import NotPrimePowerError, TooLargeError
 
@@ -23,28 +24,13 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, or raise NotPrimePowerError."""
     if q < 2:
         raise NotPrimePowerError(f"field order must be at least 2, got {q}")
-    n = q
-    p = None
-    for d in range(2, q + 1):
-        if d * d > n:
-            if n > 1:
-                p = n if p is None else p
-                if n != p:
-                    raise NotPrimePowerError(f"{q} has two distinct prime divisors")
-            break
-        if n % d == 0:
-            p = d
-            while n % d == 0:
-                n //= d
-            if n != 1:
-                raise NotPrimePowerError(f"{q} has two distinct prime divisors")
-            break
-    e = 0
-    n = q
-    while n > 1:
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    n, e = q, 0
+    while n % p == 0:
         n //= p
         e += 1
-    assert p ** e == q
+    if n != 1:
+        raise NotPrimePowerError(f"{q} has two distinct prime divisors")
     return p, e
 
 

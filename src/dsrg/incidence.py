@@ -384,11 +384,17 @@ def restrict_parallel_classes(s: IncidenceStructure, l: int) -> IncidenceStructu
 
 
 def build_partition_structure(q: int, l: int) -> IncidenceStructure:
-    """ql points partitioned into l consecutive q-sets; blocks = groups."""
+    """ql points partitioned into l consecutive q-sets; blocks = groups.
+
+    More than DEFAULT_BLOCK_BUDGET points raise OutOfBudgetError before
+    any block is built.
+    """
     if q < 1:
         raise ValueError(f"need block size at least 1, got {q}")
     if l < 2:
         raise ValueError(f"need at least 2 blocks, got {l}")
+    if q * l > DEFAULT_BLOCK_BUDGET:
+        raise OutOfBudgetError(f"{q}*{l} points exceed budget {DEFAULT_BLOCK_BUDGET}")
     parts = tuple(tuple(range(g * q, (g + 1) * q)) for g in range(l))
     return IncidenceStructure(q * l, parts, groups=parts,
                               parallel_classes=(tuple(range(l)),))

@@ -12,17 +12,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import NotFeasibleError
 
 
-def _identities(v: int, k: int, t: int, lam: int, mu: int) -> list[tuple[str, bool, str]]:
-    """(name, holds, detail) of each basic identity of a DSRG tuple, in check order."""
+def _identities(v: int, k: int, t: int, lam: int,
+                mu: int) -> list[tuple[str, bool, Callable[[], str]]]:
+    """(name, holds, detail) of each basic identity of a DSRG tuple, in check order.
+
+    detail() formats the message; it is called only when it is shown, so
+    a tuple of huge integers costs no decimal conversion when it holds.
+    """
     lhs, rhs = k * (k + mu - lam), t + (v - 1) * mu
-    return [("nonnegative", min(v, k, t, lam, mu) >= 0, f"entries {(v, k, t, lam, mu)}"),
-            ("degree_bounds", 0 <= t <= k < v, f"need 0 <= t={t} <= k={k} < v={v}"),
-            ("lambda_below_k", lam < k, f"need lambda={lam} < k={k}"),
-            ("degree_identity", lhs == rhs, f"k(k+mu-lambda)={lhs} vs t+(v-1)mu={rhs}")]
+    return [("nonnegative", min(v, k, t, lam, mu) >= 0, lambda: f"entries {(v, k, t, lam, mu)}"),
+            ("degree_bounds", 0 <= t <= k < v, lambda: f"need 0 <= t={t} <= k={k} < v={v}"),
+            ("lambda_below_k", lam < k, lambda: f"need lambda={lam} < k={k}"),
+            ("degree_identity", lhs == rhs,
+             lambda: f"k(k+mu-lambda)={lhs} vs t+(v-1)mu={rhs}")]
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,7 @@ class DsrgParams:
     def __post_init__(self):
         for name, holds, detail in _identities(*self.tuple()):
             if not holds:
-                raise ValueError(f"{name} fails: {detail}")
+                raise ValueError(f"{name} fails: {detail()}")
 
     def tuple(self) -> tuple[int, int, int, int, int]:
         return (self.v, self.k, self.t, self.lam, self.mu)
@@ -152,5 +159,6 @@ def feasibility(v: int, k: int, t: int, lam: int, mu: int) -> FeasibilityReport:
     except NotFeasibleError as exc:
         checks.append(FeasibilityCheck("integer_spectrum", False,
                                        f"{exc.reason}: {exc}"))
-    checks += [FeasibilityCheck(*check) for check in _identities(v, k, t, lam, mu)]
+    checks += [FeasibilityCheck(name, holds, detail())
+               for name, holds, detail in _identities(v, k, t, lam, mu)]
     return FeasibilityReport((v, k, t, lam, mu), tuple(checks), spec)

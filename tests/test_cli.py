@@ -1,14 +1,18 @@
+import hashlib
+import json
 import random
 import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from dsrg import (Digraph, DsrgError, TooLargeError, are_isomorphic, build_antiflag_forward,
                   build_digraph, build_gdd, bundled_iso_fixture, from_json, verify_dsrg)
 from dsrg import cli, families
-from dsrg.cli import CSV_HEADER, _spec_from_args, build_parser, catalog_rows, main, render_csv
+from dsrg.cli import (CSV_HEADER, _spec_from_args, build_parser, catalog_rows, main, render_csv,
+                      render_table)
 from dsrg.families import Gdd, PgAntiflag, catalog_instances
 
 
@@ -55,6 +59,24 @@ def test_build_hyperplane_source_over_incidence_budget(monkeypatch, capsys):
                           "--m", "16384", "--s", "2", "--l", "2")
     assert code == 1
     assert "4294901760 point-block incidences" in stderr and "budget" in stderr
+
+
+def test_build_refuses_a_huge_gdd_before_its_closed_form(capsys):
+    # the closed form of gdd l=10^7 has 16M-bit integers; the block budget refuses first
+    start = time.perf_counter()
+    code, _, stderr = run(capsys, "build", "--family", "gdd", "--l", "10000000", "--q", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "error: 3^10000000 blocks exceed budget 1000000" in stderr
+
+
+@pytest.mark.parametrize("family", ["partition", "partition-spiked"])
+def test_build_refuses_a_huge_partition_before_allocating(family, capsys):
+    start = time.perf_counter()
+    code, _, stderr = run(capsys, "build", "--family", family, "--q", "10000000", "--l", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "error: 10000000*3 points exceed budget 1000000" in stderr
 
 
 def test_build_structure_out(tmp_path, capsys):
@@ -178,6 +200,31 @@ def test_build_flags_round_trip(spec, capsys):
         _parse_spec(["build", "--family", spec.name])
     first = REQUIRED_FLAGS[spec.name][0]
     assert f"needs --{first}\n" in capsys.readouterr().err
+
+
+# every build flag, in the order the registry first names it
+ALL_FLAGS = ("l", "q", "m", "kappa", "rho", "tau", "s", "v", "b", "k", "r", "lambda")
+FOREIGN_FLAGS = [(spec, flag) for spec in dict((s.name, s) for s in ROUND_TRIP_SPECS).values()
+                 for flag in ALL_FLAGS
+                 if flag not in REQUIRED_FLAGS[spec.name] + (("m",) if spec.name == "gdd" else ())]
+
+
+@pytest.mark.parametrize("spec,flag", FOREIGN_FLAGS,
+                         ids=[f"{spec.name} --{flag}" for spec, flag in FOREIGN_FLAGS])
+def test_build_flag_of_another_family_is_a_usage_error(spec, flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        _parse_spec(_build_argv(spec) + [f"--{flag}", "5"])
+    assert err.value.code == 2
+    assert f"error: --family {spec.name} does not take --{flag}\n" in capsys.readouterr().err
+
+
+def test_build_reports_the_first_foreign_flag_in_registry_order(capsys):
+    # once exited 0 after building the base graph, ignoring both flags
+    with pytest.raises(SystemExit) as err:
+        main(["build", "--family", "ap-pencils", "--q", "3", "--l", "2",
+              "--kappa", "9", "--m", "5"])
+    assert err.value.code == 2
+    assert "error: --family ap-pencils does not take --m\n" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +380,22 @@ def test_catalog_rows_content():
     row = by_tuple[((32, 16, 9, 7, 9), "ap-pencils", "q=2;l=8;formula-only")]
     assert not row.verified and row.formula_only
     assert all(r.verified for r in rows if not r.formula_only)
+
+
+# max-order 110 and 500 as the benchmark checks them; 1000 taken from the same code
+CATALOG_DIGESTS = {
+    **{int(k): v for k, v in json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                                         / "golden.json").read_text())["catalog"].items()},
+    1000: {"table": "a6462c7f9309628fbf36a5d4c79f9ff680b1d79b16a3d5ade501263bb2d64026",
+           "csv": "c7196f81c285273151199284fbbab32d0873aacbfe41c7c43752f07cdb622824"},
+}
+
+
+@pytest.mark.parametrize("max_order", sorted(CATALOG_DIGESTS))
+def test_catalog_matches_its_digests(max_order):
+    rows = catalog_rows(max_order=max_order)
+    for kind, text in (("table", render_table(rows)), ("csv", render_csv(rows))):
+        assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[max_order][kind], kind
 
 
 def test_catalog_verifies_each_built_graph_once(monkeypatch):

@@ -59,6 +59,76 @@ def test_pg_antiflag_matches_ap_pencils():
         assert expected_params(PgAntiflag(q, l, l - 1)) == expected_params(ApPencils(q, l))
 
 
+# the two families of the paper's abstract, written out as printed there
+def abstract_first(l, q):
+    return (l * (q - 1) * q ** l, l * (q - 1) * q ** (l - 1), (l * q - l + 1) * q ** (l - 2),
+            (l - 1) * (q - 1) * q ** (l - 2), (l * q - l + 1) * q ** (l - 2))
+
+
+def abstract_second(l, q):
+    return (l * q ** 2 * (q - 1), l * q * (q - 1), l * q - l + 1, (l - 1) * (q - 1),
+            l * q - l + 1)
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_closed_forms_match_the_abstract(q):
+    for l in range(2, 10):
+        first, second = abstract_first(l, q), abstract_second(l, q)
+        assert expected_params(ApPencils(q, l)).tuple() == second
+        for m in range(1, 5):
+            assert expected_params(Gdd(l, q, m)).tuple() == tuple(m * x for x in first)
+            assert expected_params(AffineResolvable(m, q, l)).tuple() == tuple(
+                m * x for x in second)
+    assert expected_params(Transversal(q)).tuple() == abstract_second(q, q)
+
+
+def test_closed_form_of_a_huge_gdd_evaluates():
+    # 15864-bit parameters: the identities hold, so no detail string is formatted
+    p = expected_params(Gdd(10000, 3))
+    assert p.t == p.mu and p.v == 10000 * 2 * 3 ** 10000
+
+
+VALIDATION_MESSAGES = [
+    (Gdd, (1, 2), "need l >= 2, q >= 2, m >= 1, got Gdd(l=1, q=2, m=1)"),
+    (Gdd, (2, 1), "need l >= 2, q >= 2, m >= 1, got Gdd(l=2, q=1, m=1)"),
+    (Gdd, (2, 2, 0), "need l >= 2, q >= 2, m >= 1, got Gdd(l=2, q=2, m=0)"),
+    (PgAntiflag, (1, 2, 1),
+     "need kappa, rho >= 2, got PgAntiflag(kappa=1, rho=2, tau=1)"),
+    (PgAntiflag, (3, 2, 3),
+     "need 1 <= tau <= min(kappa, rho), got PgAntiflag(kappa=3, rho=2, tau=3)"),
+    (PgAntiflag, (4, 4, 2),
+     "tau must divide (kappa-1)(rho-1), got PgAntiflag(kappa=4, rho=4, tau=2)"),
+    (ApPencils, (2, 1), "need q >= 2, l >= 2, got ApPencils(q=2, l=1)"),
+    (ApPencils, (1, 5), "need q >= 2, l >= 2, got ApPencils(q=1, l=5)"),
+    (Transversal, (1,), "need q >= 2, got Transversal(q=1)"),
+    (Partition, (0, 3), "need q >= 1, l >= 3, got Partition(q=0, l=3)"),
+    (Partition, (2, 2), "need q >= 1, l >= 3, got Partition(q=2, l=2)"),
+    (PartitionSpiked, (1, 2), "need q >= 1, l >= 3, got PartitionSpiked(q=1, l=2)"),
+    (AffineResolvable, (0, 2, 2),
+     "need m >= 1, s >= 2, l >= 2, got AffineResolvable(m=0, s=2, l=2)"),
+    (AffineResolvable, (1, 1, 2),
+     "need m >= 1, s >= 2, l >= 2, got AffineResolvable(m=1, s=1, l=2)"),
+    (TwoDesignBack, (3, 3, 3, 3, 3),
+     "need v > k >= 2, got TwoDesignBack(v=3, b=3, k=3, r=3, lam=3)"),
+    (TwoDesignBack, (7, 7, 3, 4, 1),
+     "2-design identities fail for TwoDesignBack(v=7, b=7, k=3, r=4, lam=1)"),
+    (TwoDesignBack, (4, 4, 3, 3, 2),
+     "need b + lambda > 2r, got TwoDesignBack(v=4, b=4, k=3, r=3, lam=2)"),
+    (TwoDesignBackLoopy, (7, 7, 1, 3, 1),
+     "need v > k >= 2, got TwoDesignBackLoopy(v=7, b=7, k=1, r=3, lam=1)"),
+    (TwoDesignBackLoopy, (4, 4, 3, 3, 2),
+     "need b + lambda > 2r, got TwoDesignBackLoopy(v=4, b=4, k=3, r=3, lam=2)"),
+]
+
+
+@pytest.mark.parametrize("cls,args,message", VALIDATION_MESSAGES,
+                         ids=[f"{cls.__name__}{args}" for cls, args, _ in VALIDATION_MESSAGES])
+def test_validation_message(cls, args, message):
+    with pytest.raises(ValueError) as err:
+        cls(*args)
+    assert str(err.value) == message
+
+
 def test_family_hypotheses_enforced():
     with pytest.raises(ValueError):
         Gdd(1, 2)

@@ -1,6 +1,7 @@
 import pytest
 
 from dsrg import NotPrimePowerError, TooLargeError, make_field
+from dsrg.ffield import _factor_prime_power
 from oracles import is_prime_power, reference_add_table
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64]
@@ -35,6 +36,18 @@ def test_rejects_non_prime_powers():
     for q in (0, 1, 6, 10, 12, 100):
         with pytest.raises(NotPrimePowerError):
             make_field(q)
+
+
+def test_factor_prime_power_matches_the_oracle():
+    for q in range(-3, 5001):
+        if q >= 2 and is_prime_power(q):
+            p, e = _factor_prime_power(q)
+            assert p ** e == q and p == next(d for d in range(2, q + 1) if q % d == 0)
+            continue
+        with pytest.raises(NotPrimePowerError) as err:
+            _factor_prime_power(q)
+        assert str(err.value) == (f"field order must be at least 2, got {q}" if q < 2
+                                  else f"{q} has two distinct prime divisors")
 
 
 def test_rejects_orders_above_cap():

@@ -272,6 +272,16 @@ def test_partition_structures():
     assert build_partition_structure(3, 3).num_points == 9
 
 
+def test_partition_point_budget_is_checked_before_any_block():
+    start = time.perf_counter()
+    with pytest.raises(OutOfBudgetError) as info:
+        build_partition_structure(10 ** 9, 3)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == "1000000000*3 points exceed budget 1000000"
+    with pytest.raises(OutOfBudgetError):
+        build_partition_structure(500001, 2)
+
+
 def test_fano():
     s = build_fano()
     assert s.blocks[0] == (0, 1, 3)
