@@ -182,7 +182,11 @@ class Digraph:
 
     @classmethod
     def from_edge_list(cls, text: str) -> "Digraph":
-        """Parse 'u v' lines; the vertex count is max index + 1."""
+        """Parse 'u v' lines; the vertex count is max index + 1.
+
+        An index at or above MAX_VERIFY_ORDER is refused at its line,
+        before any row is allocated.
+        """
         edges = []
         top = -1
         for i, raw in enumerate(text.splitlines(), start=1):
@@ -198,6 +202,9 @@ class Digraph:
                 raise FormatError(i, f"expected integers, got {raw!r}") from None
             if u < 0 or v < 0:
                 raise FormatError(i, "vertex indices must be nonnegative")
+            if max(u, v) >= MAX_VERIFY_ORDER:
+                raise TooLargeError(f"line {i}: vertex index {max(u, v)} is at or above "
+                                    f"the cap of {MAX_VERIFY_ORDER} vertices")
             edges.append((u, v))
             top = max(top, u, v)
         if top < 0:

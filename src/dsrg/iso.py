@@ -7,16 +7,19 @@ refinement here colors by multisets of out- and in-neighbor colors,
 iterated to a fixpoint, and once a vertex has been individualized it
 also mixes in the color multiset at the end of directed 2-walks.  Each
 multiset is summed as a packed per-color histogram (one big integer),
-and only the distinct histograms are expanded into the sorted color
-tuples they stand for, so the colors are exactly those of sorting the
-tuples themselves.  The histograms are summed once per row class, not
-once per vertex: vertices with one out-row share their out- and 2-walk
-histograms whatever their own colors, and vertices with one in-column
-(a row class of the transpose) share their in-histogram, so each class
-sums once and its rank is spread to its members.  A node
-individualizes one vertex of the smallest non-singleton color class
-(ties to the lowest color id).  The root invariant and a mapping's row
-images are also computed once per row class.
+and the distinct histograms are sorted by a key read from their counts
+that orders them as the sorted color tuples they stand for (the color
+with more members first where two first differ, a prefix before its
+extensions), so the colors are exactly those of sorting the tuples
+themselves, though no tuple is built.  The histograms are summed once
+per row class, not once per vertex: vertices with one out-row share
+their out- and 2-walk histograms whatever their own colors, and
+vertices with one in-column (a row class of the transpose) share their
+in-histogram, so each class sums once and its rank is spread to its
+members.  A node individualizes one vertex of the smallest
+non-singleton color class (ties to the lowest color id).  The root
+invariant and a mapping's row images are also computed once per row
+class.
 
 `are_isomorphic` first compares what an isomorphism must preserve:
 the sorted sizes of the out-row classes and of the in-column classes
@@ -46,7 +49,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
+from operator import sub
 from struct import Struct
 
 from .digraph import Digraph, _bits
@@ -82,18 +86,25 @@ def _images(d: Digraph, perm) -> list[int]:
     return _spread([sum(1 << perm[v] for v in _bits(row)) for row in d.distinct], d.row_class)
 
 
+def _require_permutation(perm, n: int) -> None:
+    if sorted(perm) != list(range(n)):
+        raise ValueError("mapping is not a permutation")
+
+
 def verify_mapping(d1: Digraph, d2: Digraph, perm) -> bool:
     """True iff perm sends every edge and non-edge of d1 onto d2."""
     if d1.n != d2.n or len(perm) != d1.n:
         raise SizeMismatchError(
             f"sizes differ: {d1.n} vertices, {d2.n} vertices, mapping of {len(perm)}")
-    if sorted(perm) != list(range(d1.n)):
-        raise ValueError("mapping is not a permutation")
+    _require_permutation(perm, d1.n)
     return _images(d1, perm) == list(map(d2.rows.__getitem__, perm))
 
 
 def apply_mapping(d: Digraph, perm) -> Digraph:
     """Relabel d so that old vertex u becomes perm[u]."""
+    if len(perm) != d.n:
+        raise SizeMismatchError(f"mapping of {len(perm)} for {d.n} vertices")
+    _require_permutation(perm, d.n)
     inverse = sorted(range(d.n), key=perm.__getitem__)    # old vertex of each new one
     rows = tuple(map(_images(d, perm).__getitem__, inverse))
     labels = None if d.labels is None else tuple(map(d.labels.__getitem__, inverse))
@@ -147,29 +158,50 @@ def _histograms(g: _Neighborhoods, colors: list[int], one: list[int],
     return parts
 
 
+def _histogram_key(ncolors: int, size: int, code: str):
+    """Sort key of the histograms packed in ncolors fields of size bytes
+    (struct code `code`) that orders them as their sorted color tuples.
+
+    The key is read from the counts (a_0 .. a_L), L the last color
+    present, without expanding the tuple: top - a_c for each c < L, then
+    a_L - top, top being above every count.  Where two tuples first
+    differ, the one with more of that color is the smaller unless it
+    holds no later color, since a tuple that is a prefix of another is
+    the smaller.  The ascending last value sits below every earlier
+    value, which gives both; the empty histogram sorts first.
+    """
+    bits = 8 * size
+    fields = Struct(f"<{ncolors}{code}")
+    top = 1 << bits
+
+    def key(histogram: int) -> tuple[int, ...]:
+        if not histogram:
+            return ()
+        last = (histogram.bit_length() - 1) // bits
+        counts = fields.unpack(histogram.to_bytes(fields.size, "little"))
+        return (*map(sub, repeat(top), counts[:last]), counts[last] - top)
+
+    return key
+
+
 def _signatures(graphs: list[_Neighborhoods], colorings: list[list[int]],
                 dist2: bool) -> list[list[tuple]]:
     """Per vertex (color, out, in[, walk2]), each multiset replaced by the
     rank of its sorted color tuple among the distinct ones of this round.
 
     The ranks order and equate exactly as the tuples do, so sorting these
-    signatures numbers the colors as sorting the tuples would.
+    signatures numbers the colors as sorting the tuples would.  The
+    histograms are ranked by _histogram_key, which never builds a tuple.
     """
     ncolors = 1 + max(max(c, default=-1) for c in colorings)
     size, code = next((size, code) for size, code in _FIELDS
                       if max(g.most for g in graphs) < 1 << (8 * size))
-    fields = Struct(f"<{ncolors}{code}")
     one = [1 << (8 * size * c) for c in range(ncolors)]
-    colors_up = range(ncolors)
-
-    def color_tuple(histogram: int) -> tuple[int, ...]:
-        counts = fields.unpack(histogram.to_bytes(fields.size, "little"))
-        return tuple(chain.from_iterable(map(repeat, colors_up, counts)))
-
+    key = _histogram_key(ncolors, size, code)
     parts = [_histograms(g, c, one, dist2) for g, c in zip(graphs, colorings)]
     ranked = []
     for i in range(len(parts[0])):
-        distinct = sorted(set().union(*(p[i][0] for p in parts)), key=color_tuple)
+        distinct = sorted(set().union(*(p[i][0] for p in parts)), key=key)
         rank = {h: r for r, h in enumerate(distinct)}
         # each class's rank, spread lazily to the vertices of the class
         ranked.append([map([rank[h] for h in per_class].__getitem__, row_class)

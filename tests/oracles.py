@@ -38,13 +38,17 @@ the one that ORs each out-row class's vertex mask into its columns.
 reference_orbits is the search's first orbit computation, rebuilt from
 every automorphism each time one is found, kept verbatim as the
 reference for the union-find that merges only the new ones.
+reference_color_tuple is the refinement's first histogram sort key,
+which expands each packed histogram into its sorted color tuple, kept
+verbatim as the reference for the key read from the counts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations, product, zip_longest
+from itertools import chain, combinations, product, repeat, zip_longest
 from operator import itemgetter
+from struct import Struct
 
 from dsrg import (
     BUDGET_EXCEEDED,
@@ -583,6 +587,13 @@ def reference_orbits(n: int, automorphisms, path: tuple[int, ...]) -> list[int]:
             if a != b:
                 parent[max(a, b)] = min(a, b)
     return [find(x) for x in range(n)]
+
+
+def reference_color_tuple(histogram: int, fields: Struct) -> tuple[int, ...]:
+    """The sorted color tuple of a histogram packed in the fields of
+    `fields` (field c counts color c), the refinement's first sort key."""
+    counts = fields.unpack(histogram.to_bytes(fields.size, "little"))
+    return tuple(chain.from_iterable(map(repeat, range(len(counts)), counts)))
 
 
 # ---------------------------------------------------------------------------

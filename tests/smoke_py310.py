@@ -7,10 +7,10 @@ through dgr text, checks the duality mapping of the bundled 36-vertex
 fixture (forward graph, transposed backward graph, dual structure),
 finds and checks an isomorphism from gdd(2,3) to a relabelled copy, and
 compares the SHA-256s of the catalog_rows(500) table and of the
-canonical form of partition(1,4) with perfbench/golden.json, which it
-only reads.  Prints one line
-per check and exits 1 if any check fails.  Its name does not start with
-test_, so pytest does not collect it.
+canonical forms of partition(1,4) and partition(2,3) with
+perfbench/golden.json, which it only reads.  Prints one line per check
+and exits 1 if any check fails.  Its name does not start with test_, so
+pytest does not collect it.
 """
 
 import hashlib
@@ -45,9 +45,10 @@ def checks():
     yield "gdd l=2;q=3 isomorphic to a relabelled copy", (
         result.status == ISOMORPHIC and verify_mapping(gdd, copy, result.mapping))
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
-    text, _ = canonical_form(build_digraph(Partition(1, 4)))
-    yield "partition q=1;l=4 canonical form digest", (
-        hashlib.sha256(text.encode()).hexdigest() == golden["canonical"]["partition-1-4"])
+    for q, l in ((1, 4), (2, 3)):
+        text, _ = canonical_form(build_digraph(Partition(q, l)))
+        yield f"partition q={q};l={l} canonical form digest", (
+            hashlib.sha256(text.encode()).hexdigest() == golden["canonical"][f"partition-{q}-{l}"])
     table = render_table(catalog_rows(max_order=500))
     yield "catalog 500 table digest", (
         hashlib.sha256(table.encode()).hexdigest() == golden["catalog"]["500"]["table"])

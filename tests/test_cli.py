@@ -271,6 +271,18 @@ def test_verify_non_dsrg(tmp_path, capsys):
     assert "mu" in stderr
 
 
+def test_verify_and_iso_refuse_an_edge_list_index_at_the_cap(tmp_path, capsys):
+    cycle = tmp_path / "c3.txt"
+    cycle.write_text("0 1\n1 2\n2 0\n")
+    # the cap first: a loader without the guard fails before the index 10**9
+    for index in (4096, 10 ** 9):
+        path = tmp_path / f"{index}.txt"
+        path.write_text(f"0 1\n0 {index}\n")
+        want = f"error: line 2: vertex index {index} is at or above the cap of 4096 vertices\n"
+        assert run(capsys, "verify", str(path)) == (1, "", want)
+        assert run(capsys, "iso", str(cycle), str(path)) == (1, "", want)
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "verify", str(tmp_path / "absent.dgr"))
     assert (code, stdout) == (1, "")

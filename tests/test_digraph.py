@@ -36,6 +36,7 @@ from dsrg import (
     restrict_parallel_classes,
     verify_dsrg,
 )
+from dsrg.digraph import MAX_VERIFY_ORDER
 from dsrg.families import catalog_instances
 from oracles import (
     dense,
@@ -403,6 +404,22 @@ def test_edge_list_round_trip():
         Digraph.from_edge_list("0 1 2\n")
     with pytest.raises(FormatError):
         Digraph.from_edge_list("")
+
+
+def test_edge_list_refuses_an_index_at_the_cap_at_its_line():
+    """The index is refused at its line, before any row is allocated.
+
+    The index at the cap is tried first, so a parser without the guard
+    fails there and never allocates rows for the index 10**9.
+    """
+    top = MAX_VERIFY_ORDER - 1
+    assert Digraph.from_edge_list(f"0 {top}\n{top} 0\n").n == MAX_VERIFY_ORDER
+    for text, line, index in ((f"0 1\n\n{MAX_VERIFY_ORDER} 0\n", 3, MAX_VERIFY_ORDER),
+                              ("0 1000000000\n", 1, 10 ** 9)):
+        with pytest.raises(TooLargeError) as err:
+            Digraph.from_edge_list(text)
+        assert str(err.value) == (f"line {line}: vertex index {index} is at or above "
+                                  f"the cap of {MAX_VERIFY_ORDER} vertices")
 
 
 def test_transpose():

@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from pathlib import Path
+from struct import Struct
 
 import pytest
 
@@ -34,7 +35,7 @@ from dsrg.families import ApPencils, Gdd, Partition, PartitionSpiked, Transversa
 from dsrg.iso import _Neighborhoods, _refine
 
 import oracles
-from oracles import reference_are_isomorphic, reference_canonical_form
+from oracles import reference_are_isomorphic, reference_canonical_form, reference_color_tuple
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = PERFBENCH / "golden.json"
@@ -107,6 +108,23 @@ def test_size_mismatch_and_bad_permutation():
         verify_mapping(d1, d2, list(range(d1.n)))
     with pytest.raises(ValueError):
         verify_mapping(d1, d1, [0] * d1.n)
+
+
+def test_apply_mapping_refuses_a_non_permutation_before_any_work(monkeypatch):
+    d = build_digraph(Gdd(2, 3))
+    repeated = list(range(d.n))
+    repeated[1] = repeated[0]
+
+    def relabel(*args):
+        raise AssertionError("apply_mapping relabelled before checking the mapping")
+
+    monkeypatch.setattr(iso, "_images", relabel)
+    for perm in (repeated, list(range(1, d.n + 1))):
+        with pytest.raises(ValueError, match="^mapping is not a permutation$"):
+            apply_mapping(d, perm)
+    for perm in (list(range(d.n - 1)), list(range(d.n + 1))):
+        with pytest.raises(SizeMismatchError):
+            apply_mapping(d, perm)
 
 
 def test_bundled_fixture_passes():
@@ -294,6 +312,66 @@ def test_refinement_numbers_colors_like_the_reference(name):
                 ref = oracles._refine([oracles._Neighborhoods(g) for g in graphs],
                                       colorings[:len(graphs)], dist2)
                 assert ours == ref and rounds >= 1
+
+
+def _pack(counts, size):
+    return sum(c << (8 * size * i) for i, c in enumerate(counts))
+
+
+def _histogram_sets(rng, size):
+    """Seeded sets of distinct count vectors for fields of size bytes.
+
+    Counts come from 0, 1, 2, the field maximum and one below it, and a
+    random value, so totals are unequal and zeros sit before the last
+    color.  Each vector brings a prefix relative (its last count lowered,
+    possibly to zero) and an extension (one more later color), and every
+    set holds the empty histogram.
+    """
+    most = (1 << (8 * size)) - 1
+    for _ in range(250):
+        ncolors = rng.randint(1, 6)
+        vectors = {(0,) * ncolors}
+        for _ in range(rng.randint(1, 13)):
+            pool = (0, 0, 1, 2, most - 1, most, rng.randrange(most + 1))
+            counts = [rng.choice(pool) for _ in range(ncolors)]
+            vectors.add(tuple(counts))
+            present = [c for c, a in enumerate(counts) if a]
+            if present:
+                last = present[-1]
+                counts[last] = rng.randrange(counts[last])
+                vectors.add(tuple(counts))
+                if last + 1 < ncolors:
+                    counts[rng.randrange(last + 1, ncolors)] = rng.choice((1, most))
+                    vectors.add(tuple(counts))
+        yield ncolors, vectors
+
+
+@pytest.mark.parametrize("size, code", iso._FIELDS)
+def test_histogram_key_orders_as_the_sorted_color_tuples(size, code):
+    """The key orders histograms as reference_color_tuple does, for every
+    field width the refinement can pick.
+
+    The tuple order depends on the counts only through their order and
+    which are zero, so the reference sorts the histograms with each count
+    replaced by its rank among the set's counts (0 stays 0): wide fields
+    at their maximum cannot be expanded.  On 1-byte fields the raw
+    expansion is checked to give the same order.
+    """
+    rng = random.Random(size)
+    for ncolors, vectors in _histogram_sets(rng, size):
+        fields = Struct(f"<{ncolors}{code}")
+        key = iso._histogram_key(ncolors, size, code)
+        rank = {a: r for r, a in enumerate(sorted({0}.union(*vectors)))}
+        want = sorted(vectors, key=lambda v: reference_color_tuple(
+            _pack([rank[a] for a in v], size), fields))
+        if size == 1:
+            assert want == sorted(vectors, key=lambda v: reference_color_tuple(
+                _pack(v, size), fields))
+        histograms = [_pack(v, size) for v in vectors]
+        rng.shuffle(histograms)
+        assert sorted(histograms, key=key) == [_pack(v, size) for v in want]
+        assert len(set(map(key, histograms))) == len(histograms)
+    assert key(0) == ()
 
 
 def _count_nodes(monkeypatch, module, run):
