@@ -7,7 +7,8 @@ repeats each base row m times), so each Digraph indexes its row
 classes once, when it is built: `distinct` holds the distinct out-rows
 in order of first appearance, `row_class[u]` the class of vertex u and
 `members[c]` the vertex mask of class c.  Row checks, columns(),
-to_dgr, the multiple, the verifier and iso work once per class.
+to_dgr, the multiple, the verifier and iso work once per class: the
+verifier accepts a graph in one step per class, not per vertex.
 
 The anti-flag builders take an incidence structure, number its
 non-incident (point, block) pairs in lexicographic order, and wire
@@ -29,7 +30,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, zip_longest
+from itertools import compress, repeat, zip_longest
+from operator import itemgetter
 from typing import Literal
 
 from .errors import (
@@ -93,9 +95,6 @@ class Digraph:
 
     def out_degree(self, u: int) -> int:
         return self.rows[u].bit_count()
-
-    def out_neighbors(self, u: int) -> list[int]:
-        return _bits(self.rows[u])
 
     def columns(self) -> list[int]:
         """In-neighbor masks: bit u of columns()[v] == edge u -> v."""
@@ -185,9 +184,10 @@ class Digraph:
         """Parse 'u v' lines; the vertex count is max index + 1.
 
         An index at or above MAX_VERIFY_ORDER is refused at its line,
-        before any row is allocated.
+        before any row is allocated.  A loop, or an arc that an earlier
+        line already gave, raises FormatError at its line.
         """
-        edges = []
+        edges: dict[tuple[int, int], int] = {}    # arc -> its line
         top = -1
         for i, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -205,7 +205,11 @@ class Digraph:
             if max(u, v) >= MAX_VERIFY_ORDER:
                 raise TooLargeError(f"line {i}: vertex index {max(u, v)} is at or above "
                                     f"the cap of {MAX_VERIFY_ORDER} vertices")
-            edges.append((u, v))
+            if u == v:
+                raise FormatError(i, f"loop at vertex {u}")
+            if (u, v) in edges:
+                raise FormatError(i, f"arc {u} -> {v} repeats line {edges[u, v]}")
+            edges[u, v] = i
             top = max(top, u, v)
         if top < 0:
             raise FormatError(1, "no edges")
@@ -306,23 +310,25 @@ def _wire(s: IncidenceStructure, same: Literal["point", "block"] | None = None) 
     flags = anti_flags(s)
     if not flags:
         raise NoAntiFlagsError("every point lies on every block")
-    point_mask = [0] * s.num_points    # vertices whose point is x
     block_mask = [0] * len(s.blocks)   # vertices whose block is b
-    for j, (p, b) in enumerate(flags):
-        point_mask[p] |= 1 << j
+    for j, (_, b) in enumerate(flags):
         block_mask[b] |= 1 << j
     rule = [0] * s.num_points          # vertices whose block holds point x
     for b, block in enumerate(s.blocks):
         for x in block:
             rule[x] |= block_mask[b]
-    rows = []
-    for j, (p, b) in enumerate(flags):
-        row = rule[p]
+    # an anti-flag's forward out-row depends on its point alone
+    rows = list(map(rule.__getitem__, map(itemgetter(0), flags)))
+    if same is not None:
         if same == "point":
-            row |= point_mask[p] & ~(1 << j)
-        elif same == "block":
-            row |= block_mask[b] & ~(1 << j)
-        rows.append(row)
+            coord, mask = 0, [0] * s.num_points    # vertices whose point is x
+            for j, (p, _) in enumerate(flags):
+                mask[p] |= 1 << j
+        else:
+            coord, mask = 1, block_mask
+        # vertex j lies in the mask of its own coordinate: xor drops the loop
+        for j, flag in enumerate(flags):
+            rows[j] |= mask[flag[coord]] ^ (1 << j)
     return Digraph(len(flags), tuple(rows), labels=tuple(flags))
 
 
@@ -375,21 +381,6 @@ def build_partition_spiked(s: IncidenceStructure) -> Digraph:
 # verification and the multiple construction
 # ---------------------------------------------------------------------------
 
-def _add(planes: list[int], x: int) -> None:
-    """Add the 0/1 vector x to the counters held as bit planes.
-
-    Ripple carry: plane i takes the sum bit, the carry moves up, and
-    the loop stops as soon as no position carries.
-    """
-    for i, plane in enumerate(planes):
-        planes[i] = plane ^ x
-        x &= plane
-        if not x:
-            return
-    if x:
-        planes.append(x)
-
-
 def _add_planes(acc: list[int], planes: list[int], shift: int) -> None:
     """Add the counts held in `planes`, times 2**shift, to those in `acc`.
 
@@ -431,7 +422,10 @@ def _weighted_sum(terms: Iterable[tuple[int, int]]) -> list[int]:
 
     The vectors of one count are added into one plane stack, and each
     stack is then multiplied by its count, so a count shared by many
-    terms costs one multiplication.  Terms with c = 0 are skipped.
+    terms costs one multiplication.  Terms with c = 0 are skipped.  A
+    vector enters its stack by ripple carry: plane i takes the sum bit,
+    the carry moves up, and the loop stops as soon as no position
+    carries.
     """
     stacks: dict[int, list[int]] = {}
     for c, x in terms:
@@ -439,7 +433,13 @@ def _weighted_sum(terms: Iterable[tuple[int, int]]) -> list[int]:
             stack = stacks.get(c)
             if stack is None:
                 stack = stacks[c] = []
-            _add(stack, x)
+            for i, plane in enumerate(stack):
+                stack[i] = plane ^ x
+                x &= plane
+                if not x:
+                    break
+            if x:
+                stack.append(x)
     acc: list[int] = []
     for c, stack in stacks.items():
         _add_times(acc, stack, c)
@@ -448,15 +448,12 @@ def _weighted_sum(terms: Iterable[tuple[int, int]]) -> list[int]:
 
 def _square_row(rows: tuple[int, ...], row: int) -> list[int]:
     """The row of A^2 of a vertex with out-row `row`, one add per out-neighbour."""
-    planes: list[int] = []
-    for v in _bits(row):
-        _add(planes, rows[v])
-    return planes
+    return _weighted_sum(zip(repeat(1), map(rows.__getitem__, _bits(row))))
 
 
 def _square_row_by_class(reps: tuple[int, ...], members: tuple[int, ...], row: int) -> list[int]:
     """The row of A^2 of a vertex with out-row `row`, one add per out-row class."""
-    return _weighted_sum(((row & m).bit_count(), r) for r, m in zip(reps, members))
+    return _weighted_sum(zip(map(int.bit_count, map(row.__and__, members)), reps))
 
 
 def _value_planes(parts: list[tuple[int, int]], width: int) -> list[int]:
@@ -493,16 +490,23 @@ def verify_dsrg(d: Digraph) -> DsrgParams:
     Checks, in order: constant out-degree k, before any n^2 work;
     in-degree k, from one bit-sliced sum of the distinct out-rows, each
     weighted by how many vertices have it; the graph is neither empty
-    nor complete; then, row by row, that row u of A^2 equals
-    t*e_u + lambda*A_u + mu*(J - I - A)_u.  t, lambda and mu are read
-    from row 0: its diagonal, its first edge and its first off-diagonal
-    non-edge.  A failing row names the lowest column that differs as
-    the witness.
+    nor complete; then that row u of A^2 equals
+    t*e_u + lambda*A_u + mu*(J - I - A)_u for every u.  t, lambda and mu
+    are read from row 0: its diagonal, its first edge and its first
+    off-diagonal non-edge.  The witness is the first failing vertex and
+    the lowest column of its row that differs, as a vertex-by-vertex
+    check would name them.
 
-    Rows of A^2 depend only on the out-row, so each is summed once per
-    row class.  When the number D of classes is at most k, row u of A^2
-    is the sum of |N+(u) & M_r| * r over the classes r with vertex mask
-    M_r; otherwise the k out-rows of the out-neighbours are added.
+    Rows of A^2 depend only on the out-row, so the check runs per row
+    class, in order of first appearance: a class's row of A^2 is summed
+    once, compared into two masks of differing columns (one when
+    t = mu), and its failing members, which differ only in their
+    diagonal, are read from the masks.  The walk stops at the first
+    class that starts past the first failing vertex found so far, whose
+    row of A^2 and masks it keeps for the witness.  When the number D
+    of classes is at most k, a row of A^2 is the sum of
+    |N+(u) & M_r| * r over the classes r with vertex mask M_r;
+    otherwise the k out-rows of the out-neighbours are added.
     """
     n = d.n
     if n < 2:
@@ -536,31 +540,37 @@ def verify_dsrg(d: Digraph) -> DsrgParams:
     lam = _count(first, _low_bit(rows[0]))
     mu = _count(first, _low_bit(full ^ rows[0] ^ 1))
     width = max(t, lam, mu).bit_length()
-    # class -> (columns differing from lambda on the row and mu off it,
-    #           columns differing from lambda on the row and t off it);
-    # the diagonal of vertex u is the one off-row column held to t
-    seen: list[tuple[int, int] | None] = [None] * len(reps)
-    for u, c in enumerate(d.row_class):
-        row = rows[u]
-        masks = seen[c]
-        if masks is None:
-            got = square(row) if c else first
-            off = full ^ row
-            masks = (_differ(got, _value_planes([(lam, row), (mu, off)], width)),
-                     _differ(got, _value_planes([(lam, row), (t, off)], width)))
-            seen[c] = masks
-        if not (masks[0] or masks[1]):
-            continue
+    u = n               # the first failing vertex found so far; n while none is
+    witness = None      # (its row, that row of A^2, the two masks of its class)
+    for c, (row, mask) in enumerate(zip(reps, members)):
+        if _low_bit(mask) > u:
+            break       # this class and the later ones start past the witness
+        got = square(row) if c else first
+        off = full ^ row
+        # the columns differing from lambda on the row and mu off it, and
+        # from lambda on the row and t off it; a member's diagonal is the
+        # one off-row column held to t, so member v fails iff
+        # (to_mu minus column v) | (to_t at column v) is nonzero
+        to_mu = _differ(got, _value_planes([(lam, row), (mu, off)], width))
+        to_t = to_mu if t == mu else _differ(got, _value_planes([(lam, row), (t, off)], width))
+        if to_mu & (to_mu - 1):
+            failing = mask
+        elif to_mu:
+            failing = (mask & ~to_mu) | (mask & to_t)
+        else:
+            failing = mask & to_t
+        if failing and _low_bit(failing) < u:
+            u, witness = _low_bit(failing), (row, got, to_mu, to_t)
+    if witness is not None:
+        row, got, to_mu, to_t = witness
         diag = 1 << u
-        bad = (masks[0] & ~diag) | (masks[1] & diag)
-        if bad:
-            w = _low_bit(bad)
-            value = _count(square(row), w)
-            if w == u:
-                raise NonConstantError("t", u, f"diagonal entry {value} != {t}")
-            if (row >> w) & 1:
-                raise NonConstantError("lambda", (u, w), f"entry {value} != {lam}")
-            raise NonConstantError("mu", (u, w), f"entry {value} != {mu}")
+        w = _low_bit((to_mu & ~diag) | (to_t & diag))
+        value = _count(got, w)
+        if w == u:
+            raise NonConstantError("t", u, f"diagonal entry {value} != {t}")
+        if (row >> w) & 1:
+            raise NonConstantError("lambda", (u, w), f"entry {value} != {lam}")
+        raise NonConstantError("mu", (u, w), f"entry {value} != {mu}")
     return DsrgParams(n, k, t, lam, mu)
 
 

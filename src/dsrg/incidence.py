@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, chain, combinations, product, repeat
 from operator import ge, itemgetter
 from typing import NamedTuple
 
@@ -587,12 +587,14 @@ def anti_flags(s: IncidenceStructure) -> list[AntiFlag]:
     """All non-incident (point, block) pairs in lexicographic order.
 
     This order is the vertex numbering contract for the digraph builders.
+    The pairs are built per point, in that order: the blocks off point p
+    are every block index minus those through p, sorted.
     """
-    sets = s.block_sets()
-    return [AntiFlag(p, i)
-            for p in range(s.num_points)
-            for i in range(len(s.blocks))
-            if p not in sets[i]]
+    every = set(range(len(s.blocks)))
+    flags: list[AntiFlag] = []
+    for p, on in enumerate(s.point_to_blocks()):
+        flags += map(tuple.__new__, repeat(AntiFlag), zip(repeat(p), sorted(every.difference(on))))
+    return flags
 
 
 def dual(s: IncidenceStructure) -> IncidenceStructure:

@@ -5,7 +5,9 @@
 Builds and verifies Transversal(4) and Gdd(2, 3, 2), round-trips both
 through dgr text, checks the duality mapping of the bundled 36-vertex
 fixture (forward graph, transposed backward graph, dual structure),
-finds and checks an isomorphism from gdd(2,3) to a relabelled copy, and
+finds and checks an isomorphism from gdd(2,3) to a relabelled copy,
+rejects a degree-keeping swap mutant of gdd(2,3) with the error class,
+witness and message of tests/oracles.py's reference_verify_dsrg, and
 compares the SHA-256s of the catalog_rows(500) table and of the
 canonical forms of partition(1,4) and partition(2,3) with
 perfbench/golden.json, which it only reads.  Prints one line per check
@@ -17,15 +19,41 @@ import hashlib
 import json
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
-from dsrg import (ISOMORPHIC, Digraph, Gdd, Partition, Transversal,  # noqa: E402
-                  apply_mapping, are_isomorphic, build_digraph, bundled_iso_fixture,
+from dsrg import (ISOMORPHIC, Digraph, DsrgError, Gdd, Partition,  # noqa: E402
+                  Transversal, apply_mapping, are_isomorphic, build_digraph, bundled_iso_fixture,
                   canonical_form, expected_params, verify_dsrg, verify_mapping)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
+from oracles import reference_verify_dsrg  # noqa: E402
+
+
+def _rejection(verify, d):
+    try:
+        verify(d)
+    except DsrgError as exc:
+        return type(exc), vars(exc), str(exc)
+    return None
+
+
+def _swap_mutant(d):
+    """a->b, c->e become a->e, c->b, for the first such a, c, b, e with a
+    from the second half: every in- and out-degree stays."""
+    rows = d.rows
+    for a, c in product(range(d.n // 2, d.n), range(d.n)):
+        for b, e in product(range(d.n), repeat=2):
+            if (len({a, b, c, e}) == 4 and (rows[a] >> b) & 1 and (rows[c] >> e) & 1
+                    and not (rows[a] >> e) & 1 and not (rows[c] >> b) & 1):
+                out = list(rows)
+                out[a] ^= (1 << b) | (1 << e)
+                out[c] ^= (1 << b) | (1 << e)
+                return Digraph(d.n, tuple(out))
+    raise AssertionError("no swap")
 
 
 def checks():
@@ -44,6 +72,10 @@ def checks():
     result = are_isomorphic(gdd, copy)
     yield "gdd l=2;q=3 isomorphic to a relabelled copy", (
         result.status == ISOMORPHIC and verify_mapping(gdd, copy, result.mapping))
+    mutant = _swap_mutant(gdd)
+    got = _rejection(verify_dsrg, mutant)
+    yield "gdd l=2;q=3 swap mutant rejected like the reference", (
+        got is not None and got == _rejection(reference_verify_dsrg, mutant))
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     for q, l in ((1, 4), (2, 3)):
         text, _ = canonical_form(build_digraph(Partition(q, l)))

@@ -283,6 +283,14 @@ def test_verify_and_iso_refuse_an_edge_list_index_at_the_cap(tmp_path, capsys):
         assert run(capsys, "iso", str(cycle), str(path)) == (1, "", want)
 
 
+def test_verify_refuses_an_edge_list_loop_or_repeated_arc_at_its_line(tmp_path, capsys):
+    for text, want in (("0 1\n1 1\n", "error: line 2: loop at vertex 1\n"),
+                       ("0 1\n0 1\n1 0\n", "error: line 2: arc 0 -> 1 repeats line 1\n")):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        assert run(capsys, "verify", str(path)) == (1, "", want)
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "verify", str(tmp_path / "absent.dgr"))
     assert (code, stdout) == (1, "")

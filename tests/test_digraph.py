@@ -406,6 +406,18 @@ def test_edge_list_round_trip():
         Digraph.from_edge_list("")
 
 
+def test_edge_list_refuses_a_loop_and_a_repeated_arc_at_their_lines():
+    for text, message in (("0 0\n", "line 1: loop at vertex 0"),
+                          ("0 1\n1 0\n\n2 2\n", "line 4: loop at vertex 2"),
+                          ("0 1\n0 1\n1 0\n", "line 2: arc 0 -> 1 repeats line 1"),
+                          ("0 1\n1 0\n 1  0 \n", "line 3: arc 1 -> 0 repeats line 2")):
+        with pytest.raises(FormatError) as err:
+            Digraph.from_edge_list(text)
+        assert str(err.value) == message, text
+    # the reverse arc is another arc
+    assert Digraph.from_edge_list("0 1\n1 0\n").rows == (2, 1)
+
+
 def test_edge_list_refuses_an_index_at_the_cap_at_its_line():
     """The index is refused at its line, before any row is allocated.
 

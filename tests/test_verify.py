@@ -8,8 +8,11 @@ popcount verifier's A^2 witness: verify_dsrg checks t row by row, the
 popcount verifier checks the whole diagonal first.
 
 Against reference_verify_dsrg, the first bit-sliced verifier, which adds
-one out-row per out-neighbour: every outcome must be identical, the same
-parameters or the same error class, witness fields and message.  The
+one out-row per out-neighbour and checks vertex by vertex: every outcome
+must be identical, the same parameters or the same error class, witness
+fields and message.  verify_dsrg checks class by class, so the cases
+where the first failing vertex is not the first member of its class, or
+lies in a later class than another failing vertex, are pinned here.  The
 plane-stack helpers of the out-row-class kernel are checked against
 plain per-column integer sums.
 """
@@ -25,17 +28,20 @@ from dsrg import (
     DsrgError,
     DsrgParams,
     Gdd,
+    NonConstantError,
     NotRegularError,
     PartitionSpiked,
+    Transversal,
     build_antiflag_backward_loopy,
     build_digraph,
     build_fano,
     duval_multiple,
+    expected_params,
     verify_dsrg,
 )
-from dsrg.digraph import _add, _add_planes, _add_times, _weighted_sum
+from dsrg.digraph import _add_planes, _add_times, _weighted_sum
 from dsrg.families import catalog_instances
-from oracles import dense, popcount_verify_dsrg, reference_verify_dsrg, witness_problem
+from oracles import dense, popcount_verify_dsrg, reference_verify_dsrg, walks2, witness_problem
 
 MAX_ORDER = 110
 MULTIPLES = 13
@@ -169,6 +175,116 @@ def test_mutants_rejected_like_the_reference(name, build):
             assert problem is None, f"{where}: {problem}"
 
 
+# -- the class-order witness -------------------------------------------------
+
+# Two 2-regular digraphs on 7 vertices, found by exhaustive search.  Row 0
+# reads t = 0 and mu = 1.  Two vertices with one out-row share their row
+# of A^2, where the diagonal of each is a non-edge column of the other, so
+# with t != mu at most one of them passes.
+LATER_MEMBER = (6, 48, 72, 48, 5, 72, 3)   # classes {0} {1,3} {2,5} {4} {6}
+LATER_CLASS = (6, 96, 24, 6, 65, 24, 33)   # classes {0,3} {1} {2,5} {4} {6}
+
+
+def _rejected_at(rows):
+    """The graph, its adjacency matrix and verify_dsrg's rejection, which
+    must equal the reference's and name a real break."""
+    d = Digraph(len(rows), rows)
+    adj = dense(d)
+    got = _outcome(verify_dsrg, d)
+    assert isinstance(got, NonConstantError), got
+    _same_as_reference(d, got, f"rows {rows}")
+    assert witness_problem(adj, got) is None
+    return d, adj, got
+
+
+def test_witness_is_a_later_member_of_an_earlier_class():
+    """Vertex 3 fails first, in class 1, after class 2 has started at vertex 2."""
+    d, _, got = _rejected_at(LATER_MEMBER)
+    assert d.row_class[:4] == (0, 1, 2, 1)
+    assert got.witness == (3, 1)
+
+
+def test_witness_in_a_later_class_beats_a_later_member_of_an_earlier_one():
+    """Vertex 3, class 0's second member, fails, but vertex 1 of class 1 fails first."""
+    d, adj, got = _rejected_at(LATER_CLASS)
+    assert d.row_class[:4] == (0, 1, 2, 0)
+    assert got.witness[0] == 1
+    # vertex 3 fails at column 0, a non-edge holding vertex 0's diagonal t = 0, not mu = 1
+    assert not adj[3][0] and walks2(adj, 3, 0) == walks2(adj, 0, 0) == 0
+    assert walks2(adj, 0, 3) == 1
+
+
+def _blow_up_rows(rows, m):
+    """The rows of A tensor J_m, vertex u becoming u*m .. u*m + m - 1."""
+    block = (1 << m) - 1
+    spread = [sum(block << (v * m) for v in _bits(r)) for r in rows]
+    return [spread[u // m] for u in range(len(rows) * m)]
+
+
+def test_random_twin_graphs_like_the_reference():
+    """Degree-regular graphs with repeated out-rows: a relabelled circulant
+    blown up by m, then up to two degree-keeping swaps."""
+    rng = random.Random(f"{SEED} twins")
+    outcomes = set()
+    for trial in range(150):
+        n0 = rng.randrange(3, 8)
+        perm = rng.sample(range(n0), n0)
+        base = [0] * n0
+        for shift in rng.sample(range(1, n0), rng.randrange(1, n0 - 1)):
+            for u in range(n0):
+                base[perm[u]] |= 1 << perm[(u + shift) % n0]
+        rows = _blow_up_rows(base, rng.randrange(1, 4))
+        for _ in range(rng.randrange(3)):
+            a = rng.randrange(len(rows))
+            swap = _swap_partners(rows, a, rng)
+            if swap:
+                b, c, d = swap
+                rows = list(_flip(rows, (a, b), (a, d), (c, d), (c, b)))
+        graph = Digraph(len(rows), tuple(rows))
+        got = _outcome(verify_dsrg, graph)
+        _same_as_reference(graph, got, f"trial {trial}")
+        outcomes.add(type(got).__name__)
+    assert {"DsrgParams", "NonConstantError"} <= outcomes
+
+
+# the catalog-500 bases whose multiples reach the catalog's m = 13
+REACH_13 = [(f"{spec.name} {spec.describe()}", spec)
+            for spec, formula_only in catalog_instances(500) if not formula_only
+            for p in [expected_params(spec)] if p.t == p.mu and MULTIPLES * p.v <= 500]
+
+
+@pytest.mark.parametrize("name,spec", REACH_13, ids=[name for name, _ in REACH_13])
+def test_catalog_multiples_up_to_13_like_the_reference(name, spec):
+    """Every catalog multiple m = 2..13 of the base, and its mutants:
+    classes of m times the base class sizes."""
+    d = build_digraph(spec)
+    rng = random.Random(f"{SEED} multiples {name}")
+    for m in range(2, MULTIPLES + 1):
+        multiple = duval_multiple(d, m)
+        got = verify_dsrg(multiple)
+        assert got == expected_params(spec).scaled(m)
+        _same_as_reference(multiple, got, f"{name} m={m}")
+        for label, rows in _mutants(multiple.rows, rng):
+            mutant = Digraph(multiple.n, rows)
+            _same_as_reference(mutant, _outcome(verify_dsrg, mutant), f"{name} m={m} {label}")
+
+
+@pytest.mark.parametrize("spec", [Transversal(3), Gdd(2, 5)], ids=["transversal 3", "gdd 2 5"])
+def test_flips_and_swaps_like_the_reference(spec):
+    """Five rounds of seeded flips, redirects and swaps; each witness is recounted."""
+    d = build_digraph(spec)
+    rng = random.Random(f"{SEED} mutants {spec.describe()}")
+    seen = set()
+    for _ in range(5):
+        for label, rows in _mutants(d.rows, rng):
+            mutant = Digraph(d.n, rows)
+            got = _outcome(verify_dsrg, mutant)
+            _same_as_reference(mutant, got, f"{spec.describe()} {label}")
+            assert witness_problem(dense(mutant), got) is None, label
+            seen.add(type(got).__name__)
+    assert {"NotRegularError", "NonConstantError"} <= seen
+
+
 def test_both_kernels_run(monkeypatch):
     """D <= k sums by out-row class, D > k by out-neighbour, where D is
     the number of distinct out-rows."""
@@ -231,9 +347,8 @@ def test_add_times_matches_column_sums(c):
     rng = random.Random(f"{SEED} times {c}")
     for start in ([], [rng.randrange(2**13) for _ in range(WIDTH)]):
         xs = [_random_vector(rng) for _ in range(rng.randrange(1, 20))]
-        stack: list[int] = []
-        for x in xs:
-            _add(stack, x)
+        stack = _weighted_sum([(1, x) for x in xs])
+        assert _columns_of(stack) == _column_sum([(1, x) for x in xs])
         acc = _planes_of(start) if start else []
         _add_times(acc, stack, c)
         base = start or [0] * WIDTH
