@@ -32,6 +32,7 @@ from .families import (
     FAMILIES,
     FLAG_NAMES,
     FamilySpec,
+    _wire_spec,
     build_digraph,
     build_structure,
     catalog_instances,
@@ -152,7 +153,8 @@ def cmd_build(args, parser) -> int:
     block_budget = _budget_arg(args.block_budget, DEFAULT_BLOCK_BUDGET, parser)
     # the builder's budget and size guards run before the closed form,
     # whose integers grow with the spec's exponents
-    d = build_digraph(spec, block_budget=block_budget)
+    structure = build_structure(spec, block_budget=block_budget)
+    d = _wire_spec(spec, structure)
     expected = expected_params(spec)
     got = verify_dsrg(d)
     if args.out:
@@ -160,8 +162,7 @@ def cmd_build(args, parser) -> int:
     if args.edges_out:
         Path(args.edges_out).write_text(d.to_edge_list())
     if args.structure_out:
-        Path(args.structure_out).write_text(
-            to_json(build_structure(spec, block_budget=block_budget)))
+        Path(args.structure_out).write_text(to_json(structure))
     if got == expected:
         print(f"{got} verified")
         return 0

@@ -6,9 +6,14 @@ anti-flag's out-row depends on its point alone; a Duval multiple
 repeats each base row m times), so each Digraph indexes its row
 classes once, when it is built: `distinct` holds the distinct out-rows
 in order of first appearance, `row_class[u]` the class of vertex u and
-`members[c]` the vertex mask of class c.  Row checks, columns(),
-to_dgr, the multiple, the verifier and iso work once per class: the
-verifier accepts a graph in one step per class, not per vertex.
+`members[c]` the vertex mask of class c.  Equal rows come in runs of
+consecutive vertices (the anti-flags of one point are numbered
+together, and a multiple stretches each run m times), so the index is
+built with one step per run: the runs are found in one C-level pass,
+and each run costs one dict lookup and one mask.  Row checks,
+columns(), to_dgr, the multiple, the verifier and iso work once per
+class: the verifier accepts a graph in one step per class, not per
+vertex.
 
 The anti-flag builders take an incidence structure, number its
 non-incident (point, block) pairs in lexicographic order, and wire
@@ -30,8 +35,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, repeat, zip_longest
-from operator import itemgetter
+from itertools import chain, compress, count, repeat, zip_longest
+from operator import itemgetter, mul, ne, sub
 from typing import Literal
 
 from .errors import (
@@ -59,7 +64,12 @@ _LINE_SEPARATORS = _ASCII_SEPARATORS + "\x85\u2028\u2029"
 
 @dataclass(frozen=True)
 class Digraph:
-    """Immutable loopless digraph; rows[u] bit v == edge u -> v."""
+    """Immutable loopless digraph; rows[u] bit v == edge u -> v.
+
+    The row-class index (distinct, row_class, members) is built per run
+    of equal consecutive rows, not per vertex; a class may gather runs
+    that are not adjacent.
+    """
 
     n: int
     rows: tuple[int, ...]
@@ -78,12 +88,18 @@ class Digraph:
             # a row-keyed dict would put 2.0 in the class of 2: check vertex by vertex
             for u, row in enumerate(rows):
                 _check_classes((row,), (1 << u,), n)
+        # True at each vertex whose row differs from the row before: a run start
+        new_run = list(map(ne, rows, (None, *rows)))
+        bounds = [*compress(count(), new_run), n]     # the run starts, then n
+        lengths = list(map(sub, bounds[1:], bounds))
         ids: dict[int, int] = {}
-        row_class = tuple([ids.setdefault(row, len(ids)) for row in rows])
+        run_class = [ids.setdefault(row, len(ids)) for row in compress(rows, new_run)]
         members = [0] * len(ids)
-        for u, c in enumerate(row_class):
-            members[c] |= 1 << u
+        for c, start, length in zip(run_class, bounds, lengths):
+            members[c] |= ((1 << length) - 1) << start
         _check_classes(ids, members, n)
+        # (c,) * length: each run's class once per vertex of the run
+        row_class = tuple(chain.from_iterable(map(mul, zip(run_class), lengths)))
         object.__setattr__(self, "distinct", tuple(ids))
         object.__setattr__(self, "row_class", row_class)
         object.__setattr__(self, "members", tuple(members))
@@ -575,13 +591,18 @@ def verify_dsrg(d: Digraph) -> DsrgParams:
 
 
 def _blow_up(d: Digraph, m: int) -> Digraph:
-    """A tensor J_m, unchecked: vertex u becomes u*m .. u*m + m - 1."""
+    """A tensor J_m, unchecked: vertex u becomes u*m .. u*m + m - 1.
+
+    Each distinct row is spread once, and the vertices of a class share
+    its spread row, so each run of the base becomes one run m times as
+    long and the new graph's index costs one step per run.
+    """
     if m == 1:
         return d
-    # bit v of a row becomes bits v*m .. v*m + m - 1, once per class
-    spread = str.maketrans({"0": "0" * m, "1": "1" * m})
-    width = f"0{d.n}b"
-    big = [int(format(row, width).translate(spread), 2) for row in d.distinct]
+    # bit v of a row moves to bit v*m, m - 1 zeros apart, and the product with
+    # m ones fills bits v*m .. v*m + m - 1; once per class
+    gap, width, block = "0" * (m - 1), f"0{d.n}b", (1 << m) - 1
+    big = [int(gap.join(format(row, width)), 2) * block for row in d.distinct]
     spread_rows = list(map(big.__getitem__, d.row_class))
     rows = [0] * (d.n * m)
     for i in range(m):

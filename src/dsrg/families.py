@@ -36,6 +36,7 @@ from .ffield import _factor_prime_power
 from .incidence import (
     DEFAULT_BLOCK_BUDGET,
     DesignParams,
+    IncidenceStructure,
     build_affine_plane,
     build_fano,
     build_gdd,
@@ -280,7 +281,11 @@ def build_digraph(spec: FamilySpec, block_budget: int = DEFAULT_BLOCK_BUDGET) ->
     The structure's block budget is checked first; a graph above the
     verification cap raises TooLargeError before any arc is wired.
     """
-    structure = build_structure(spec, block_budget=block_budget)
+    return _wire_spec(spec, build_structure(spec, block_budget=block_budget))
+
+
+def _wire_spec(spec: FamilySpec, structure: IncidenceStructure) -> Digraph:
+    """The graph of spec on build_structure(spec)'s output, TooLargeError first."""
     v = expected_params(spec).v
     if v > MAX_VERIFY_ORDER:
         raise TooLargeError(f"{spec.name} {spec.describe()} has {v} vertices, "

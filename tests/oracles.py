@@ -41,6 +41,9 @@ reference for the union-find that merges only the new ones.
 reference_color_tuple is the refinement's first histogram sort key,
 which expands each packed histogram into its sorted color tuple, kept
 verbatim as the reference for the key read from the counts.
+brute_row_classes groups a digraph's vertices by out-row one vertex at
+a time, the reference for the row-class index that Digraph builds per
+run of equal rows.
 """
 
 from __future__ import annotations
@@ -319,6 +322,18 @@ def reference_columns(d: Digraph) -> list[int]:
         for v in reference_bits(row):
             cols[v] |= 1 << u
     return cols
+
+
+def brute_row_classes(d: Digraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(distinct, row_class, members) grouped one vertex at a time."""
+    first, members = {}, {}
+    for u, row in enumerate(d.rows):
+        first.setdefault(row, u)
+        members[row] = members.get(row, 0) | 1 << u
+    distinct = sorted(first, key=first.__getitem__)
+    number = {row: c for c, row in enumerate(distinct)}
+    return (tuple(distinct), tuple(number[row] for row in d.rows),
+            tuple(members[row] for row in distinct))
 
 
 def _low_bit(mask: int) -> int:

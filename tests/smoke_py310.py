@@ -7,7 +7,9 @@ through dgr text, checks the duality mapping of the bundled 36-vertex
 fixture (forward graph, transposed backward graph, dual structure),
 finds and checks an isomorphism from gdd(2,3) to a relabelled copy,
 rejects a degree-keeping swap mutant of gdd(2,3) with the error class,
-witness and message of tests/oracles.py's reference_verify_dsrg, and
+witness and message of tests/oracles.py's reference_verify_dsrg,
+checks the row-class index of the Duval multiple gdd(2,3) x 3 against
+oracles.py's per-vertex brute_row_classes, and
 compares the SHA-256s of the catalog_rows(500) table and of the
 canonical forms of partition(1,4) and partition(2,3) with
 perfbench/golden.json, which it only reads.  Prints one line per check
@@ -28,9 +30,10 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from dsrg import (ISOMORPHIC, Digraph, DsrgError, Gdd, Partition,  # noqa: E402
                   Transversal, apply_mapping, are_isomorphic, build_digraph, bundled_iso_fixture,
-                  canonical_form, expected_params, verify_dsrg, verify_mapping)
+                  canonical_form, duval_multiple, expected_params, verify_dsrg,
+                  verify_mapping)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
-from oracles import reference_verify_dsrg  # noqa: E402
+from oracles import brute_row_classes, reference_verify_dsrg  # noqa: E402
 
 
 def _rejection(verify, d):
@@ -76,6 +79,9 @@ def checks():
     got = _rejection(verify_dsrg, mutant)
     yield "gdd l=2;q=3 swap mutant rejected like the reference", (
         got is not None and got == _rejection(reference_verify_dsrg, mutant))
+    multiple = duval_multiple(gdd, 3)
+    yield "gdd l=2;q=3 x 3 row-class index matches a per-vertex grouping", (
+        (multiple.distinct, multiple.row_class, multiple.members) == brute_row_classes(multiple))
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     for q, l in ((1, 4), (2, 3)):
         text, _ = canonical_form(build_digraph(Partition(q, l)))

@@ -4,12 +4,13 @@ import random
 import re
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from dsrg import (Digraph, DsrgError, TooLargeError, are_isomorphic, build_antiflag_forward,
-                  build_digraph, build_gdd, bundled_iso_fixture, from_json, verify_dsrg)
+                  build_digraph, build_gdd, bundled_iso_fixture, from_json, to_json, verify_dsrg)
 from dsrg import cli, families
 from dsrg.cli import (CSV_HEADER, _spec_from_args, build_parser, catalog_rows, main, render_csv,
                       render_table)
@@ -85,6 +86,30 @@ def test_build_structure_out(tmp_path, capsys):
                      "--structure-out", str(path))
     assert code == 0
     assert from_json(path.read_text()) == build_gdd(2, 3)
+
+
+BUILDABLE_110 = [spec for spec, formula_only in catalog_instances(110) if not formula_only]
+
+
+@pytest.mark.parametrize("spec", BUILDABLE_110, ids=[f"{s.name} {s.describe()}" for s in BUILDABLE_110])
+def test_build_structure_out_builds_the_structure_once(spec, tmp_path, capsys, monkeypatch):
+    calls = []
+    original = families.build_structure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    # build_digraph calls it through families, cmd_build through cli
+    monkeypatch.setattr(families, "build_structure", counted)
+    monkeypatch.setattr(cli, "build_structure", counted)
+    argv = ["build", "--family", spec.name]
+    for f in fields(spec):
+        argv += [f"--{families.FLAG_NAMES.get(f.name, f.name)}", str(getattr(spec, f.name))]
+    dgr, structure = tmp_path / "g.dgr", tmp_path / "s.json"
+    code, _, _ = run(capsys, *argv, "--out", str(dgr), "--structure-out", str(structure))
+    assert code == 0 and len(calls) == 1
+    assert dgr.read_bytes() == build_digraph(spec).to_dgr().encode()
+    assert structure.read_bytes() == to_json(original(spec)).encode()
 
 
 def test_build_2design_back(capsys):

@@ -39,6 +39,7 @@ from dsrg import (
 from dsrg.digraph import MAX_VERIFY_ORDER
 from dsrg.families import catalog_instances
 from oracles import (
+    brute_row_classes,
     dense,
     reference_bits,
     reference_columns,
@@ -46,6 +47,7 @@ from oracles import (
     reference_to_dgr,
     schoolbook_square,
 )
+from test_verify import _blow_up_rows
 
 
 def cycle(n):
@@ -355,18 +357,6 @@ def _relabelled(d, rng):
     return Digraph(d.n, tuple(rows))
 
 
-def _brute_row_classes(d):
-    """(distinct, row_class, members) grouped one vertex at a time."""
-    first, members = {}, {}
-    for u, row in enumerate(d.rows):
-        first.setdefault(row, u)
-        members[row] = members.get(row, 0) | 1 << u
-    distinct = sorted(first, key=first.__getitem__)
-    number = {row: c for c, row in enumerate(distinct)}
-    return (tuple(distinct), tuple(number[row] for row in d.rows),
-            tuple(members[row] for row in distinct))
-
-
 def test_row_class_index_and_columns_match_the_references():
     rng = random.Random(IO_SEED)
     graphs = []
@@ -376,9 +366,73 @@ def test_row_class_index_and_columns_match_the_references():
         if d.edge_count():
             graphs.append((f"{name} from edge list", Digraph.from_edge_list(d.to_edge_list())))
     graphs.append(("partition-spiked q=10;l=20", build_digraph(PartitionSpiked(10, 20))))
+    graphs += _run_index_corpus(rng)
     for name, d in graphs:
-        assert (d.distinct, d.row_class, d.members) == _brute_row_classes(d), name
+        assert (d.distinct, d.row_class, d.members) == brute_row_classes(d), name
         assert d.columns() == reference_columns(d), name
+
+
+class _Row(int):
+    pass
+
+
+def _run_index_corpus(rng):
+    """(name, graph) whose runs of equal consecutive rows stress the run index."""
+    t = build_digraph(Transversal(3))
+    # equal rows in different objects: runs are found by value, not identity
+    copied = tuple(int(str(row)) for row in t.rows)
+    assert any(a == b and a is not b for a, b in zip(copied, copied[1:]))
+    odd = sum(1 << v for v in range(1, 400, 2))
+    even = odd >> 1
+    a, b = rng.getrandbits(400) & odd, rng.getrandbits(400) & even
+    return [
+        ("transversal 3 with copied rows", Digraph(t.n, copied)),
+        ("one class over two runs", Digraph(4, (2, 1, 1, 2))),
+        ("two classes over 400 alternating runs", Digraph(400, (a, b) * 200)),
+        ("runs of length 1 at both ends", Digraph(5, (2, 17, 17, 17, 3))),
+        ("one vertex", Digraph(1, (0,))),
+        ("bool row", Digraph(3, (2, True, 2))),
+        ("int-subclass row", Digraph(3, (_Row(2), True, 2))),
+    ]
+
+
+def test_run_index_keeps_the_first_row_object_of_each_class():
+    d = Digraph(3, (2, True, 2))
+    assert d.distinct == (2, True) and type(d.distinct[1]) is bool
+    assert d.row_class == (0, 1, 0) and d.members == (5, 2)
+    d = Digraph(3, (_Row(2), True, 2))
+    assert d.distinct == (2, True) and type(d.distinct[0]) is _Row
+    assert d.members == (5, 2)
+
+
+def test_run_index_of_one_class_spread_over_many_vertices():
+    """Two runs, of 99,999 equal rows and of 1: the index is exact."""
+    n = 100_000
+    d = Digraph(n, (0,) * (n - 1) + (1,))
+    assert d.distinct == (0, 1)
+    assert d.row_class == (0,) * (n - 1) + (1,)
+    assert d.members == ((1 << (n - 1)) - 1, 1 << (n - 1))
+
+
+def _check_blow_up(d, m, name):
+    big = dsrg.digraph._blow_up(d, m)
+    assert big.n == d.n * m and big.rows == tuple(_blow_up_rows(d.rows, m)), name
+    assert (big.distinct, big.row_class, big.members) == brute_row_classes(big), name
+
+
+def test_blow_up_matches_a_brute_tensor():
+    """A tensor J_m: rows and index, on every catalog-110 base with m = 1..13
+    and on random all-distinct bases with m = 1..4."""
+    for spec, formula_only in catalog_instances(IO_MAX_ORDER):
+        if not formula_only:
+            d = build_digraph(spec)
+            for m in range(1, 14):
+                _check_blow_up(d, m, f"{spec.name} {spec.describe()} m={m}")
+    rng = random.Random(f"{IO_SEED} blow-up")
+    for n in (1, 2, 3, 8, 21, 40):
+        d = _random_distinct(n, rng)
+        for m in range(1, 5):
+            _check_blow_up(d, m, f"random all-distinct n={n} m={m}")
 
 
 def test_bits_match_the_reference():
