@@ -9,7 +9,9 @@ finds and checks an isomorphism from gdd(2,3) to a relabelled copy,
 rejects a degree-keeping swap mutant of gdd(2,3) with the error class,
 witness and message of tests/oracles.py's reference_verify_dsrg,
 checks the row-class index of the Duval multiple gdd(2,3) x 3 against
-oracles.py's per-vertex brute_row_classes, and
+oracles.py's per-vertex brute_row_classes, checks the canonical form of
+gdd(2,2) x 2, whose twins seed the search's orbit forest, against
+oracles.py's unpruned reference_canonical_form, and
 compares the SHA-256s of the catalog_rows(500) table and of the
 canonical forms of partition(1,4) and partition(2,3) with
 perfbench/golden.json, which it only reads.  Prints one line per check
@@ -33,7 +35,8 @@ from dsrg import (ISOMORPHIC, Digraph, DsrgError, Gdd, Partition,  # noqa: E402
                   canonical_form, duval_multiple, expected_params, verify_dsrg,
                   verify_mapping)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
-from oracles import brute_row_classes, reference_verify_dsrg  # noqa: E402
+from oracles import (brute_row_classes, reference_canonical_form,  # noqa: E402
+                     reference_verify_dsrg)
 
 
 def _rejection(verify, d):
@@ -82,6 +85,9 @@ def checks():
     multiple = duval_multiple(gdd, 3)
     yield "gdd l=2;q=3 x 3 row-class index matches a per-vertex grouping", (
         (multiple.distinct, multiple.row_class, multiple.members) == brute_row_classes(multiple))
+    twins = build_digraph(Gdd(2, 2, 2))
+    yield "gdd l=2;q=2;m=2 canonical form equals the reference", (
+        canonical_form(twins) == reference_canonical_form(twins))
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     for q, l in ((1, 4), (2, 3)):
         text, _ = canonical_form(build_digraph(Partition(q, l)))

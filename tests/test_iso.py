@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 from struct import Struct
 
@@ -31,8 +32,10 @@ from dsrg import (
     verify_mapping,
 )
 from dsrg import iso
-from dsrg.families import ApPencils, Gdd, Partition, PartitionSpiked, Transversal
-from dsrg.iso import _Neighborhoods, _refine
+from dsrg.digraph import _blow_up
+from dsrg.families import (AffineResolvable, ApPencils, Gdd, Partition, PartitionSpiked,
+                           Transversal, catalog_instances)
+from dsrg.iso import _Neighborhoods, _refine, _twin_chains
 
 import oracles
 from oracles import reference_are_isomorphic, reference_canonical_form, reference_color_tuple
@@ -252,6 +255,28 @@ def test_canonical_form_partition_2_4_within_default_budget():
         assert flat(apply_mapping(copy, copy_perm)) == text
 
 
+# sha256 of repr(canonical_form(d)), the string and the labelling,
+# captured from the search that pruned by leaf automorphisms alone:
+# twin pruning must not move them
+CANONICAL_PINS = {
+    "partition(2,4)": (Partition(2, 4),
+                       "cc1550d4809fec79b7f39d40f15176c7c7f0d5db7e1cc9d60b0cd53933ffd5d3"),
+    "partition(3,3)": (Partition(3, 3),
+                       "1ad51ad43c2d5a67ecfc4489648ca73505821c5c04ef8360a10f77623d0085eb"),
+    "gdd(2,2);m=3": (Gdd(2, 2, 3),
+                     "cd991436ffd82814dbb7df76f71fffa8d91abdb5a1d48d7425867ca611f7c769"),
+    "affine-resolvable(2,2,3)": (AffineResolvable(2, 2, 3),
+                                 "f099cca2b37cdcc2f2c56bdad820d1764f6100fcf18f15a6b57be964d0c1ca1b"),
+}
+
+
+@pytest.mark.parametrize("name", CANONICAL_PINS)
+def test_canonical_form_of_twin_graphs_is_pinned(name):
+    spec, digest = CANONICAL_PINS[name]
+    out = canonical_form(build_digraph(spec))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # the search engine against the reference searches in tests/oracles.py
 # ---------------------------------------------------------------------------
@@ -270,6 +295,21 @@ CANONICAL_GRAPHS = {
 def test_canonical_form_equals_reference(name):
     d = CANONICAL_GRAPHS[name]()
     for g in [d] + [shuffled_copy(d, seed)[0] for seed in range(1, 6)]:
+        assert canonical_form(g) == reference_canonical_form(g)
+
+
+# graphs with twin classes of size 2, which seed the orbit forest;
+# partition(2,3) has them too and is among CANONICAL_GRAPHS
+TWIN_GRAPHS = {
+    "affine-resolvable(2,2,2)": AffineResolvable(2, 2, 2),
+    "gdd(2,2);m=2": Gdd(2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", TWIN_GRAPHS)
+def test_canonical_form_with_twins_equals_reference(name):
+    d = build_digraph(TWIN_GRAPHS[name])
+    for g in [d] + [shuffled_copy(d, seed)[0] for seed in (1, 2)]:
         assert canonical_form(g) == reference_canonical_form(g)
 
 
@@ -396,13 +436,12 @@ def test_automorphism_pruning_cuts_the_canonical_tree(monkeypatch):
     assert new < old // 10
 
 
-# canonical_form tree nodes, captured before the orbits were merged
-# incrementally: pruning must skip exactly the same branches
+# canonical_form tree nodes: pruning must skip exactly these branches
 CANONICAL_NODES = {
     "gdd(2,2)": (lambda: build_digraph(Gdd(2, 2)), 5),
-    "gdd(2,2);m=2": (lambda: build_digraph(Gdd(2, 2, 2)), 69),
+    "gdd(2,2);m=2": (lambda: build_digraph(Gdd(2, 2, 2)), 33),
     "partition(1,4)": (lambda: build_digraph(Partition(1, 4)), 9),
-    "partition(2,3)": (lambda: build_digraph(Partition(2, 3)), 39),
+    "partition(2,3)": (lambda: build_digraph(Partition(2, 3)), 19),
     "ap-pencils(2,3)": (lambda: build_digraph(ApPencils(2, 3)), 10),
 }
 
@@ -414,10 +453,34 @@ def test_canonical_node_counts_are_pinned(monkeypatch, name):
     assert _count_nodes(monkeypatch, iso, lambda: canonical_form(d)) == nodes
 
 
-def orbits_of(n, automorphisms, path):
-    orbits = iso._Orbits(n, path)
+def trivial_chains(n):
+    return list(range(n)), list(range(n))
+
+
+def orbits_of(n, automorphisms, path, chains=None):
+    orbits = iso._Orbits(chains or trivial_chains(n), path)
     orbits.update(automorphisms)
     return [orbits.find(x) for x in range(n)]
+
+
+def chains_of(n, classes):
+    """Twin chains of vertex classes listed in increasing order."""
+    before, after = trivial_chains(n)
+    for members in classes:
+        for u, v in zip(members, members[1:]):
+            before[v], after[u] = u, v
+    return before, after
+
+
+def transpositions(n, classes):
+    """Every transposition of two members of one class."""
+    out = []
+    for members in classes:
+        for u, v in combinations(members, 2):
+            perm = list(range(n))
+            perm[u], perm[v] = v, u
+            out.append(tuple(perm))
+    return out
 
 
 def test_pruning_uses_only_automorphisms_that_fix_the_path():
@@ -430,6 +493,20 @@ def test_pruning_uses_only_automorphisms_that_fix_the_path():
     assert orbits_of(6, autos, (0, 3)) == [0, 1, 2, 3, 4, 5]
 
 
+def test_twin_forest_roots_each_class_at_its_least_vertex_off_the_path():
+    """Twins off the path share one orbit rooted at its least member, and
+    each path vertex stays its own root, even where it was the least."""
+    n, classes = 9, [(0, 2, 5, 7), (1, 6), (3,)]
+    chains = chains_of(n, classes)
+    assert orbits_of(n, [], (), chains) == [0, 1, 0, 3, 4, 0, 1, 0, 8]
+    assert orbits_of(n, [], (0,), chains) == [0, 1, 2, 3, 4, 2, 1, 2, 8]
+    assert orbits_of(n, [], (5, 0, 2), chains) == [0, 1, 2, 3, 4, 5, 1, 7, 8]
+    assert orbits_of(n, [], (2, 6), chains) == [0, 1, 2, 3, 4, 0, 6, 0, 8]
+    # an automorphism fixing the path merges on top: {1} joins {4, 8}
+    assert orbits_of(n, [(0, 4, 2, 3, 8, 5, 6, 7, 1)], (6,), chains) == \
+        [0, 1, 0, 3, 1, 0, 6, 0, 1]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_incremental_orbits_equal_the_orbits_rebuilt_from_scratch(seed):
     """Merging only the automorphisms added since the last look gives, after
@@ -438,8 +515,10 @@ def test_incremental_orbits_equal_the_orbits_rebuilt_from_scratch(seed):
     n = rng.randrange(2, 30)
     path = tuple(rng.sample(range(n), rng.randrange(min(n, 4))))
     free = [x for x in range(n) if x not in path]
-    orbits = iso._Orbits(n, path)
-    automorphisms = []
+    classes = [sorted(c) for c in _random_partition(rng, n)]
+    orbits = iso._Orbits(chains_of(n, classes), path)
+    # the twin transpositions that fix the path generate the starting forest
+    automorphisms = transpositions(n, classes)
     for _ in range(rng.randrange(1, 8)):
         for _ in range(rng.randrange(3)):       # some batches add nothing
             perm = list(range(n))
@@ -453,6 +532,61 @@ def test_incremental_orbits_equal_the_orbits_rebuilt_from_scratch(seed):
         orbits.update(automorphisms)
         assert [orbits.find(x) for x in range(n)] == \
             oracles.reference_orbits(n, automorphisms, path)
+
+
+def _random_partition(rng, n):
+    """n vertices in classes of sizes 1 to 4; a class need not be a run."""
+    order = list(range(n))
+    rng.shuffle(order)
+    classes = []
+    while order:
+        size = rng.randrange(1, 5)
+        classes.append(order[:size])
+        del order[:size]
+    return classes
+
+
+def _twin_classes(d):
+    """Classes of the vertices with one out-row and one in-column."""
+    t = d.transpose()
+    classes = {}
+    for v in range(d.n):
+        classes.setdefault((d.rows[v], t.rows[v]), []).append(v)
+    return sorted(classes.values())
+
+
+def _chain_classes(chains):
+    before, after = chains
+    classes = []
+    for v in range(len(before)):
+        if before[v] == v:
+            members = [v]
+            while after[members[-1]] != members[-1]:
+                members.append(after[members[-1]])
+            classes.append(members)
+    return sorted(classes)
+
+
+def _catalog_110_with_multiples():
+    for spec, formula_only in catalog_instances(110):
+        if not formula_only:
+            d = build_digraph(spec)
+            for m in (1, 2, 3):
+                yield f"{spec.name} {spec.describe()};m={m}", d if m == 1 else _blow_up(d, m)
+
+
+def test_every_twin_transposition_is_an_automorphism():
+    """The twin chains group exactly the vertices with equal out-rows and
+    equal in-columns, and swapping any two of them is an automorphism, on
+    every buildable catalog-110 graph and its multiples m = 2, 3."""
+    with_twins = 0
+    for name, d in _catalog_110_with_multiples():
+        classes = _chain_classes(_twin_chains(_Neighborhoods(d)))
+        assert classes == _twin_classes(d), name
+        for swap in transpositions(d.n, classes):
+            assert verify_mapping(d, d, swap), name
+        with_twins += any(len(c) > 1 for c in classes)
+    assert with_twins > 0
 
 
 def _fwd_bwd(s):
@@ -572,6 +706,23 @@ def test_in_column_class_sizes_decide_before_the_search(monkeypatch):
         (NOT_ISOMORPHIC, 0, 0, 0)
 
 
+def test_are_isomorphic_prunes_by_the_twins_of_the_branching_graph(monkeypatch):
+    """With the class sizes made to agree, gdd(3,3) against the 3-fold
+    multiple of ap-pencils(3,3) exhausts the tree.  The multiple has twin
+    classes of size 3 and gdd(3,3) none: branching over the multiple's
+    vertices prunes twins (163 nodes before), branching over gdd(3,3)'s
+    prunes nothing."""
+    a = build_digraph(Gdd(3, 3))
+    b = duval_multiple(build_digraph(ApPencils(3, 3)), 3)
+    monkeypatch.setattr(iso, "_class_sizes", lambda row_class: [])
+    result = are_isomorphic(a, b)
+    assert (result.status, result.mapping) == (NOT_ISOMORPHIC, None)
+    assert result.pruned > 0
+    assert (result.nodes, result.pruned) == (55, 108)
+    swapped = are_isomorphic(b, a)
+    assert (swapped.status, swapped.nodes, swapped.pruned) == (NOT_ISOMORPHIC, 163, 0)
+
+
 def test_gdd_2_5_forward_vs_backward_needs_no_node():
     result = are_isomorphic(*_fwd_bwd(build_gdd(2, 5)))
     assert (result.status, result.nodes) == (NOT_ISOMORPHIC, 0)
@@ -584,7 +735,7 @@ def test_counters_default_to_zero_and_are_reported():
     result = are_isomorphic(d1, d2)
     assert result.nodes > 0
     assert result.rounds >= result.nodes     # every node refines at least once
-    assert result.pruned == 0                # only canonical_form prunes
+    assert result.pruned == 0                # twin-free, and no leaf automorphisms
     assert 0 < result.depth < result.nodes   # one path from the root to the leaf
 
 
