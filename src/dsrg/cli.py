@@ -230,9 +230,11 @@ def cmd_iso(args, parser) -> int:
 
 
 def cmd_spectrum(args, parser) -> int:
+    raw = (args.v, args.k, args.t, args.lam, args.mu)
     try:
-        s = _raw_spectrum(args.v, args.k, args.t, args.lam, args.mu)
-    except NotFeasibleError as exc:
+        s = _raw_spectrum(*raw)
+        DsrgParams(*raw)   # the identities every DSRG tuple satisfies
+    except (NotFeasibleError, ValueError) as exc:
         print(f"infeasible: {exc}")
         return 1
     print(f"theta {s.theta0} {s.theta1} {s.theta2} mult {s.m0} {s.m1} {s.m2}")

@@ -7,6 +7,14 @@ field zero and index 1 the field one.  All arithmetic is precomputed
 into q x q tables; the downstream incidence constructions enumerate
 whole fields anyway, so the table cost is negligible and every lookup
 is O(1).
+
+For e >= 2 the products come from the addition table alone.  x*a
+shifts the digits of a up one place, and the digit that falls off the
+top returns as a multiple of the modulus below x^e.  Writing
+b = lo + x*hi with lo < p, a*b = lo*a + x*(hi*a), so row a of the
+product table is its first p entries, the multiples lo*a, followed by
+one run per hi: the same p entries read through the addition row of
+x*(hi*a), where hi*a is an entry of row a already built.
 """
 
 from __future__ import annotations
@@ -43,17 +51,6 @@ def _digits(value: int, p: int, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_mul_mod_p(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _poly_rem(a: list[int], m: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Remainder of a modulo the monic polynomial m, coefficients mod p."""
     a = list(a)
@@ -84,8 +81,6 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     Candidates are compared by their low-degree-first coefficient
     sequence read as a base-p integer, so the search is a plain counter.
     """
-    if e == 1:
-        return (0, 1)
     for tail in range(p ** e):
         poly = _digits(tail, p, e) + (1,)
         if _is_irreducible(poly, p):
@@ -134,7 +129,8 @@ def make_field(q: int) -> FiniteField:
     incidence budget of build_hyperplane_design at q = 211 (n = 2).
 
     Deterministic: the modulus is the lexicographically smallest monic
-    irreducible of degree e, so two calls yield identical tables.
+    irreducible of degree e, so two calls yield identical tables.  For
+    e >= 2 the products follow the module docstring's recurrence.
     """
     if q > MAX_ORDER:
         raise TooLargeError(f"field order {q} exceeds cap {MAX_ORDER}")
@@ -147,52 +143,29 @@ def make_field(q: int) -> FiniteField:
         inv = tuple(0 if a == 0 else pow(a, p - 2, p) for a in range(p))
         return FiniteField(p, e, q, modulus, add, mul, inv)
 
-    vecs = [_digits(i, p, e) for i in range(q)]
-
-    def index_of(vec: tuple[int, ...]) -> int:
-        val = 0
-        for c in reversed(vec):
-            val = val * p + c
-        return val
-
-    def mul_raw(a: int, b: int) -> int:
-        prod = _poly_mul_mod_p(vecs[a], vecs[b], p)
-        return index_of(_poly_rem(list(prod), modulus, p))
-
-    # discrete log tables off a primitive element keep table construction
-    # at O(q) polynomial products instead of O(q^2)
-    exp = log = None
-    for g in range(2, q):
-        powers = [1]
-        x = g
-        while x != 1:
-            powers.append(x)
-            x = mul_raw(x, g)
-        if len(powers) == q - 1:
-            exp = powers
-            log = [0] * q
-            for i, val in enumerate(powers):
-                log[val] = i
-            break
-    assert exp is not None, "no primitive element found"
-
     # a + b digit by digit: row a lists, for b = 0..q-1 (most significant
     # digit outermost), the sum of the digits (a_i + b_i) % p times p^i
     powers_of_p = [p ** i for i in reversed(range(e))]
-    add_rows = []
+    add_rows = [tuple(map(sum, product(*[tuple((a // w + t) % p * w for t in range(p))
+                                         for w in powers_of_p])))
+                for a in range(q)]
+
+    # x*a shifts the digits of a up one place; its top digit d comes back
+    # as d*x^e = -d*(modulus below x^e), whose index is carry[d]
+    top = q // p
+    carry = [sum((-d * c) % p * p ** i for i, c in enumerate(modulus[:e])) for d in range(p)]
+    times_x = [add_rows[a % top * p][carry[a // top]] for a in range(q)]
+
+    # b = lo + x*hi with lo < p gives a*b = lo*a + x*(hi*a): row a opens
+    # with the multiples lo*a, and its run at hi is them shifted by x*(hi*a)
     mul_rows = []
     for a in range(q):
-        shifted = [tuple((a // w + t) % p * w for t in range(p)) for w in powers_of_p]
-        add_rows.append(tuple(map(sum, product(*shifted))))
-        if a == 0:
-            mul_rows.append((0,) * q)
-            continue
-        la = log[a]
-        mul_rows.append(tuple(0 if b == 0 else exp[(la + log[b]) % (q - 1)]
-                              for b in range(q)))
-
-    inv = [0] * q
-    for a in range(1, q):
-        inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
-
-    return FiniteField(p, e, q, modulus, tuple(add_rows), tuple(mul_rows), tuple(inv))
+        small = [0]
+        for _ in range(1, p):
+            small.append(add_rows[a][small[-1]])
+        row = list(small)
+        for hi in range(1, top):
+            row += map(add_rows[times_x[row[hi]]].__getitem__, small)
+        mul_rows.append(tuple(row))
+    inv = (0,) + tuple(row.index(1) for row in mul_rows[1:])
+    return FiniteField(p, e, q, modulus, tuple(add_rows), tuple(mul_rows), inv)

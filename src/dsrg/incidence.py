@@ -28,7 +28,11 @@ and verify_2design ANDs per-point block masks (lambda) and per-block
 point masks (the intersection size of non-parallel blocks).  Pairs are
 scanned in the order of the plain pair loops, so the first failure and
 its witness are those of a brute pair count.  verify_pg's axiom 2 and
-verify_gdd count pairs in a dict.
+verify_gdd's same-group check walk the pairs of each block in block
+order, the order in which a pair count would first meet them, and
+count a pair as the popcount of its two point masks; verify_gdd's
+cross-group pairs and the point degrees of all verifiers are popcounts
+of the same masks.
 
 Validation runs on every structure, builder output included.  With
 parallel classes it first tries an exact acceptance test: one set union
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, combinations, product, repeat
 from operator import ge, itemgetter
 from typing import NamedTuple
@@ -420,17 +425,14 @@ def _point_masks(s: IncidenceStructure) -> list[int]:
     return masks
 
 
-def _block_masks(s: IncidenceStructure) -> list[int]:
-    """Per block, the int whose bit p is set iff point p lies on the block."""
-    return [sum(1 << p for p in b) for b in s.blocks]
-
-
-def _pair_counts(s: IncidenceStructure) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for b in s.blocks:
-        for pair in combinations(b, 2):
-            counts[pair] = counts.get(pair, 0) + 1
-    return counts
+def _uniform(values: list[int], error, message: str) -> int:
+    """values[0], if every value equals it; else raise error(i, message
+    formatted with (values[i], values[0])) at the first i that differs."""
+    first = values[0]
+    if values.count(first) != len(values):
+        i = next(i for i, v in enumerate(values) if v != first)
+        raise error(i, message.format(values[i], first))
+    return first
 
 
 def verify_pg(s: IncidenceStructure) -> PgParams:
@@ -443,27 +445,20 @@ def verify_pg(s: IncidenceStructure) -> PgParams:
     """
     if not s.blocks:
         raise NotPartialGeometryError(1, None, "no lines")
-    kappa = len(s.blocks[0])
-    for i, b in enumerate(s.blocks):
-        if len(b) != kappa:
-            raise NotPartialGeometryError(1, i, f"line sizes differ: {len(b)} != {kappa}")
+    axiom_1 = partial(NotPartialGeometryError, 1)
+    kappa = _uniform(list(map(len, s.blocks)), axiom_1, "line sizes differ: {} != {}")
     if kappa < 2:
         raise NotPartialGeometryError(1, 0, f"line size {kappa} < 2")
-    degrees = [0] * s.num_points
-    for b in s.blocks:
-        for p in b:
-            degrees[p] += 1
-    rho = degrees[0]
-    for p, d in enumerate(degrees):
-        if d != rho:
-            raise NotPartialGeometryError(1, p, f"point degrees differ: {d} != {rho}")
+    on = _point_masks(s)
+    rho = _uniform(list(map(int.bit_count, on)), axiom_1, "point degrees differ: {} != {}")
     if rho < 2:
         raise NotPartialGeometryError(1, 0, f"point degree {rho} < 2")
-    for pair, c in _pair_counts(s).items():
+    # the pairs in the order they first occur on a line
+    for a, b in chain.from_iterable(map(combinations, s.blocks, repeat(2))):
+        c = (on[a] & on[b]).bit_count()
         if c > 1:
-            raise NotPartialGeometryError(2, pair, f"points share {c} lines")
+            raise NotPartialGeometryError(2, (a, b), f"points share {c} lines")
     # crossing(p, L) = lines through p that meet L = |on[p] & meets[L]|
-    on = _point_masks(s)
     meets = [0] * len(s.blocks)
     for i, b in enumerate(s.blocks):
         for p in b:
@@ -495,25 +490,25 @@ def verify_gdd(s: IncidenceStructure) -> GddParams:
     """
     if s.groups is None:
         raise NotGroupDivisibleError(None, "structure has no group partition")
-    q = len(s.groups[0])
-    for i, g in enumerate(s.groups):
-        if len(g) != q:
-            raise NotGroupDivisibleError(i, f"group sizes differ: {len(g)} != {q}")
+    q = _uniform(list(map(len, s.groups)), NotGroupDivisibleError,
+                 "group sizes differ: {} != {}")
     group_of = [0] * s.num_points
     for gi, g in enumerate(s.groups):
         for p in g:
             group_of[p] = gi
-    counts = _pair_counts(s)
-    for (a, b), c in counts.items():
+    on = _point_masks(s)
+    # the pairs in the order they first occur in a block
+    for a, b in chain.from_iterable(map(combinations, s.blocks, repeat(2))):
         if group_of[a] == group_of[b]:
-            raise NotGroupDivisibleError((a, b), f"same-group pair occurs in {c} blocks")
+            raise NotGroupDivisibleError(
+                (a, b), f"same-group pair occurs in {(on[a] & on[b]).bit_count()} blocks")
     index = None
     witnessed = None
     for a in range(s.num_points):
         for b in range(a + 1, s.num_points):
             if group_of[a] == group_of[b]:
                 continue
-            c = counts.get((a, b), 0)
+            c = (on[a] & on[b]).bit_count()
             if index is None:
                 index, witnessed = c, (a, b)
             if c != index:
@@ -536,21 +531,11 @@ def verify_2design(s: IncidenceStructure) -> DesignParams:
         raise NotTwoDesignError(None, "need at least 2 points")
     if not s.blocks:
         raise NotTwoDesignError(None, "no blocks")
-    k = len(s.blocks[0])
-    for i, b in enumerate(s.blocks):
-        if len(b) != k:
-            raise NotTwoDesignError(i, f"block sizes differ: {len(b)} != {k}")
+    k = _uniform(list(map(len, s.blocks)), NotTwoDesignError, "block sizes differ: {} != {}")
     if k < 2:
         raise NotTwoDesignError(0, f"block size {k} < 2")
-    degrees = [0] * s.num_points
-    for b in s.blocks:
-        for p in b:
-            degrees[p] += 1
-    r = degrees[0]
-    for p, d in enumerate(degrees):
-        if d != r:
-            raise NotTwoDesignError(p, f"replication differs: {d} != {r}")
     on = _point_masks(s)
+    r = _uniform(list(map(int.bit_count, on)), NotTwoDesignError, "replication differs: {} != {}")
     lam = (on[0] & on[1]).bit_count()
     for a in range(s.num_points - 1):
         on_a = on[a]
@@ -566,7 +551,7 @@ def verify_2design(s: IncidenceStructure) -> DesignParams:
     m_int = None
     if s.parallel_classes is not None:
         s_count = len(s.parallel_classes[0])
-        masks = _block_masks(s)
+        masks = [sum(1 << p for p in b) for b in s.blocks]
         class_of = [0] * len(s.blocks)
         for ci, c in enumerate(s.parallel_classes):
             for i in c:

@@ -23,11 +23,18 @@ canonical labelling, kept verbatim as the reference for dsrg.iso.
 The reference_* structure functions are the package's first builders,
 validation and verifiers of dsrg.incidence (per-point dot products,
 frozenset intersections and a pair-count dict), kept verbatim as the
-reference for its table-driven builders and bitmask verifiers;
+reference for its table-driven builders and bitmask verifiers
+(reference_verify_gdd included);
 reference_bucket_hyperplane_blocks is the hyperplane kernel that came
 next, one list.append per point, kept as the reference for the kernel
 that builds each parallel class in one transpose.  reference_add_table
 is make_field's first addition table, one digit-vector sum per entry.
+reference_mul_inv_tables builds make_field's first product and inverse
+tables as it did: polynomial products reduced by the modulus, exp/log
+tables off the first primitive element, and the plain modular tables
+of a prime field.  Its modulus is found on its own, as the
+smallest monic polynomial of degree e that is no product of two monic
+polynomials of lower degree.
 reference_to_dgr and reference_from_dgr are the package's first dgr
 writer and parser, which format and parse every row line by line, kept
 verbatim as the reference for the ones that handle each distinct row
@@ -65,6 +72,7 @@ from dsrg import (
     IncidenceStructure,
     IsoResult,
     NonConstantError,
+    NotGroupDivisibleError,
     NotPartialGeometryError,
     NotRegularError,
     NotTwoDesignError,
@@ -75,7 +83,7 @@ from dsrg import (
     verify_mapping,
 )
 from dsrg.digraph import MAX_VERIFY_ORDER
-from dsrg.incidence import Block, DesignParams, PgParams
+from dsrg.incidence import Block, DesignParams, GddParams, PgParams
 
 
 def is_prime_power(q):
@@ -612,7 +620,7 @@ def reference_color_tuple(histogram: int, fields: Struct) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the first GF(p^e) addition table
+# the first GF(p^e) tables
 # ---------------------------------------------------------------------------
 
 def reference_add_table(p: int, e: int) -> tuple[tuple[int, ...], ...]:
@@ -628,6 +636,94 @@ def reference_add_table(p: int, e: int) -> tuple[tuple[int, ...], ...]:
 
     return tuple(tuple(index_of([(x + y) % p for x, y in zip(digits(a), digits(b))])
                        for b in range(q)) for a in range(q))
+
+
+def _poly_mul_mod_p(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _poly_rem(a: list[int], m: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Remainder of a modulo the monic polynomial m, coefficients mod p."""
+    a = list(a)
+    dm = len(m) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i] % p
+        if c:
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
+    return tuple(c % p for c in a[:dm])
+
+
+def _reference_modulus(p: int, e: int) -> tuple[int, ...]:
+    """The first monic polynomial of degree e over Z_p, low coefficients
+    first and read as a base-p number, that no two monic polynomials of
+    degrees d and e - d with 1 <= d <= e/2 multiply to."""
+    def monic(d):
+        return [tuple(t // p ** i % p for i in range(d)) + (1,) for t in range(p ** d)]
+
+    reducible = {_poly_mul_mod_p(f, g, p)
+                 for d in range(1, e // 2 + 1) for f in monic(d) for g in monic(e - d)}
+    return next(m for m in monic(e) if m not in reducible)
+
+
+def reference_mul_inv_tables(p: int, e: int):
+    """(modulus, mul_table, inv_table) of GF(p^e) as make_field first built them."""
+    q = p ** e
+    modulus = _reference_modulus(p, e)
+    if e == 1:
+        mul = tuple(tuple((a * b) % p for b in range(p)) for a in range(p))
+        inv = tuple(0 if a == 0 else pow(a, p - 2, p) for a in range(p))
+        return modulus, mul, inv
+
+    vecs = [tuple(i // p ** j % p for j in range(e)) for i in range(q)]
+
+    def index_of(vec: tuple[int, ...]) -> int:
+        val = 0
+        for c in reversed(vec):
+            val = val * p + c
+        return val
+
+    def mul_raw(a: int, b: int) -> int:
+        prod = _poly_mul_mod_p(vecs[a], vecs[b], p)
+        return index_of(_poly_rem(list(prod), modulus, p))
+
+    # discrete log tables off a primitive element keep table construction
+    # at O(q) polynomial products instead of O(q^2)
+    exp = log = None
+    for g in range(2, q):
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = mul_raw(x, g)
+        if len(powers) == q - 1:
+            exp = powers
+            log = [0] * q
+            for i, val in enumerate(powers):
+                log[val] = i
+            break
+    assert exp is not None, "no primitive element found"
+
+    mul_rows = []
+    for a in range(q):
+        if a == 0:
+            mul_rows.append((0,) * q)
+            continue
+        la = log[a]
+        mul_rows.append(tuple(0 if b == 0 else exp[(la + log[b]) % (q - 1)]
+                              for b in range(q)))
+
+    inv = [0] * q
+    for a in range(1, q):
+        inv[a] = exp[(q - 1 - log[a]) % (q - 1)]
+    return modulus, tuple(mul_rows), tuple(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +878,40 @@ def reference_verify_pg(s: IncidenceStructure) -> PgParams:
     if tau < 1:
         raise NotPartialGeometryError(3, None, "anti-flags see 0 transversal lines")
     return PgParams(kappa, rho, tau)
+
+
+def reference_verify_gdd(s: IncidenceStructure) -> GddParams:
+    if s.groups is None:
+        raise NotGroupDivisibleError(None, "structure has no group partition")
+    q = len(s.groups[0])
+    for i, g in enumerate(s.groups):
+        if len(g) != q:
+            raise NotGroupDivisibleError(i, f"group sizes differ: {len(g)} != {q}")
+    group_of = [0] * s.num_points
+    for gi, g in enumerate(s.groups):
+        for p in g:
+            group_of[p] = gi
+    counts = _reference_pair_counts(s)
+    for (a, b), c in counts.items():
+        if group_of[a] == group_of[b]:
+            raise NotGroupDivisibleError((a, b), f"same-group pair occurs in {c} blocks")
+    index = None
+    witnessed = None
+    for a in range(s.num_points):
+        for b in range(a + 1, s.num_points):
+            if group_of[a] == group_of[b]:
+                continue
+            c = counts.get((a, b), 0)
+            if index is None:
+                index, witnessed = c, (a, b)
+            if c != index:
+                raise NotGroupDivisibleError(
+                    (a, b), f"cross-group pair occurs in {c} blocks, expected {index}")
+    if index is None:
+        raise NotGroupDivisibleError(None, "no cross-group pair exists")
+    if index < 1:
+        raise NotGroupDivisibleError(witnessed, "cross-group pairs occur in 0 blocks")
+    return GddParams(len(s.groups), q, index)
 
 
 def reference_verify_2design(s: IncidenceStructure) -> DesignParams:

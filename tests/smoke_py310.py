@@ -11,7 +11,10 @@ witness and message of tests/oracles.py's reference_verify_dsrg,
 checks the row-class index of the Duval multiple gdd(2,3) x 3 against
 oracles.py's per-vertex brute_row_classes, checks the canonical form of
 gdd(2,2) x 2, whose twins seed the search's orbit forest, against
-oracles.py's unpruned reference_canonical_form, and
+oracles.py's unpruned reference_canonical_form, checks make_field's
+tables for q = 9, 64, 243, 256 against oracles.py's exp/log
+reference_mul_inv_tables, rejects two group-divisible mutants of
+gdd(2,3) like oracles.py's pair-dict reference_verify_gdd, and
 compares the SHA-256s of the catalog_rows(500) table and of the
 canonical forms of partition(1,4) and partition(2,3) with
 perfbench/golden.json, which it only reads.  Prints one line per check
@@ -30,13 +33,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from dsrg import (ISOMORPHIC, Digraph, DsrgError, Gdd, Partition,  # noqa: E402
-                  Transversal, apply_mapping, are_isomorphic, build_digraph, bundled_iso_fixture,
-                  canonical_form, duval_multiple, expected_params, verify_dsrg,
-                  verify_mapping)
+from dsrg import (ISOMORPHIC, Digraph, DsrgError, Gdd, IncidenceStructure,  # noqa: E402
+                  Partition, Transversal, apply_mapping, are_isomorphic, build_digraph,
+                  build_gdd, bundled_iso_fixture, canonical_form, duval_multiple,
+                  expected_params, make_field, verify_dsrg, verify_gdd, verify_mapping)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
 from oracles import (brute_row_classes, reference_canonical_form,  # noqa: E402
-                     reference_verify_dsrg)
+                     reference_mul_inv_tables, reference_verify_dsrg, reference_verify_gdd)
 
 
 def _rejection(verify, d):
@@ -88,6 +91,18 @@ def checks():
     twins = build_digraph(Gdd(2, 2, 2))
     yield "gdd l=2;q=2;m=2 canonical form equals the reference", (
         canonical_form(twins) == reference_canonical_form(twins))
+    fields = [make_field(q) for q in (9, 64, 243, 256)]
+    yield "make_field 9, 64, 243, 256 tables equal the exp/log reference", all(
+        (f.modulus_poly, f.mul_table, f.inv_table) == reference_mul_inv_tables(f.p, f.e)
+        for f in fields)
+    # gdd(2,3)'s last block (2, 5) replaced by the same-group pair (1, 2), or dropped
+    blocks = build_gdd(2, 3).blocks
+    groups = ((0, 1, 2), (3, 4, 5))
+    mutants = [IncidenceStructure(6, blocks[:-1] + ((1, 2),), groups=groups),
+               IncidenceStructure(6, blocks[:-1], groups=groups)]
+    yield "gdd(2,3) group-divisible mutants rejected like the reference", all(
+        _rejection(verify_gdd, m) is not None
+        and _rejection(verify_gdd, m) == _rejection(reference_verify_gdd, m) for m in mutants)
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     for q, l in ((1, 4), (2, 3)):
         text, _ = canonical_form(build_digraph(Partition(q, l)))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -11,7 +12,7 @@ import pytest
 
 from dsrg import (Digraph, DsrgError, TooLargeError, are_isomorphic, build_antiflag_forward,
                   build_digraph, build_gdd, bundled_iso_fixture, from_json, to_json, verify_dsrg)
-from dsrg import cli, families
+from dsrg import cli, families, feasibility
 from dsrg.cli import (CSV_HEADER, _spec_from_args, build_parser, catalog_rows, main, render_csv,
                       render_table)
 from dsrg.families import Gdd, PgAntiflag, catalog_instances
@@ -540,3 +541,29 @@ def test_spectrum_cli_infeasible(capsys):
     code, stdout, _ = run(capsys, "spectrum", "10", "4", "3", "1", "2")
     assert code == 1
     assert stdout.strip() == "infeasible: delta^2=5"
+
+
+def test_spectrum_cli_checks_the_dsrg_identities(capsys):
+    # an integer spectrum exists, but k(k+mu-lambda) != t+(v-1)mu
+    code, stdout, _ = run(capsys, "spectrum", "10", "3", "1", "0", "0")
+    assert code == 1
+    assert stdout.strip() == \
+        "infeasible: degree_identity fails: k(k+mu-lambda)=9 vs t+(v-1)mu=1"
+
+
+def test_spectrum_cli_accepts_exactly_the_feasible_tuples(capsys):
+    # every tuple with v <= 8 inside the degree bounds, then seeded ones outside
+    grid = [(v, k, t, lam, mu) for v in range(1, 9)
+            for k, t, lam, mu in itertools.product(range(v), repeat=4)
+            if t <= k and lam < k and mu <= k]
+    rng = random.Random(3)
+    grid += [tuple(rng.randrange(-1, 9) for _ in range(5)) for _ in range(100)]
+    parser = build_parser()   # built once: main would build it per tuple
+    accepted = 0
+    for raw in grid:
+        code = cli.cmd_spectrum(parser.parse_args(["spectrum", *map(str, raw)]), parser)
+        stdout = capsys.readouterr().out
+        assert code == (0 if feasibility(*raw).ok else 1), raw
+        assert stdout.startswith("theta" if code == 0 else "infeasible: "), raw
+        accepted += code == 0
+    assert accepted == 50

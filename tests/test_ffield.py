@@ -2,7 +2,7 @@ import pytest
 
 from dsrg import NotPrimePowerError, TooLargeError, make_field
 from dsrg.ffield import _factor_prime_power
-from oracles import is_prime_power, reference_add_table
+from oracles import is_prime_power, reference_add_table, reference_mul_inv_tables
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64]
 ALL_ORDERS = [q for q in range(2, 257) if is_prime_power(q)]
@@ -137,3 +137,9 @@ def test_modulus_has_no_roots(q):
 def test_add_table_matches_the_per_entry_formula(q):
     f = make_field(q)
     assert f.add_table == reference_add_table(f.p, f.e)
+
+
+@pytest.mark.parametrize("q", ALL_ORDERS)
+def test_modulus_and_product_tables_match_the_exp_log_reference(q):
+    f = make_field(q)
+    assert (f.modulus_poly, f.mul_table, f.inv_table) == reference_mul_inv_tables(f.p, f.e)

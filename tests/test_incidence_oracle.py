@@ -4,7 +4,7 @@ The reference_* functions in oracles.py are the package's first
 per-point, frozenset and pair-dict implementations.  Built structures
 must be equal element by element, and the hyperplane blocks equal those
 of the per-point bucketing kernel up to q^n = 4096 and at AG(2,211);
-validation and the pg / 2-design verifiers must give the same result,
+validation and the pg / 2-design / gdd verifiers must give the same result,
 or the same error class, message, axiom and witness, on the
 structuregen sample and on seeded mutants.
 Validation's set-based acceptance test (_fast_accepts) must accept no
@@ -22,10 +22,13 @@ import dsrg.incidence
 from dsrg import (
     IncidenceStructure,
     build_affine_plane,
+    build_gdd,
     build_hyperplane_design,
     build_partition_structure,
+    dual,
     restrict_parallel_classes,
     verify_2design,
+    verify_gdd,
     verify_pg,
 )
 from dsrg.incidence import MAX_HYPERPLANE_INCIDENCES
@@ -36,6 +39,7 @@ from oracles import (
     reference_build_hyperplane_design,
     reference_validate,
     reference_verify_2design,
+    reference_verify_gdd,
     reference_verify_pg,
 )
 from structuregen import random_structures
@@ -379,6 +383,11 @@ BASES = [build_affine_plane(q) for q in (2, 3, 4, 5, 7)]
 BASES += [restrict_parallel_classes(build_affine_plane(q), l) for q in (3, 4, 5) for l in (2, 3)]
 BASES += [build_hyperplane_design(2, 3), build_hyperplane_design(3, 3),
           GRID_BESIDE_DUAL_K4, K6_PAIRS]
+# group divisible bases: all transversals, then the transversal designs
+# TD(3, q) dual to three parallel classes of AG(2, q), whose mutants can
+# keep every block a transversal
+BASES += [build_gdd(2, 3), build_gdd(3, 2)]
+BASES += [dual(restrict_parallel_classes(build_affine_plane(q), 3)) for q in (3, 4)]
 
 
 def _mutants(seed, tries):
@@ -393,8 +402,9 @@ SAMPLE = random_structures(200, seed=20250809)
 MUTANTS = _mutants(seed=5, tries=12)
 VERIFIERS = pytest.mark.parametrize(
     "verify,reference",
-    [(verify_pg, reference_verify_pg), (verify_2design, reference_verify_2design)],
-    ids=["verify_pg", "verify_2design"])
+    [(verify_pg, reference_verify_pg), (verify_2design, reference_verify_2design),
+     (verify_gdd, reference_verify_gdd)],
+    ids=["verify_pg", "verify_2design", "verify_gdd"])
 
 
 @VERIFIERS
@@ -417,6 +427,10 @@ def test_mutants_reach_every_check():
     assert any(m.startswith("replication differs") for m in messages)
     assert any(m.startswith("pair occurs in 0 blocks") for m in messages)
     assert any(m.startswith("pair occurs in 2 blocks") for m in messages)
+    messages = {got[1] for got in (outcome(verify_gdd, s) for s in MUTANTS)
+                if got[0] != "ok"}
+    assert any(m.startswith("same-group pair occurs in") for m in messages)
+    assert any(m.startswith("cross-group pair occurs in") for m in messages)
 
 
 def test_bases_reach_axiom_3_and_an_unset_intersection_size():
