@@ -16,40 +16,48 @@ per row class, not once per vertex: vertices with one out-row share
 their out- and 2-walk histograms whatever their own colors, and
 vertices with one in-column (a row class of the transpose) share their
 in-histogram, so each class sums once and its rank is spread to its
-members.  A node individualizes one vertex of the smallest
-non-singleton color class (ties to the lowest color id).  The root
-invariant and a mapping's row images are also computed once per row
-class.
+members.  A tree node individualizes one vertex (for `are_isomorphic`
+one class-structure node) of the smallest non-singleton color class
+(ties to the lowest color id).  The root invariant and a mapping's row
+images are also computed once per row class.
 
 `are_isomorphic` first compares what an isomorphism must preserve:
 the sorted sizes of the out-row classes and of the in-column classes
 (it maps classes onto classes of the same size), and the multisets of
-the per-vertex invariant {|N+(u) & N+(w)| : w in N+(u)}, one popcount
-per arc.  A difference proves the pair non-isomorphic before any tree
-node.  Otherwise that invariant colors the root, the two graphs are
-refined jointly under one color numbering, the first graph
-individualizes the first vertex of the target class and the second
-branches over its matching class.  Every returned mapping is re-checked
+the per-class invariant {|N+(u) & N+(w)| : w in N+(u)}, one popcount
+per arc of a class's row, paired with the class size.  A difference
+proves the pair non-isomorphic before any tree node.  Otherwise it
+searches the class structure.  A(u, v) depends only on u's out-row
+class r and v's in-column class c, so a digraph is fixed up to
+relabelling by the 0/1 class incidence B[r][c] and the cell sizes
+N[r][c]; two digraphs are isomorphic exactly when bijections of their
+row classes and of their column classes carry (B, N) onto (B', N').
+The search runs on a multigraph on D + C nodes, an arc r -> c where
+B = 1 and N[r][c] arcs c -> r, with row nodes colored by invariant
+rank and column nodes in a color of their own.  Twins share a cell,
+so a Duval multiple costs what its base does.  Both structures are
+refined jointly under one color numbering, the first individualizes
+the first node of the target class and the second branches over its
+matching class; a leaf pairs the members of each cell with those of
+its image cell, in index order.  Every returned mapping is re-checked
 edge by edge, a negative answer means the tree was exhausted, and
 running out of the node budget is its own outcome, never a silent "no".
 
-`canonical_form` searches one graph from the trivial coloring and keeps
-the first leaf with the least adjacency string.  Two leaves with equal
-strings compose to an automorphism; a branch in the orbit of an
-explored sibling under the automorphisms known so far that fix the
-path to the node is skipped, because its subtree is an image of an
-explored one and holds no earlier least leaf (McKay and Piperno,
+`canonical_form` searches the vertices of one graph from the trivial
+coloring and keeps the first leaf with the least adjacency string.  Two
+leaves with equal strings compose to an automorphism; a branch in the
+orbit of an explored sibling under the automorphisms known so far that
+fix the path to the node is skipped, because its subtree is an image of
+an explored one and holds no earlier least leaf (McKay and Piperno,
 Practical graph isomorphism II, 2014).  Twins, vertices with one
 out-row and one in-column, are known before the first leaf: swapping
 two of them is an automorphism, so each node's union-find forest of
 orbits starts from the twin classes of the branching graph, with the
 path vertices split off, and merges only the leaf automorphisms found
-since it last looked.  The same twin forest prunes `are_isomorphic`,
-where a pruned branch is the image of an explored one that held no
-isomorphism.  Duval multiples and `partition` for q >= 2 are full of
-twins: `partition(2,3)` takes 19 nodes (39 with leaf automorphisms
-alone, 757 unpruned).  IsoResult counts tree nodes, skipped branches,
-refinement rounds and the deepest tree level reached.
+since it last looked.  Duval multiples and `partition` for q >= 2 are
+full of twins: `partition(2,3)` takes 19 nodes (39 with leaf
+automorphisms alone, 757 unpruned).  IsoResult counts tree nodes,
+skipped branches, refinement rounds and the deepest tree level reached.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from operator import sub
+from operator import add
 from struct import Struct
 
 from .digraph import Digraph, _bits
@@ -76,7 +84,8 @@ class IsoResult:
 
     nodes counts search-tree nodes, pruned the branches skipped as
     automorphic images of explored ones, rounds the refinement rounds,
-    depth the deepest tree level reached (the root is level 0).
+    depth the deepest tree level reached (the root is level 0).  For
+    are_isomorphic they count class-structure nodes; pruned is 0 there.
     """
 
     status: str
@@ -129,22 +138,46 @@ class _Neighborhoods:
     out[c] lists the out-neighbors of out-row class c, and walk[c] the
     out-row class of each of them; inn[c] lists the in-neighbors of
     in-column class c, a row class of the transpose.  out_class[v] and
-    in_class[v] are the classes of vertex v.
+    in_class[v] are the classes of vertex v.  A list names a neighbor
+    once per arc, so a multigraph repeats it.
     """
 
     __slots__ = ("out", "out_class", "walk", "inn", "in_class", "most")
 
     def __init__(self, d: Digraph):
-        self.out = list(map(_bits, d.distinct))
-        self.out_class = d.row_class
-        self.walk = [list(map(d.row_class.__getitem__, nbrs)) for nbrs in self.out]
         t = d.transpose()
-        self.inn = list(map(_bits, t.distinct))
-        self.in_class = t.row_class
+        out = list(map(_bits, d.distinct))
+        self._link(out, d.row_class, [list(map(d.row_class.__getitem__, nbrs)) for nbrs in out],
+                   list(map(_bits, t.distinct)), t.row_class)
+
+    @classmethod
+    def of_classes(cls, d: Digraph, t: Digraph) -> "_Neighborhoods":
+        """The class structure of d, t being its transpose: a multigraph on
+        node r per out-row class and node D + c per in-column class, with
+        an arc r -> D + c where class r's out-row holds class c's
+        vertices, and one arc D + c -> r per vertex of out-row class r and
+        in-column class c.  Every node is its own class."""
+        n_rows = len(d.distinct)
+        col = list(map(n_rows.__add__, t.row_class))     # each vertex's column node
+        out = [sorted(set(map(col.__getitem__, _bits(row)))) for row in d.distinct]
+        inn = [list(map(col.__getitem__, _bits(mask))) for mask in d.members]
+        out += [list(map(d.row_class.__getitem__, _bits(mask))) for mask in t.members]
+        inn += [[] for _ in t.distinct]
+        for r in range(n_rows):
+            for c in out[r]:
+                inn[c].append(r)
+        nodes = range(len(out))
+        g = cls.__new__(cls)
+        g._link(out, nodes, out, inn, nodes)
+        return g
+
+    def _link(self, out, out_class, walk, inn, in_class) -> None:
+        self.out, self.out_class, self.walk = out, out_class, walk
+        self.inn, self.in_class = inn, in_class
         # a histogram count is at most an in-degree, or for 2-walks the
         # largest out-degree squared
-        self.most = max([len(nbrs) for nbrs in self.inn] +
-                        [len(nbrs) ** 2 for nbrs in self.out], default=0)
+        self.most = max([len(nbrs) for nbrs in inn] + [len(nbrs) ** 2 for nbrs in out],
+                        default=0)
 
 
 # struct field codes by byte width
@@ -157,12 +190,16 @@ def _histograms(g: _Neighborhoods, colors: list[int], one: list[int],
     dist2) 2-walk ends, one per row class, each list paired with the
     vertices' classes: field c of a histogram counts color c."""
     weight = list(map(one.__getitem__, colors))
-    out = [sum(map(weight.__getitem__, nbrs)) for nbrs in g.out]
-    parts = [(out, g.out_class),
-             ([sum(map(weight.__getitem__, nbrs)) for nbrs in g.inn], g.in_class)]
+    out = _sums(weight, g.out)
+    parts = [(out, g.out_class), (_sums(weight, g.inn), g.in_class)]
     if dist2:
-        parts.append(([sum(map(out.__getitem__, ends)) for ends in g.walk], g.out_class))
+        parts.append((_sums(out, g.walk), g.out_class))
     return parts
+
+
+def _sums(values: list[int], lists: list[list[int]]) -> list[int]:
+    """The sum of values over each list of indices, in C-level maps."""
+    return list(map(sum, map(map, repeat(values.__getitem__), lists)))
 
 
 def _histogram_key(ncolors: int, size: int, code: str):
@@ -170,23 +207,27 @@ def _histogram_key(ncolors: int, size: int, code: str):
     (struct code `code`) that orders them as their sorted color tuples.
 
     The key is read from the counts (a_0 .. a_L), L the last color
-    present, without expanding the tuple: top - a_c for each c < L, then
-    a_L - top, top being above every count.  Where two tuples first
-    differ, the one with more of that color is the smaller unless it
-    holds no later color, since a tuple that is a prefix of another is
-    the smaller.  The ascending last value sits below every earlier
-    value, which gives both; the empty histogram sorts first.
+    present, without expanding the tuple: the complements top - 1 - a_c,
+    top = 2**(8*size), for c < L (the complemented histogram's bytes, or
+    its fields unpacked when wider than a byte), then a_L.  Where two
+    tuples first differ, the one with more of that color is the smaller
+    unless it holds no later color, since a prefix is the smaller.  The
+    complements give the first rule, a prefix of complements the second,
+    and equal complements leave the fewer of the last color first.  The
+    empty histogram sorts first.
     """
     bits = 8 * size
     fields = Struct(f"<{ncolors}{code}")
-    top = 1 << bits
+    full = (1 << (bits * ncolors)) - 1
 
-    def key(histogram: int) -> tuple[int, ...]:
+    def key(histogram: int) -> tuple:
         if not histogram:
             return ()
         last = (histogram.bit_length() - 1) // bits
-        counts = fields.unpack(histogram.to_bytes(fields.size, "little"))
-        return (*map(sub, repeat(top), counts[:last]), counts[last] - top)
+        complements = (full ^ histogram).to_bytes(fields.size, "little")
+        if size > 1:
+            complements = fields.unpack(complements)
+        return complements[:last], histogram >> (bits * last)
 
     return key
 
@@ -211,7 +252,7 @@ def _signatures(graphs: list[_Neighborhoods], colorings: list[list[int]],
         distinct = sorted(set().union(*(p[i][0] for p in parts)), key=key)
         rank = {h: r for r, h in enumerate(distinct)}
         # each class's rank, spread lazily to the vertices of the class
-        ranked.append([map([rank[h] for h in per_class].__getitem__, row_class)
+        ranked.append([map(list(map(rank.__getitem__, per_class)).__getitem__, row_class)
                        for per_class, row_class in (p[i] for p in parts)])
     return [list(zip(colors, *(r[j] for r in ranked))) for j, colors in enumerate(colorings)]
 
@@ -370,15 +411,26 @@ class _Search:
 
 
 def _intersection_profile(d: Digraph) -> list[tuple[int, ...]]:
-    """Per vertex u, the sorted multiset {|N+(u) & N+(w)| : w in N+(u)}."""
+    """Per out-row class, the sorted multiset {|N+(u) & N+(w)| : w in N+(u)}
+    of its vertices u."""
     rows = d.rows
-    return _spread([tuple(sorted((row & rows[w]).bit_count() for w in _bits(row)))
-                    for row in d.distinct], d.row_class)
+    return [tuple(sorted((row & rows[w]).bit_count() for w in _bits(row)))
+            for row in d.distinct]
 
 
-def _class_sizes(row_class: tuple[int, ...]) -> list[int]:
-    """Sorted sizes of the classes named by row_class."""
-    return sorted(Counter(row_class).values())
+def _class_sizes(members: tuple[int, ...]) -> list[int]:
+    """Sorted sizes of the classes whose vertex masks are members."""
+    return sorted(map(int.bit_count, members))
+
+
+def _cell_order(d: Digraph, t: Digraph, image) -> list[int]:
+    """The vertices of d, t being its transpose, sorted by the images of
+    their two class-structure nodes (r for out-row class r, D + c for
+    in-column class c), in index order within a cell."""
+    rows, size = len(d.distinct), len(image)
+    key = list(map(add, map([size * x for x in image[:rows]].__getitem__, d.row_class),
+                   map(image[rows:].__getitem__, t.row_class)))
+    return sorted(range(d.n), key=key.__getitem__)
 
 
 def are_isomorphic(d1: Digraph, d2: Digraph,
@@ -387,35 +439,41 @@ def are_isomorphic(d1: Digraph, d2: Digraph,
 
     Returns ISOMORPHIC with a verified mapping, NOT_ISOMORPHIC when an
     invariant differs or after exhausting the search tree, or
-    BUDGET_EXCEEDED after expanding `budget` tree nodes.
+    BUDGET_EXCEEDED after expanding `budget` class-structure nodes.
     """
     if (d1.n != d2.n or d1.edge_count() != d2.edge_count()
-            or _class_sizes(d1.row_class) != _class_sizes(d2.row_class)):
+            or _class_sizes(d1.members) != _class_sizes(d2.members)):
         return IsoResult(NOT_ISOMORPHIC)
     p1, p2 = _intersection_profile(d1), _intersection_profile(d2)
-    if sorted(p1) != sorted(p2):
+    if (sorted(zip(p1, map(int.bit_count, d1.members)))
+            != sorted(zip(p2, map(int.bit_count, d2.members)))):
         return IsoResult(NOT_ISOMORPHIC)
-    g1, g2 = _Neighborhoods(d1), _Neighborhoods(d2)
-    if _class_sizes(g1.in_class) != _class_sizes(g2.in_class):
+    t1, t2 = d1.transpose(), d2.transpose()
+    if _class_sizes(t1.members) != _class_sizes(t2.members):
         return IsoResult(NOT_ISOMORPHIC)
-    rank = {p: i for i, p in enumerate(sorted(set(p1)))}
-    n = d1.n
+    g1, g2 = _Neighborhoods.of_classes(d1, t1), _Neighborhoods.of_classes(d2, t2)
+    order2 = _cell_order(d2, t2, range(len(g2.out)))
     mapping = None
 
     def leaf(colorings: list[list[int]]) -> bool:
         nonlocal mapping
         c1, c2 = colorings
-        where2 = [0] * n
-        for u, color in enumerate(c2):
-            where2[color] = u
-        candidate = [where2[color] for color in c1]
+        # the node of g2 of each color, then the image of each node of g1
+        image = list(map(sorted(range(len(c2)), key=c2.__getitem__).__getitem__, c1))
+        # cell (r, c) of d1 goes onto cell (image r, image c) of d2, in index order
+        candidate = list(map(dict(zip(_cell_order(d1, t1, image), order2)).__getitem__,
+                             range(d1.n)))
         if verify_mapping(d1, d2, candidate):
             mapping = tuple(candidate)
         return mapping is not None
 
+    # row nodes by profile rank, column nodes in one color after them
+    rank = {p: i for i, p in enumerate(sorted(set(p1)))}
+    roots = [[*map(rank.__getitem__, p), *repeat(len(rank), len(t.distinct))]
+             for p, t in ((p1, t1), (p2, t2))]
     search = _Search([g1, g2], budget, leaf)
     try:
-        search.visit([[rank[p] for p in p1], [rank[p] for p in p2]])
+        search.visit(roots)
     except _BudgetHit:
         status = BUDGET_EXCEEDED
     else:

@@ -5,7 +5,9 @@
 Builds and verifies Transversal(4) and Gdd(2, 3, 2), round-trips both
 through dgr text, checks the duality mapping of the bundled 36-vertex
 fixture (forward graph, transposed backward graph, dual structure),
-finds and checks an isomorphism from gdd(2,3) to a relabelled copy,
+finds and checks an isomorphism from gdd(2,3) to a relabelled copy
+and one between the Duval multiples ap-pencils(3,3) x 9 and
+transversal(3) x 9 (n=486) in at most 5 class-structure nodes,
 rejects a degree-keeping swap mutant of gdd(2,3) with the error class,
 witness and message of tests/oracles.py's reference_verify_dsrg,
 checks the row-class index of the Duval multiple gdd(2,3) x 3 against
@@ -33,10 +35,11 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from dsrg import (ISOMORPHIC, Digraph, DsrgError, Gdd, IncidenceStructure,  # noqa: E402
-                  Partition, Transversal, apply_mapping, are_isomorphic, build_digraph,
-                  build_gdd, bundled_iso_fixture, canonical_form, duval_multiple,
-                  expected_params, make_field, verify_dsrg, verify_gdd, verify_mapping)
+from dsrg import (ISOMORPHIC, ApPencils, Digraph, DsrgError, Gdd,  # noqa: E402
+                  IncidenceStructure, Partition, Transversal, apply_mapping, are_isomorphic,
+                  build_digraph, build_gdd, bundled_iso_fixture, canonical_form,
+                  duval_multiple, expected_params, make_field, verify_dsrg, verify_gdd,
+                  verify_mapping)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
 from oracles import (brute_row_classes, reference_canonical_form,  # noqa: E402
                      reference_mul_inv_tables, reference_verify_dsrg, reference_verify_gdd)
@@ -81,6 +84,12 @@ def checks():
     result = are_isomorphic(gdd, copy)
     yield "gdd l=2;q=3 isomorphic to a relabelled copy", (
         result.status == ISOMORPHIC and verify_mapping(gdd, copy, result.mapping))
+    pencils, transversal = (duval_multiple(build_digraph(spec), 9)
+                            for spec in (ApPencils(3, 3), Transversal(3)))
+    result = are_isomorphic(pencils, transversal)
+    yield "ap-pencils q=3;l=3;m=9 isomorphic to transversal q=3;m=9 in <= 5 nodes", (
+        result.status == ISOMORPHIC and verify_mapping(pencils, transversal, result.mapping)
+        and result.nodes <= 5)
     mutant = _swap_mutant(gdd)
     got = _rejection(verify_dsrg, mutant)
     yield "gdd l=2;q=3 swap mutant rejected like the reference", (

@@ -26,6 +26,7 @@ from dsrg import (
     bundled_iso_fixture,
     canonical_form,
     duval_multiple,
+    expected_params,
     grid_two_pencil_structure,
     k33_edge_structure,
     verify_dsrg,
@@ -653,6 +654,154 @@ def test_random_digraphs_against_reference(seed):
     assert canonical_form(copy) == reference_canonical_form(copy)
 
 
+def repeated_rows_digraph(rng, n):
+    """A seeded loopless digraph whose vertices share out-rows: each of up
+    to n row classes gets one random row that avoids its own members."""
+    classes = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    density = rng.random()
+    row_of = {c: sum(1 << v for v in range(n) if classes[v] != c and rng.random() < density)
+              for c in set(classes)}
+    return Digraph(n, tuple(map(row_of.__getitem__, classes)))
+
+
+def move_one_arc(rng, d):
+    """d with one arc u -> v moved to u -> w, or d itself if no vertex has
+    both an arc and a non-arc."""
+    rows = list(d.rows)
+    movable = [u for u in range(d.n) if 0 < rows[u].bit_count() < d.n - 1]
+    if not movable:
+        return d
+    u = rng.choice(movable)
+    v = rng.choice([v for v in range(d.n) if (rows[u] >> v) & 1])
+    w = rng.choice([w for w in range(d.n) if w != u and not (rows[u] >> w) & 1])
+    rows[u] ^= (1 << v) | (1 << w)
+    return Digraph(d.n, tuple(rows))
+
+
+def assert_like_the_reference(a, b):
+    result = are_isomorphic(a, b)
+    assert result.status == reference_are_isomorphic(a, b).status
+    if result.status == ISOMORPHIC:
+        assert verify_mapping(a, b, result.mapping)
+    else:
+        assert result.mapping is None
+    return result.status
+
+
+CLASS_GRAPHS = {
+    "gdd(2,3)": lambda: build_digraph(Gdd(2, 3)),
+    "gdd(2,2);m=3": lambda: build_digraph(Gdd(2, 2, 3)),
+    "partition(2,3)": lambda: build_digraph(Partition(2, 3)),
+    "transversal 3 relabelled": lambda: shuffled_copy(build_digraph(Transversal(3)), 5)[0],
+    "repeated rows x 3": lambda: _blow_up(repeated_rows_digraph(random.Random(7), 9), 3),
+    "in-star(12)": lambda: in_star(12),
+}
+
+
+@pytest.mark.parametrize("name", CLASS_GRAPHS)
+def test_class_structure_holds_the_incidence_and_the_cell_sizes(name):
+    """Node r per out-row class and D + c per in-column class; out[r] holds
+    each class c with an arc from class r into it once, and out[D + c] each
+    row class r once per vertex of cell (r, c); inn is the converse.
+    Checked against B and N read vertex by vertex."""
+    d = CLASS_GRAPHS[name]()
+    t = d.transpose()
+    rows = len(d.distinct)
+    g = _Neighborhoods.of_classes(d, t)
+    assert len(g.out) == len(g.inn) == rows + len(t.distinct)
+    arcs = Counter()
+    for u in range(d.n):
+        for v in range(d.n):
+            if d.has_edge(u, v):
+                arcs[d.row_class[u], rows + t.row_class[v]] = 1
+        arcs[rows + t.row_class[u], d.row_class[u]] += 1
+    assert Counter((x, y) for x, ys in enumerate(g.out) for y in ys) == arcs
+    assert Counter((x, y) for y, xs in enumerate(g.inn) for x in xs) == arcs
+    assert g.walk == g.out and list(g.out_class) == list(g.in_class) == list(range(len(g.out)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_class_search_equals_the_reference_on_random_pairs(seed):
+    """Per seed, 20 digraphs with repeated rows (n = 1..12) against a
+    relabelled copy of themselves or of a one-arc-moved copy, then 5
+    _blow_up copies (m = 1..4, so twins) against a relabelled copy of the
+    same or the moved base blown up alike."""
+    rng = random.Random(f"class search {seed}")
+    seen = Counter()
+    for i in range(25):
+        d = repeated_rows_digraph(rng, rng.randint(1, 12 if i < 20 else 7))
+        other = move_one_arc(rng, d) if rng.random() < 0.5 else d
+        m = 1 if i < 20 else rng.randint(1, 4)
+        a, b = _blow_up(d, m), _blow_up(other, m)
+        seen[assert_like_the_reference(a, shuffled_copy(b, seed * 100 + i)[0])] += 1
+    assert seen[ISOMORPHIC] > 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_empty_and_complete_graphs(n):
+    """The empty graph has one row and one column class (D = C = 1), the
+    complete graph one per vertex (D = C = n)."""
+    empty = Digraph(n, (0,) * n)
+    complete = Digraph(n, tuple(((1 << n) - 1) ^ (1 << u) for u in range(n)))
+    for d, classes in ((empty, 1), (complete, n)):
+        assert len(d.distinct) == len(d.transpose().distinct) == classes
+        assert assert_like_the_reference(d, shuffled_copy(d, n)[0]) == ISOMORPHIC
+    assert are_isomorphic(empty, complete).status == (ISOMORPHIC if n == 1 else NOT_ISOMORPHIC)
+
+
+# Duval multiples of different base graphs with one parameter set:
+# (base, m) twice, then the class-structure nodes of the search
+DUVAL_PAIRS = {
+    "transversal q=2;m=62 vs affine-resolvable m=2;s=2;l=2;m=31":
+        ((Transversal(2), 62), (AffineResolvable(2, 2, 2), 31), 3),
+    "ap-pencils q=3;l=3;m=9 vs transversal q=3;m=9":
+        ((ApPencils(3, 3), 9), (Transversal(3), 9), 5),
+}
+
+
+@pytest.mark.parametrize("name", DUVAL_PAIRS)
+def test_duval_multiple_pairs_take_a_few_class_nodes(name):
+    """n = 496 and 486: the vertex search took 489 and 433 nodes."""
+    (spec1, m1), (spec2, m2), nodes = DUVAL_PAIRS[name]
+    a, b = _blow_up(build_digraph(spec1), m1), _blow_up(build_digraph(spec2), m2)
+    result = are_isomorphic(a, b)
+    assert result.status == ISOMORPHIC
+    assert verify_mapping(a, b, result.mapping)
+    assert result.nodes == nodes
+
+
+def catalog_with_uncapped_multiples(max_order):
+    """Every buildable catalog_instances(max_order) graph and, where t = mu,
+    each multiple with m * v <= max_order, grouped by parameter set."""
+    groups = {}
+    for spec, formula_only in catalog_instances(max_order):
+        if formula_only:
+            continue
+        d, params = build_digraph(spec), expected_params(spec)
+        for m in range(1, max_order // params.v + 1) if params.t == params.mu else (1,):
+            groups.setdefault(params.scaled(m).tuple(), []).append(_blow_up(d, m))
+    return groups
+
+
+@pytest.mark.parametrize("max_order, graphs, isomorphic, not_isomorphic",
+                         [(200, 304, 170, 62), (500, 766, 431, 158)])
+def test_same_parameter_catalog_pairs(max_order, graphs, isomorphic, not_isomorphic):
+    """Every same-parameter pair of the catalog with uncapped multiples is
+    decided, each "same" with a verified mapping; at max-order 500 the
+    vertex search took 162 s."""
+    groups = catalog_with_uncapped_multiples(max_order)
+    assert sum(map(len, groups.values())) == graphs
+    seen = Counter()
+    for group in groups.values():
+        for a, b in combinations(group, 2):
+            result = are_isomorphic(a, b)
+            assert result.status in (ISOMORPHIC, NOT_ISOMORPHIC)
+            if result.status == ISOMORPHIC:
+                assert verify_mapping(a, b, result.mapping)
+            seen[result.status] += 1
+    assert (seen[ISOMORPHIC], seen[NOT_ISOMORPHIC]) == (isomorphic, not_isomorphic)
+
+
 @pytest.mark.parametrize("name", ["gdd(2,3) forward vs backward", "K33 forward vs grid forward",
                                   "gdd(2,3) forward vs grid forward"])
 def test_intersection_invariant_decides_before_the_search(name):
@@ -706,21 +855,23 @@ def test_in_column_class_sizes_decide_before_the_search(monkeypatch):
         (NOT_ISOMORPHIC, 0, 0, 0)
 
 
-def test_are_isomorphic_prunes_by_the_twins_of_the_branching_graph(monkeypatch):
-    """With the class sizes made to agree, gdd(3,3) against the 3-fold
-    multiple of ap-pencils(3,3) exhausts the tree.  The multiple has twin
-    classes of size 3 and gdd(3,3) none: branching over the multiple's
-    vertices prunes twins (163 nodes before), branching over gdd(3,3)'s
-    prunes nothing."""
+def test_twins_collapse_into_the_cells_of_the_class_structure(monkeypatch):
+    """With the class sizes made to agree, gdd(3,3) is searched against
+    the 3-fold multiple of ap-pencils(3,3).  The multiple's twin classes
+    of size 3 are cells of its class structure, which has 9 + 9 nodes
+    against gdd(3,3)'s 9 + 27, so the root refinement refutes the pair in
+    one node either way.  The vertex search exhausted 55 nodes with 108
+    twins pruned, and 163 with the graphs swapped."""
     a = build_digraph(Gdd(3, 3))
     b = duval_multiple(build_digraph(ApPencils(3, 3)), 3)
-    monkeypatch.setattr(iso, "_class_sizes", lambda row_class: [])
+    assert len(_Neighborhoods.of_classes(a, a.transpose()).out) == 9 + 27
+    assert len(_Neighborhoods.of_classes(b, b.transpose()).out) == 9 + 9
+    monkeypatch.setattr(iso, "_class_sizes", lambda members: [])
     result = are_isomorphic(a, b)
     assert (result.status, result.mapping) == (NOT_ISOMORPHIC, None)
-    assert result.pruned > 0
-    assert (result.nodes, result.pruned) == (55, 108)
+    assert (result.nodes, result.pruned, result.rounds) == (1, 0, 1)
     swapped = are_isomorphic(b, a)
-    assert (swapped.status, swapped.nodes, swapped.pruned) == (NOT_ISOMORPHIC, 163, 0)
+    assert (swapped.status, swapped.nodes, swapped.pruned) == (NOT_ISOMORPHIC, 1, 0)
 
 
 def test_gdd_2_5_forward_vs_backward_needs_no_node():
@@ -735,7 +886,7 @@ def test_counters_default_to_zero_and_are_reported():
     result = are_isomorphic(d1, d2)
     assert result.nodes > 0
     assert result.rounds >= result.nodes     # every node refines at least once
-    assert result.pruned == 0                # twin-free, and no leaf automorphisms
+    assert result.pruned == 0                # class structures have no twins
     assert 0 < result.depth < result.nodes   # one path from the root to the leaf
 
 
@@ -751,21 +902,23 @@ def test_depth_is_the_deepest_level_reached():
 
 
 # sha256 of repr([(op name, output)]) over one pass of the iso-pairs
-# workload in perfbench/workloads.py, captured before the histograms were
-# summed per row class: an IsoResult as (status, mapping, nodes, pruned,
-# rounds), a canonical form as (string, labelling)
+# workload in perfbench/workloads.py, captured from the class-structure
+# search: an IsoResult as (status, mapping, nodes, pruned, rounds), a
+# canonical form as (string, labelling)
 ISO_PAIRS_DIGESTS = {
-    1: "db908696239cdbb75e3f59dc09069ae266dbddc509a5efc1df6d99bdaf6518a8",
-    2: "e852d5e0f704f4d40679d7702fc2f9d9ecf05653b6e26a9b0a80a9a0cb5d5d0e",
+    1: "dd36b66fc0cf244d072cbe8af14ce7ae5f642131608ed9e65fcd43dfc83de015",
+    2: "74ce3ae3200e1ab54477b5c76ad43b6d196e642bad70f6b0e73eefbf6514eb86",
 }
 
 # (nodes, pruned, rounds, depth) of each iso-pairs are_isomorphic op,
-# by name up to the relabelling number
+# by name up to the relabelling number; the nodes are class-structure
+# nodes (an anti-flag graph has at most one row node per point and one
+# column node per block)
 ISO_PAIRS_COUNTERS = {
-    "bundled 36-vertex fixture": (3, 0, 7, 2),
-    "gdd l=2;q=3 relabelled": (3, 0, 7, 2),
-    "gdd l=2;q=4 relabelled": (5, 0, 12, 4),
-    "transversal q=3 relabelled": (3, 0, 7, 2),
+    "bundled 36-vertex fixture": (5, 0, 9, 4),
+    "gdd l=2;q=3 relabelled": (5, 0, 9, 4),
+    "gdd l=2;q=4 relabelled": (7, 0, 13, 6),
+    "transversal q=3 relabelled": (5, 0, 11, 4),
     "gdd l=2;q=3 forward vs backward": (0, 0, 0, 0),
     "gdd l=2;q=4 forward vs backward": (0, 0, 0, 0),
     "K33 forward vs grid forward": (0, 0, 0, 0),
