@@ -51,13 +51,16 @@ fix the path to the node is skipped, because its subtree is an image of
 an explored one and holds no earlier least leaf (McKay and Piperno,
 Practical graph isomorphism II, 2014).  Twins, vertices with one
 out-row and one in-column, are known before the first leaf: swapping
-two of them is an automorphism, so each node's union-find forest of
-orbits starts from the twin classes of the branching graph, with the
-path vertices split off, and merges only the leaf automorphisms found
-since it last looked.  Duval multiples and `partition` for q >= 2 are
-full of twins: `partition(2,3)` takes 19 nodes (39 with leaf
-automorphisms alone, 757 unpruned).  IsoResult counts tree nodes,
-skipped branches, refinement rounds and the deepest tree level reached.
+two of them is an automorphism.  The automorphisms that fix the path
+keep the refined colors, so each node's union-find forest of orbits
+covers its target cell only; it starts from the twin classes within
+the cell and merges the leaf automorphisms found since it last looked.
+Duval multiples and `partition` for q >= 2 are full of twins:
+`partition(2,3)` takes 19 nodes (39 with leaf automorphisms alone, 757
+unpruned).  Only `canonical_form` prunes: `are_isomorphic` branches
+over every node of its target cell, since class structures have no
+twins and it collects no automorphisms.  IsoResult counts tree nodes,
+refinement rounds and the deepest tree level reached.
 """
 
 from __future__ import annotations
@@ -82,10 +85,11 @@ BUDGET_EXCEEDED = "budget_exceeded"
 class IsoResult:
     """Outcome of an isomorphism search; mapping is set only when found.
 
-    nodes counts search-tree nodes, pruned the branches skipped as
-    automorphic images of explored ones, rounds the refinement rounds,
-    depth the deepest tree level reached (the root is level 0).  For
-    are_isomorphic they count class-structure nodes; pruned is 0 there.
+    nodes counts class-structure tree nodes, rounds the refinement
+    rounds, depth the deepest tree level reached (the root is level 0).
+    pruned, the branches skipped as automorphic images of explored ones,
+    is 0: are_isomorphic prunes none, and the field stays for the
+    reports that print it.
     """
 
     status: str
@@ -151,15 +155,16 @@ class _Neighborhoods:
                    list(map(_bits, t.distinct)), t.row_class)
 
     @classmethod
-    def of_classes(cls, d: Digraph, t: Digraph) -> "_Neighborhoods":
-        """The class structure of d, t being its transpose: a multigraph on
-        node r per out-row class and node D + c per in-column class, with
-        an arc r -> D + c where class r's out-row holds class c's
-        vertices, and one arc D + c -> r per vertex of out-row class r and
-        in-column class c.  Every node is its own class."""
+    def of_classes(cls, d: Digraph, t: Digraph, nbrs: list[list[int]]) -> "_Neighborhoods":
+        """The class structure of d, t being its transpose and nbrs[r] the
+        out-neighbors of out-row class r: a multigraph on node r per
+        out-row class and node D + c per in-column class, with an arc
+        r -> D + c where class r's out-row holds class c's vertices, and
+        one arc D + c -> r per vertex of out-row class r and in-column
+        class c.  Every node is its own class."""
         n_rows = len(d.distinct)
         col = list(map(n_rows.__add__, t.row_class))     # each vertex's column node
-        out = [sorted(set(map(col.__getitem__, _bits(row)))) for row in d.distinct]
+        out = [sorted(set(map(col.__getitem__, vs))) for vs in nbrs]
         inn = [list(map(col.__getitem__, _bits(mask))) for mask in d.members]
         out += [list(map(d.row_class.__getitem__, _bits(mask))) for mask in t.members]
         inn += [[] for _ in t.distinct]
@@ -284,91 +289,25 @@ class _BudgetHit(Exception):
     pass
 
 
-def _twin_chains(g: _Neighborhoods) -> tuple[list[int], list[int]]:
-    """Each vertex's previous and next twin in vertex order, or itself
-    where it has none.
-
-    Twins share their out-row class and their in-column class.  They are
-    never adjacent, since there are no loops, so swapping two twins is an
-    automorphism; it fixes the path when neither twin is on it, and both
-    root colorings depend only on out-rows, so refinement gives the twins
-    off the path one color.
-    """
-    n = len(g.out_class)
-    before, after = list(range(n)), list(range(n))
-    last: dict[tuple[int, int], int] = {}
-    for v, key in enumerate(zip(g.out_class, g.in_class)):
-        u = last.get(key)
-        if u is not None:
-            before[v], after[u] = u, v
-        last[key] = v
-    return before, after
-
-
-class _Orbits:
-    """Orbits of the vertices under the group generated by the
-    automorphisms that fix every vertex of path: a union-find forest
-    whose roots are the least vertices of their orbits.
-
-    The forest starts from the twin chains (before, after) of
-    _twin_chains: the twins off the path form one orbit, each twin
-    pointing at its previous one off the path, so the least is the root,
-    and each path vertex is its own root.  The path is spliced out of the
-    chains in increasing order, one step per path vertex.
-    """
-
-    __slots__ = ("parent", "path", "known")
-
-    def __init__(self, chains: tuple[list[int], list[int]], path: tuple[int, ...]):
-        before, after = chains
-        parent = before.copy()
-        for p in sorted(path):
-            if after[p] != p:
-                # p's next twin takes p's parent, or is a root if p was one
-                parent[after[p]] = after[p] if parent[p] == p else parent[p]
-            parent[p] = p
-        self.parent = parent
-        self.path = path
-        self.known = 0      # automorphisms merged so far
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def update(self, automorphisms: list[tuple[int, ...]]) -> None:
-        """Merge the automorphisms appended since the last call."""
-        new = automorphisms[self.known:]
-        self.known = len(automorphisms)
-        find, parent = self.find, self.parent
-        for perm in new:
-            if any(perm[x] != x for x in self.path):
-                continue
-            for x, y in enumerate(perm):
-                a, b = find(x), find(y)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-
-
 class _Search:
     """Depth-first individualize-refine tree over one graph or a pair.
 
     leaf(colorings) is called at each discrete leaf and returns True to
     stop the search.  With two graphs the refinement is joint and only
-    the second graph branches.  Twins of the branching graph, and
-    automorphisms appended to `automorphisms`, prune the branches they
-    prove redundant.
+    the second graph branches, over branches(cell, path): cell lists the
+    vertices of the target class in increasing order, path the vertices
+    individualized to reach the node.
     """
 
     def __init__(self, graphs: list[_Neighborhoods], budget: int, leaf):
         self.graphs = graphs
-        self.twins = _twin_chains(graphs[-1])
         self.budget = budget
         self.leaf = leaf
-        self.automorphisms: list[tuple[int, ...]] = []
-        self.nodes = self.pruned = self.rounds = self.depth = 0
+        self.nodes = self.rounds = self.depth = 0
+
+    def branches(self, cell: list[int], path: tuple[int, ...]):
+        """The vertices of cell to individualize: every one."""
+        return cell
 
     def visit(self, colorings: list[list[int]], path: tuple[int, ...] = ()) -> bool:
         """Search the subtree below colorings, reached by individualizing path."""
@@ -389,33 +328,80 @@ class _Search:
         fresh = len(counts)
         pair = len(colorings) == 2
         fixed = colorings[0].index(target)
-        # The automorphisms that fix path keep the colors, so each orbit lies
-        # in the target class, whose vertices come in increasing order: the
-        # least vertex of a grown orbit came earlier, was explored or pruned,
-        # and is in seen, which needs no update when orbits merge.
-        orbits = _Orbits(self.twins, path)
-        seen: set[int] = set()      # least vertices of the explored orbits
-        for u in [u for u, c in enumerate(colorings[-1]) if c == target]:
-            orbits.update(self.automorphisms)
-            if orbits.find(u) in seen:
-                self.pruned += 1
-                continue
+        cell = [u for u, c in enumerate(colorings[-1]) if c == target]
+        for u in self.branches(cell, path):
             children = [list(c) for c in colorings]
             if pair:
                 children[0][fixed] = fresh
             children[-1][u] = fresh
             if self.visit(children, path + (u,)):
                 return True
-            seen.add(orbits.find(u))
         return False
 
 
-def _intersection_profile(d: Digraph) -> list[tuple[int, ...]]:
+class _CanonicalSearch(_Search):
+    """The search of canonical_form over one graph, which skips a branch in
+    the orbit of an explored sibling under the automorphisms that fix the
+    path: twin swaps, and the leaf automorphisms appended to
+    `automorphisms`.
+
+    Twins share twin_key[v], one out-row class and one in-column class.
+    They are never adjacent, since there are no loops, so swapping two
+    twins is an automorphism; it fixes the path when neither twin is on
+    it, and the root coloring is trivial, so refinement gives the twins
+    off the path one color.
+    """
+
+    def __init__(self, graphs: list[_Neighborhoods], budget: int, leaf):
+        super().__init__(graphs, budget, leaf)
+        self.twin_key = list(zip(graphs[0].out_class, graphs[0].in_class))
+        self.automorphisms: list[tuple[int, ...]] = []
+
+    def branches(self, cell: list[int], path: tuple[int, ...]):
+        """The vertices of cell whose orbit holds no explored sibling.
+
+        The automorphisms that fix path keep the refined colors, so each
+        orbit lies in the cell, and the path vertices, being singletons,
+        are not in it.  A union-find forest over the cell, rooted at the
+        least vertex of each orbit, starts each vertex at the least cell
+        member with its twin key and merges each automorphism once, when
+        the next vertex is looked at.  The least vertex of a grown orbit
+        came earlier, was explored or skipped, and is in seen, which
+        needs no update when orbits merge.
+        """
+        first: dict[tuple[int, int], int] = {}
+        parent = dict(zip(cell, map(first.setdefault, map(self.twin_key.__getitem__, cell),
+                                    cell)))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        automorphisms = self.automorphisms
+        known = 0
+        seen: set[int] = set()      # least vertices of the explored orbits
+        for u in cell:
+            for perm in automorphisms[known:]:
+                if any(perm[x] != x for x in path):
+                    continue
+                for x in cell:
+                    a, b = find(x), find(perm[x])
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+            known = len(automorphisms)
+            if find(u) not in seen:
+                yield u
+                seen.add(find(u))
+
+
+def _intersection_profile(d: Digraph, nbrs: list[list[int]]) -> list[tuple[int, ...]]:
     """Per out-row class, the sorted multiset {|N+(u) & N+(w)| : w in N+(u)}
-    of its vertices u."""
+    of its vertices u, nbrs[r] being the out-neighbors of class r."""
     rows = d.rows
-    return [tuple(sorted((row & rows[w]).bit_count() for w in _bits(row)))
-            for row in d.distinct]
+    return [tuple(sorted((row & rows[w]).bit_count() for w in vs))
+            for row, vs in zip(d.distinct, nbrs)]
 
 
 def _class_sizes(members: tuple[int, ...]) -> list[int]:
@@ -444,14 +430,16 @@ def are_isomorphic(d1: Digraph, d2: Digraph,
     if (d1.n != d2.n or d1.edge_count() != d2.edge_count()
             or _class_sizes(d1.members) != _class_sizes(d2.members)):
         return IsoResult(NOT_ISOMORPHIC)
-    p1, p2 = _intersection_profile(d1), _intersection_profile(d2)
+    # the out-neighbors of each out-row class, taken once per graph
+    nbrs1, nbrs2 = list(map(_bits, d1.distinct)), list(map(_bits, d2.distinct))
+    p1, p2 = _intersection_profile(d1, nbrs1), _intersection_profile(d2, nbrs2)
     if (sorted(zip(p1, map(int.bit_count, d1.members)))
             != sorted(zip(p2, map(int.bit_count, d2.members)))):
         return IsoResult(NOT_ISOMORPHIC)
     t1, t2 = d1.transpose(), d2.transpose()
     if _class_sizes(t1.members) != _class_sizes(t2.members):
         return IsoResult(NOT_ISOMORPHIC)
-    g1, g2 = _Neighborhoods.of_classes(d1, t1), _Neighborhoods.of_classes(d2, t2)
+    g1, g2 = _Neighborhoods.of_classes(d1, t1, nbrs1), _Neighborhoods.of_classes(d2, t2, nbrs2)
     order2 = _cell_order(d2, t2, range(len(g2.out)))
     mapping = None
 
@@ -479,7 +467,7 @@ def are_isomorphic(d1: Digraph, d2: Digraph,
     else:
         status = NOT_ISOMORPHIC if mapping is None else ISOMORPHIC
     return IsoResult(status, mapping=mapping, nodes=search.nodes,
-                     pruned=search.pruned, rounds=search.rounds, depth=search.depth)
+                     rounds=search.rounds, depth=search.depth)
 
 
 def _leaf_string(d: Digraph, labels: tuple[int, ...]) -> str:
@@ -519,7 +507,7 @@ def canonical_form(d: Digraph, budget: int = DEFAULT_NODE_BUDGET) -> tuple[str, 
             best = (s, labels)
         return False
 
-    search = _Search([_Neighborhoods(d)], budget, leaf)
+    search = _CanonicalSearch([_Neighborhoods(d)], budget, leaf)
     try:
         search.visit([[0] * d.n])
     except _BudgetHit:

@@ -6,6 +6,7 @@ from collections import Counter
 from itertools import combinations
 from pathlib import Path
 from struct import Struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,7 +37,7 @@ from dsrg import iso
 from dsrg.digraph import _blow_up
 from dsrg.families import (AffineResolvable, ApPencils, Gdd, Partition, PartitionSpiked,
                            Transversal, catalog_instances)
-from dsrg.iso import _Neighborhoods, _refine, _twin_chains
+from dsrg.iso import _Neighborhoods, _refine
 
 import oracles
 from oracles import reference_are_isomorphic, reference_canonical_form, reference_color_tuple
@@ -454,23 +455,30 @@ def test_canonical_node_counts_are_pinned(monkeypatch, name):
     assert _count_nodes(monkeypatch, iso, lambda: canonical_form(d)) == nodes
 
 
-def trivial_chains(n):
-    return list(range(n)), list(range(n))
+def canonical_search(g):
+    """The pruning search of canonical_form over g, no node expanded yet."""
+    return iso._CanonicalSearch([g], DEFAULT_NODE_BUDGET, leaf=None)
 
 
-def orbits_of(n, automorphisms, path, chains=None):
-    orbits = iso._Orbits(chains or trivial_chains(n), path)
-    orbits.update(automorphisms)
-    return [orbits.find(x) for x in range(n)]
+def twin_graph(n, classes):
+    """A stand-in for a graph on n vertices whose twin classes are classes,
+    vertices listed in none being twin-free: only the twin keys are read."""
+    out_class = list(range(n, 2 * n))
+    for i, members in enumerate(classes):
+        for v in members:
+            out_class[v] = i
+    return SimpleNamespace(out_class=out_class, in_class=[0] * n)
 
 
-def chains_of(n, classes):
-    """Twin chains of vertex classes listed in increasing order."""
-    before, after = trivial_chains(n)
-    for members in classes:
-        for u, v in zip(members, members[1:]):
-            before[v], after[u] = u, v
-    return before, after
+def explore(search, cell, path, found=None):
+    """The vertices branched on below one node, driving branches(cell,
+    path) as the search does: exploring u appends found[u], the leaf
+    automorphisms its subtree turns up."""
+    taken = []
+    for u in search.branches(cell, path):
+        taken.append(u)
+        search.automorphisms.extend((found or {}).get(u, ()))
+    return taken
 
 
 def transpositions(n, classes):
@@ -489,50 +497,96 @@ def test_pruning_uses_only_automorphisms_that_fix_the_path():
     rotate_second = (0, 1, 2, 4, 5, 3)
     autos = [rotate_both, rotate_second]
     assert all(verify_mapping(TWO_TRIANGLES, TWO_TRIANGLES, a) for a in autos)
-    assert orbits_of(6, autos, ()) == [0, 0, 0, 3, 3, 3]
-    assert orbits_of(6, autos, (0,)) == [0, 1, 2, 3, 3, 3]
-    assert orbits_of(6, autos, (0, 3)) == [0, 1, 2, 3, 4, 5]
+
+    def taken(cell, path):
+        search = canonical_search(_Neighborhoods(TWO_TRIANGLES))     # twin-free
+        search.automorphisms.extend(autos)
+        return explore(search, cell, path)
+
+    assert taken([0, 1, 2, 3, 4, 5], ()) == [0, 3]
+    assert taken([3, 4, 5], (0,)) == [3]
+    assert taken([1, 2], (0,)) == [1, 2]    # rotate_both moves 0
+    assert taken([4, 5], (0, 3)) == [4, 5]
 
 
 def test_twin_forest_roots_each_class_at_its_least_vertex_off_the_path():
-    """Twins off the path share one orbit rooted at its least member, and
-    each path vertex stays its own root, even where it was the least."""
+    """Twins off the path share one orbit rooted at its least member, so
+    only that member is explored, even where a path vertex was the least."""
     n, classes = 9, [(0, 2, 5, 7), (1, 6), (3,)]
-    chains = chains_of(n, classes)
-    assert orbits_of(n, [], (), chains) == [0, 1, 0, 3, 4, 0, 1, 0, 8]
-    assert orbits_of(n, [], (0,), chains) == [0, 1, 2, 3, 4, 2, 1, 2, 8]
-    assert orbits_of(n, [], (5, 0, 2), chains) == [0, 1, 2, 3, 4, 5, 1, 7, 8]
-    assert orbits_of(n, [], (2, 6), chains) == [0, 1, 2, 3, 4, 0, 6, 0, 8]
-    # an automorphism fixing the path merges on top: {1} joins {4, 8}
-    assert orbits_of(n, [(0, 4, 2, 3, 8, 5, 6, 7, 1)], (6,), chains) == \
-        [0, 1, 0, 3, 1, 0, 6, 0, 1]
+    g = twin_graph(n, classes)
+
+    def taken(path, found=None):
+        cell = [v for v in range(n) if v not in path]
+        return explore(canonical_search(g), cell, path, found)
+
+    assert taken(()) == [0, 1, 3, 4, 8]
+    assert taken((0,)) == [1, 2, 3, 4, 8]
+    assert taken((5, 0, 2)) == [1, 3, 4, 7, 8]
+    assert taken((2, 6)) == [0, 1, 3, 4, 8]
+    assert explore(canonical_search(g), [2, 5, 7], (0,)) == [2]
+    # an automorphism fixing the path merges on top: {1} joins {4, 8},
+    # whether it is known before the node or found below a branch of it
+    rotate = (0, 4, 2, 3, 8, 5, 6, 7, 1)
+    assert taken((6,)) == [0, 1, 3, 4, 8]
+    search = canonical_search(g)
+    search.automorphisms.append(rotate)
+    assert explore(search, [0, 1, 2, 3, 4, 5, 7, 8], (6,)) == [0, 1, 3]
+    assert taken((6,), {1: [rotate]}) == [0, 1, 3]
+    assert taken((6,), {4: [rotate]}) == [0, 1, 3, 4]
+    assert taken((6,), {8: [rotate]}) == [0, 1, 3, 4, 8]
+
+
+def random_automorphism(rng, n, cell, path):
+    """A permutation that fixes path and permutes cell within itself, as
+    the search guarantees of every automorphism that fixes the path (it
+    keeps the refined colors), or, 3 times in 10 when there is a path,
+    any permutation that moves a path vertex."""
+    perm = list(range(n))
+    if path and rng.random() < 0.3:
+        while all(perm[x] == x for x in path):
+            rng.shuffle(perm)
+    else:
+        cycle = rng.sample(cell, min(len(cell), rng.randrange(2, 4)))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+    return tuple(perm)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_incremental_orbits_equal_the_orbits_rebuilt_from_scratch(seed):
-    """Merging only the automorphisms added since the last look gives, after
-    every addition, the orbits of all of them rebuilt from scratch."""
+    """Merging only the automorphisms added since the last look skips
+    exactly the cell vertices whose orbit, rebuilt from scratch from all
+    of them and the twin transpositions, holds an explored vertex.
+
+    The cell is the off-path members of some twin classes, as the search
+    guarantees: twins off the path share a color.  Automorphisms are
+    known before the node and found below its branches."""
     rng = random.Random(seed)
     n = rng.randrange(2, 30)
     path = tuple(rng.sample(range(n), rng.randrange(min(n, 4))))
-    free = [x for x in range(n) if x not in path]
     classes = [sorted(c) for c in _random_partition(rng, n)]
-    orbits = iso._Orbits(chains_of(n, classes), path)
-    # the twin transpositions that fix the path generate the starting forest
-    automorphisms = transpositions(n, classes)
-    for _ in range(rng.randrange(1, 8)):
-        for _ in range(rng.randrange(3)):       # some batches add nothing
-            perm = list(range(n))
-            if rng.random() < 0.7:              # fixes the path: moves only free vertices
-                cycle = rng.sample(free, min(len(free), rng.randrange(2, 4)))
-                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    perm[a] = b
-            else:
-                rng.shuffle(perm)
-            automorphisms.append(tuple(perm))
-        orbits.update(automorphisms)
-        assert [orbits.find(x) for x in range(n)] == \
-            oracles.reference_orbits(n, automorphisms, path)
+    cell = sorted(v for c in classes if rng.random() < 0.7 for v in c if v not in path)
+    search = canonical_search(twin_graph(n, classes))
+    twins = transpositions(n, classes)
+    search.automorphisms.extend(random_automorphism(rng, n, cell, path)
+                                for _ in range(rng.randrange(3)))
+    explored, looked = [], 0
+
+    def assert_skipped(upto):
+        roots = oracles.reference_orbits(n, twins + search.automorphisms, path)
+        explored_roots = {roots[x] for x in explored}
+        assert all(roots[w] in explored_roots for w in cell[looked:upto])
+        return roots, explored_roots
+
+    for u in search.branches(cell, path):
+        at = cell.index(u)
+        roots, explored_roots = assert_skipped(at)
+        assert roots[u] not in explored_roots
+        explored.append(u)
+        looked = at + 1
+        for _ in range(rng.randrange(3)):       # some subtrees find nothing
+            search.automorphisms.append(random_automorphism(rng, n, cell, path))
+    assert_skipped(len(cell))
 
 
 def _random_partition(rng, n):
@@ -556,18 +610,6 @@ def _twin_classes(d):
     return sorted(classes.values())
 
 
-def _chain_classes(chains):
-    before, after = chains
-    classes = []
-    for v in range(len(before)):
-        if before[v] == v:
-            members = [v]
-            while after[members[-1]] != members[-1]:
-                members.append(after[members[-1]])
-            classes.append(members)
-    return sorted(classes)
-
-
 def _catalog_110_with_multiples():
     for spec, formula_only in catalog_instances(110):
         if not formula_only:
@@ -577,13 +619,20 @@ def _catalog_110_with_multiples():
 
 
 def test_every_twin_transposition_is_an_automorphism():
-    """The twin chains group exactly the vertices with equal out-rows and
-    equal in-columns, and swapping any two of them is an automorphism, on
-    every buildable catalog-110 graph and its multiples m = 2, 3."""
+    """The twin keys group exactly the vertices with equal out-rows and
+    equal in-columns, swapping any two of them is an automorphism, and
+    with every vertex in the cell the search explores only the least of
+    each class, on every buildable catalog-110 graph and its multiples
+    m = 2, 3."""
     with_twins = 0
     for name, d in _catalog_110_with_multiples():
-        classes = _chain_classes(_twin_chains(_Neighborhoods(d)))
+        search = canonical_search(_Neighborhoods(d))
+        groups = {}
+        for v, key in enumerate(search.twin_key):
+            groups.setdefault(key, []).append(v)
+        classes = sorted(groups.values())
         assert classes == _twin_classes(d), name
+        assert list(search.branches(list(range(d.n)), ())) == sorted(c[0] for c in classes)
         for swap in transpositions(d.n, classes):
             assert verify_mapping(d, d, swap), name
         with_twins += any(len(c) > 1 for c in classes)
@@ -688,6 +737,15 @@ def assert_like_the_reference(a, b):
     return result.status
 
 
+def out_neighbors(d):
+    """The out-neighbors of each out-row class of d."""
+    return list(map(iso._bits, d.distinct))
+
+
+def profile(d):
+    return iso._intersection_profile(d, out_neighbors(d))
+
+
 CLASS_GRAPHS = {
     "gdd(2,3)": lambda: build_digraph(Gdd(2, 3)),
     "gdd(2,2);m=3": lambda: build_digraph(Gdd(2, 2, 3)),
@@ -707,7 +765,7 @@ def test_class_structure_holds_the_incidence_and_the_cell_sizes(name):
     d = CLASS_GRAPHS[name]()
     t = d.transpose()
     rows = len(d.distinct)
-    g = _Neighborhoods.of_classes(d, t)
+    g = _Neighborhoods.of_classes(d, t, out_neighbors(d))
     assert len(g.out) == len(g.inn) == rows + len(t.distinct)
     arcs = Counter()
     for u in range(d.n):
@@ -812,8 +870,7 @@ def test_intersection_invariant_decides_before_the_search(name):
 
 def test_equal_invariants_still_search():
     """The 6-cycle and two triangles share every intersection multiset."""
-    assert sorted(iso._intersection_profile(SIX_CYCLE)) == \
-        sorted(iso._intersection_profile(TWO_TRIANGLES))
+    assert sorted(profile(SIX_CYCLE)) == sorted(profile(TWO_TRIANGLES))
     result = are_isomorphic(SIX_CYCLE, TWO_TRIANGLES)
     assert result.status == NOT_ISOMORPHIC
     assert result.nodes > 0 and result.rounds > 0
@@ -824,7 +881,7 @@ def test_out_class_sizes_decide_before_any_other_invariant(monkeypatch):
     cycle = Digraph(4, (2, 4, 8, 1))
     merged = Digraph(4, (4, 4, 8, 1))
 
-    def unreachable(d):
+    def unreachable(*args):
         raise AssertionError("the intersection invariant was computed")
 
     monkeypatch.setattr(iso, "_intersection_profile", unreachable)
@@ -840,7 +897,7 @@ def test_in_column_class_sizes_decide_before_the_search(monkeypatch):
     search exhausts 163 nodes."""
     a = build_digraph(Gdd(3, 3))
     b = duval_multiple(build_digraph(ApPencils(3, 3)), 3)
-    assert sorted(iso._intersection_profile(a)) == sorted(iso._intersection_profile(b))
+    assert sorted(profile(a)) == sorted(profile(b))
     for d in (a, b):
         assert sorted(Counter(d.row_class).values()) == [18] * 9
     assert sorted(Counter(a.transpose().row_class).values()) == [6] * 27
@@ -864,14 +921,59 @@ def test_twins_collapse_into_the_cells_of_the_class_structure(monkeypatch):
     twins pruned, and 163 with the graphs swapped."""
     a = build_digraph(Gdd(3, 3))
     b = duval_multiple(build_digraph(ApPencils(3, 3)), 3)
-    assert len(_Neighborhoods.of_classes(a, a.transpose()).out) == 9 + 27
-    assert len(_Neighborhoods.of_classes(b, b.transpose()).out) == 9 + 9
+    assert len(_Neighborhoods.of_classes(a, a.transpose(), out_neighbors(a)).out) == 9 + 27
+    assert len(_Neighborhoods.of_classes(b, b.transpose(), out_neighbors(b)).out) == 9 + 9
     monkeypatch.setattr(iso, "_class_sizes", lambda members: [])
     result = are_isomorphic(a, b)
     assert (result.status, result.mapping) == (NOT_ISOMORPHIC, None)
     assert (result.nodes, result.pruned, result.rounds) == (1, 0, 1)
     swapped = are_isomorphic(b, a)
     assert (swapped.status, swapped.nodes, swapped.pruned) == (NOT_ISOMORPHIC, 1, 0)
+
+
+def test_are_isomorphic_takes_the_bits_of_each_out_row_once(monkeypatch):
+    """A relabelled gdd(2,3) pair, 6 out-row and 9 in-column classes per
+    graph: each graph lists its out-rows (6) and the members of its
+    out-row (6) and in-column (9) classes once, and the mapping check
+    lists d1's out-rows again, so 2 * 21 + 6 calls."""
+    d = build_digraph(Gdd(2, 3))
+    copy, _ = shuffled_copy(d, 3)
+    assert (len(d.distinct), len(d.transpose().distinct)) == (6, 9)
+    calls = []
+    bits = iso._bits
+
+    def counted(mask):
+        calls.append(mask)
+        return bits(mask)
+
+    monkeypatch.setattr(iso, "_bits", counted)
+    assert are_isomorphic(d, copy).status == ISOMORPHIC
+    assert len(calls) == 48
+
+
+def test_are_isomorphic_builds_no_pruning_state(monkeypatch):
+    """Every iso_pairs() pair gives the same verdict, mapping and counters
+    with canonical_form's pruning search made to raise."""
+    pairs = iso_pairs()
+
+    def run():
+        out = {}
+        for name, (a, b, budget) in pairs.items():
+            r = are_isomorphic(a, b, budget=DEFAULT_NODE_BUDGET if budget is None else budget)
+            out[name] = (r.status, r.mapping, r.nodes, r.pruned, r.rounds, r.depth)
+        return out
+
+    before = run()
+
+    def unreachable(*args):
+        raise AssertionError("orbit pruning state was built")
+
+    monkeypatch.setattr(iso._CanonicalSearch, "__init__", unreachable)
+    monkeypatch.setattr(iso._CanonicalSearch, "branches", unreachable)
+    with pytest.raises(AssertionError):
+        canonical_form(SIX_CYCLE)
+    assert run() == before
+    assert {r[3] for r in before.values()} == {0}
 
 
 def test_gdd_2_5_forward_vs_backward_needs_no_node():
