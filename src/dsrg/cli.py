@@ -9,18 +9,14 @@ instead of a fabricated graph.
 
 The build flags and their usage errors are derived from the family
 registry in families.py: one int flag per spec field, and a family
-needs every field that has no default and takes no other.
-
-DSRG_BUDGET in the environment overrides the default block budget of
-the builders and the default node budget of the isomorphism search;
-explicit flags win over the environment.  Only the commands that take a
-budget read it.
+needs every field that has no default and takes no other.  The size
+guards of the builders are fixed; iso --budget, the node budget of the
+isomorphism search, is the only budget a user sets.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -38,7 +34,7 @@ from .families import (
     catalog_instances,
     expected_params,
 )
-from .incidence import DEFAULT_BLOCK_BUDGET, to_json
+from .incidence import to_json
 from .iso import BUDGET_EXCEEDED, DEFAULT_NODE_BUDGET, ISOMORPHIC, are_isomorphic
 from .params import DsrgParams, Spectrum, _raw_spectrum, spectrum
 
@@ -71,8 +67,7 @@ def _safe_spectrum(p: DsrgParams) -> Spectrum | None:
 
 
 def catalog_rows(max_order: int = 110, families: tuple[str, ...] | None = None,
-                 multiples: int = 13,
-                 block_budget: int = DEFAULT_BLOCK_BUDGET) -> list[CatalogRow]:
+                 multiples: int = 13) -> list[CatalogRow]:
     """Build, verify and tabulate every family instance with v <= max_order."""
     rows: list[CatalogRow] = []
     for spec, formula_only in catalog_instances(max_order):
@@ -83,7 +78,7 @@ def catalog_rows(max_order: int = 110, families: tuple[str, ...] | None = None,
             rows.append(CatalogRow(expected, spec.name, spec.describe(), False,
                                    _safe_spectrum(expected), formula_only=True))
             continue
-        d = build_digraph(spec, block_budget=block_budget)
+        d = build_digraph(spec)
         got = verify_dsrg(d)
         rows.append(CatalogRow(got, spec.name, spec.describe(),
                                got == expected, _safe_spectrum(got)))
@@ -150,10 +145,9 @@ def _spec_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 def cmd_build(args, parser) -> int:
     spec = _spec_from_args(args, parser)
-    block_budget = _budget_arg(args.block_budget, DEFAULT_BLOCK_BUDGET, parser)
-    # the builder's budget and size guards run before the closed form,
-    # whose integers grow with the spec's exponents
-    structure = build_structure(spec, block_budget=block_budget)
+    # the builder's size guards run before the closed form, whose
+    # integers grow with the spec's exponents
+    structure = build_structure(spec)
     d = _wire_spec(spec, structure)
     expected = expected_params(spec)
     got = verify_dsrg(d)
@@ -201,9 +195,8 @@ def cmd_catalog(args, parser) -> int:
         unknown = set(families) - set(FAMILIES)
         if unknown:
             parser.error(f"unknown families: {', '.join(sorted(unknown))}")
-    block_budget = _budget_arg(args.block_budget, DEFAULT_BLOCK_BUDGET, parser)
     rows = catalog_rows(max_order=args.max_order, families=families,
-                        multiples=args.multiples, block_budget=block_budget)
+                        multiples=args.multiples)
     sys.stdout.write(render_table(rows))
     if args.csv:
         Path(args.csv).write_text(render_csv(rows))
@@ -211,10 +204,9 @@ def cmd_catalog(args, parser) -> int:
 
 
 def cmd_iso(args, parser) -> int:
-    budget = _budget_arg(args.budget, DEFAULT_NODE_BUDGET, parser)
     d1 = _load_digraph(args.path1)
     d2 = _load_digraph(args.path2)
-    result = are_isomorphic(d1, d2, budget=budget)
+    result = are_isomorphic(d1, d2, budget=args.budget)
     print(f"nodes={result.nodes} pruned={result.pruned} rounds={result.rounds} "
           f"depth={result.depth}", file=sys.stderr)
     if result.status == ISOMORPHIC:
@@ -256,24 +248,6 @@ def _budget(raw: str) -> int:
     return value
 
 
-def _budget_arg(flag: int | None, default: int, parser: argparse.ArgumentParser) -> int:
-    """The flag if given, else DSRG_BUDGET, else the default.
-
-    Read only by the commands that take a budget, so a bad value
-    cannot break the others.
-    """
-    if flag is not None:
-        return flag
-    raw = os.environ.get("DSRG_BUDGET")
-    if raw is None:
-        return default
-    try:
-        return _budget(raw)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(f"DSRG_BUDGET: {exc}")
-        raise AssertionError  # parser.error exits
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dsrg",
@@ -288,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", help="write the digraph in dgr/1 format")
     p_build.add_argument("--edges-out", help="write the digraph as an edge list")
     p_build.add_argument("--structure-out", help="write the incidence structure as JSON")
-    p_build.add_argument("--block-budget", type=_budget)
 
     p_verify = sub.add_parser("verify", help="verify a digraph file")
     p_verify.add_argument("path")
@@ -299,12 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("--multiples", type=int, default=13,
                        help="largest tensor multiple per instance")
     p_cat.add_argument("--csv", help="also write the rows as CSV")
-    p_cat.add_argument("--block-budget", type=_budget)
 
     p_iso = sub.add_parser("iso", help="decide isomorphism of two digraph files")
     p_iso.add_argument("path1")
     p_iso.add_argument("path2")
-    p_iso.add_argument("--budget", type=_budget)
+    p_iso.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
 
     p_spec = sub.add_parser("spectrum", help="integer spectrum of a parameter tuple")
     for name in ("v", "k", "t", "lam", "mu"):

@@ -106,12 +106,6 @@ class Digraph:
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("label count does not match vertex count")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
-
-    def out_degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
-
     def columns(self) -> list[int]:
         """In-neighbor masks: bit u of columns()[v] == edge u -> v."""
         cols = [0] * self.n

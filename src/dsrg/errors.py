@@ -21,7 +21,7 @@ class TooLargeError(DsrgError):
 
 
 class OutOfBudgetError(DsrgError):
-    """Construction would exceed the configured block budget."""
+    """Construction would exceed a fixed size guard, or a search its node budget."""
 
 
 class NoParallelClassesError(DsrgError):

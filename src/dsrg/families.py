@@ -37,6 +37,7 @@ from .incidence import (
     DEFAULT_BLOCK_BUDGET,
     DesignParams,
     IncidenceStructure,
+    _power_exceeds,
     build_affine_plane,
     build_fano,
     build_gdd,
@@ -236,17 +237,21 @@ def _power_exponent(m: int, s: int) -> int | None:
     return e
 
 
-def build_structure(spec: FamilySpec, block_budget: int = DEFAULT_BLOCK_BUDGET):
+def build_structure(spec: FamilySpec):
     """Base incidence structure of a buildable family (multiples excluded).
 
     pg-antiflag has no generic partial-geometry source and is formula
     only; ap-pencils needs a prime-power q with at most q+1 pencils;
     affine-resolvable needs m to be a power of s, its hyperplane-design
     source; the 2-design families are built from the 7-point plane only.
+    A gdd within its block guard is held to the verification cap before
+    it is built, since its q^l blocks are fewer than its vertices.
     """
     match spec:
         case Gdd(l=l, q=q):
-            return build_gdd(l, q, block_budget=block_budget)
+            if not _power_exceeds(q, l, DEFAULT_BLOCK_BUDGET):
+                _check_cap(spec)
+            return build_gdd(l, q)
         case PgAntiflag():
             raise UnbuildableError("no generic partial-geometry construction; "
                                    "use ap-pencils or transversal")
@@ -275,21 +280,26 @@ def build_structure(spec: FamilySpec, block_budget: int = DEFAULT_BLOCK_BUDGET):
     raise TypeError(f"unknown family spec {spec!r}")
 
 
-def build_digraph(spec: FamilySpec, block_budget: int = DEFAULT_BLOCK_BUDGET) -> Digraph:
+def build_digraph(spec: FamilySpec) -> Digraph:
     """Construct the family instance, or raise UnbuildableError.
 
-    The structure's block budget is checked first; a graph above the
+    The structure's size guards are checked first; a graph above the
     verification cap raises TooLargeError before any arc is wired.
     """
-    return _wire_spec(spec, build_structure(spec, block_budget=block_budget))
+    return _wire_spec(spec, build_structure(spec))
 
 
-def _wire_spec(spec: FamilySpec, structure: IncidenceStructure) -> Digraph:
-    """The graph of spec on build_structure(spec)'s output, TooLargeError first."""
+def _check_cap(spec: FamilySpec) -> None:
+    """TooLargeError if spec's graph has more vertices than the verification cap."""
     v = expected_params(spec).v
     if v > MAX_VERIFY_ORDER:
         raise TooLargeError(f"{spec.name} {spec.describe()} has {v} vertices, "
                             f"above the verification cap {MAX_VERIFY_ORDER}")
+
+
+def _wire_spec(spec: FamilySpec, structure: IncidenceStructure) -> Digraph:
+    """The graph of spec on build_structure(spec)'s output, TooLargeError first."""
+    _check_cap(spec)
     match spec:
         case Gdd(m=m):
             d = build_antiflag_forward(structure)

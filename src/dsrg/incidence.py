@@ -70,7 +70,9 @@ from .errors import (
 from .ffield import make_field
 
 DEFAULT_BLOCK_BUDGET = 10 ** 6
-# point-block incidences a hyperplane design may hold; (8, 4) has 2,396,160
+# points and point-block incidences a hyperplane design may hold; (8, 4)
+# has 4096 points and 2,396,160 incidences
+MAX_HYPERPLANE_POINTS = 10 ** 5
 MAX_HYPERPLANE_INCIDENCES = 10 ** 7
 
 Block = tuple[int, ...]
@@ -270,15 +272,19 @@ def _power_exceeds(q: int, n: int, budget: int) -> bool:
     return q ** n > budget
 
 
-def build_gdd(l: int, q: int, block_budget: int = DEFAULT_BLOCK_BUDGET) -> IncidenceStructure:
+def build_gdd(l: int, q: int) -> IncidenceStructure:
     """Group divisible design on ql points: l consecutive groups of size q,
-    blocks = all q^l transversals in lexicographic order."""
+    blocks = all q^l transversals in lexicographic order.
+
+    More than DEFAULT_BLOCK_BUDGET blocks raise OutOfBudgetError before
+    any block is built.
+    """
     if l < 2:
         raise ValueError(f"need at least 2 groups, got {l}")
     if q < 2:
         raise ValueError(f"need group size at least 2, got {q}")
-    if _power_exceeds(q, l, block_budget):
-        raise OutOfBudgetError(f"{q}^{l} blocks exceed budget {block_budget}")
+    if _power_exceeds(q, l, DEFAULT_BLOCK_BUDGET):
+        raise OutOfBudgetError(f"{q}^{l} blocks exceed budget {DEFAULT_BLOCK_BUDGET}")
     groups = tuple(tuple(range(g * q, (g + 1) * q)) for g in range(l))
     blocks = tuple(tuple(g * q + pick[g] for g in range(l))
                    for pick in product(range(q), repeat=l))
@@ -307,21 +313,21 @@ def build_affine_plane(q: int) -> IncidenceStructure:
     return IncidenceStructure(q * q, tuple(blocks), parallel_classes=classes)
 
 
-def build_hyperplane_design(q: int, n: int,
-                            block_budget: int = 10 ** 5) -> IncidenceStructure:
+def build_hyperplane_design(q: int, n: int) -> IncidenceStructure:
     """Affine hyperplanes of F_q^n: one parallel class per direction.
 
     Points are coordinate vectors indexed in base q with the first
     coordinate most significant.  Each direction is a canonical normal
     vector a (first nonzero coordinate 1, directions in lexicographic
     order) and its class holds the blocks {x : a.x = c} for c = 0..q-1.
-    More than block_budget points, or more than MAX_HYPERPLANE_INCIDENCES
-    point-block incidences, raise OutOfBudgetError before GF(q) is built.
+    More than MAX_HYPERPLANE_POINTS points, or more than
+    MAX_HYPERPLANE_INCIDENCES point-block incidences, raise
+    OutOfBudgetError before GF(q) is built.
     """
     if n < 2:
         raise ValueError(f"need dimension at least 2, got {n}")
-    if _power_exceeds(q, n, block_budget):
-        raise OutOfBudgetError(f"{q}^{n} points exceed budget {block_budget}")
+    if _power_exceeds(q, n, MAX_HYPERPLANE_POINTS):
+        raise OutOfBudgetError(f"{q}^{n} points exceed budget {MAX_HYPERPLANE_POINTS}")
     # b*k = q(q^n-1)/(q-1) blocks of q^(n-1) points; q < 2 is left to make_field
     incidences = q ** n * (q ** n - 1) // (q - 1) if q > 1 else 0
     if incidences > MAX_HYPERPLANE_INCIDENCES:

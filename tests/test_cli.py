@@ -141,16 +141,6 @@ def test_build_refuses_a_graph_above_the_verification_cap_before_wiring(capsys, 
         build_digraph(Gdd(2, 100))
 
 
-def test_build_env_budget(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DSRG_BUDGET", "5")
-    code, _, stderr = run(capsys, "build", "--family", "gdd", "--l", "2", "--q", "3")
-    assert code != 0 and "budget" in stderr
-    # an explicit flag wins over the environment
-    code, stdout, _ = run(capsys, "build", "--family", "gdd", "--l", "2", "--q", "3",
-                          "--block-budget", "1000")
-    assert code == 0
-
-
 def test_build_multiple_size_guard(capsys):
     code, _, stderr = run(capsys, "build", "--family", "gdd", "--l", "2", "--q", "3",
                           "--m", "100000")
@@ -158,26 +148,42 @@ def test_build_multiple_size_guard(capsys):
     assert "verification cap" in stderr
 
 
-def test_bad_env_budget_is_a_usage_error(capsys, monkeypatch):
-    for raw in ("-5", "abc"):
-        monkeypatch.setenv("DSRG_BUDGET", raw)
-        with pytest.raises(SystemExit) as err:
-            main(["build", "--family", "gdd", "--l", "2", "--q", "3"])
-        assert err.value.code == 2
-        assert "DSRG_BUDGET" in capsys.readouterr().err
+def test_gdd_above_the_cap_is_refused_before_its_structure(capsys, monkeypatch):
+    # q^l blocks within the block guard; the closed form's v is over the cap
+    def no_build(l, q):
+        raise AssertionError(f"built gdd({l}, {q}) above the verification cap")
+
+    monkeypatch.setattr(families, "build_gdd", no_build)
+    for l, q, v in ((2, 1000, 1998000000), (12, 3, 12754584)):
+        start = time.perf_counter()
+        code, stdout, stderr = run(capsys, "build", "--family", "gdd", "--l", str(l), "--q", str(q))
+        assert time.perf_counter() - start < 1.0
+        assert (code, stdout) == (1, "")
+        assert stderr == (f"error: gdd l={l};q={q} has {v} vertices, "
+                          "above the verification cap 4096\n")
 
 
 def test_negative_budget_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["build", "--family", "gdd", "--l", "2", "--q", "3", "--block-budget", "-5"])
+        main(["iso", "a.dgr", "b.dgr", "--budget", "-5"])
     assert err.value.code == 2
 
 
-def test_env_budget_is_read_only_by_commands_that_use_it(capsys, monkeypatch):
-    monkeypatch.setenv("DSRG_BUDGET", "abc")
-    code, stdout, _ = run(capsys, "spectrum", "36", "12", "5", "2", "5")
-    assert code == 0
-    assert stdout.strip() == "theta 12 0 -3 mult 1 31 4"
+def test_no_budget_is_read_from_the_environment_or_a_block_budget_flag(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setenv("DSRG_BUDGET", "1")
+    d1, d2, _ = bundled_iso_fixture()
+    p1, p2 = tmp_path / "a.dgr", tmp_path / "b.dgr"
+    p1.write_text(d1.to_dgr())
+    p2.write_text(d2.to_dgr())
+    code, stdout, _ = run(capsys, "iso", str(p1), str(p2))
+    assert (code, stdout.splitlines()[0]) == (0, "ISOMORPHIC")
+    code, stdout, _ = run(capsys, "build", "--family", "gdd", "--l", "2", "--q", "3")
+    assert (code, stdout) == (0, "(36, 12, 5, 2, 5) verified\n")
+    for argv in (["build", "--family", "gdd", "--l", "2", "--q", "3"], ["catalog"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--block-budget", "1000"])
+        assert err.value.code == 2
 
 
 # required build flags of each family, in the order their absence is reported

@@ -502,7 +502,7 @@ def test_transpose():
 def test_forward_gdd23():
     d = build_antiflag_forward(build_gdd(2, 3))
     assert d.n == 36
-    assert all(d.out_degree(u) == 12 for u in range(36))
+    assert all(d.rows[u].bit_count() == 12 for u in range(36))
     assert verify_dsrg(d).tuple() == (36, 12, 5, 2, 5)
 
 
@@ -513,7 +513,7 @@ def test_forward_gdd22():
 
 def test_forward_partition_outdegree():
     d = build_antiflag_forward(build_partition_structure(2, 3))
-    assert all(d.out_degree(u) == 4 for u in range(d.n))  # q(l-1) = 2*2
+    assert all(d.rows[u].bit_count() == 4 for u in range(d.n))  # q(l-1) = 2*2
     assert verify_dsrg(d).tuple() == (12, 4, 2, 0, 2)
 
 

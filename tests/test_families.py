@@ -1,6 +1,7 @@
 import pytest
 
 from dsrg import (
+    DEFAULT_BLOCK_BUDGET,
     AffineResolvable,
     ApPencils,
     Gdd,
@@ -18,6 +19,8 @@ from dsrg import (
     spectrum,
     verify_dsrg,
 )
+from dsrg.digraph import MAX_VERIFY_ORDER
+from dsrg.families import catalog_instances
 
 FANO = (7, 7, 3, 3, 1)
 
@@ -249,3 +252,14 @@ def test_formula_only_rows_still_evaluate():
     assert expected_params(ApPencils(2, 5)).tuple() == (20, 10, 6, 4, 6)
     assert expected_params(ApPencils(2, 6)).tuple() == (24, 12, 7, 5, 7)
     assert expected_params(ApPencils(2, 7)).tuple() == (28, 14, 8, 6, 8)
+
+
+def test_every_provable_gdd_is_far_inside_the_block_guard():
+    # a gdd has fewer blocks than vertices (v = l(q-1)q^l), so every gdd
+    # under the verification cap is built well inside the fixed block guard
+    blocks = []
+    for spec, _ in catalog_instances(MAX_VERIFY_ORDER):
+        if isinstance(spec, Gdd):
+            assert spec.q ** spec.l < expected_params(spec).v <= MAX_VERIFY_ORDER
+            blocks.append(spec.q ** spec.l)
+    assert max(blocks) == 256 < DEFAULT_BLOCK_BUDGET

@@ -105,25 +105,30 @@ def test_gdd_3_2_counts():
     assert all(len(b) == 3 for b in s.blocks)
 
 
-def test_gdd_budget_guard():
+def test_gdd_budget_guard(monkeypatch):
     with pytest.raises(OutOfBudgetError):
         build_gdd(2, 100000)
+    monkeypatch.setattr(incidence, "DEFAULT_BLOCK_BUDGET", 100)
     with pytest.raises(OutOfBudgetError):
-        build_gdd(3, 7, block_budget=100)
+        build_gdd(3, 7)
 
 
 @pytest.mark.parametrize("q,l", [(2, 2), (2, 3), (3, 3), (2, 4)])
-def test_gdd_budget_is_exact(q, l):
-    assert len(build_gdd(l, q, block_budget=q ** l).blocks) == q ** l
+def test_gdd_budget_is_exact(q, l, monkeypatch):
+    monkeypatch.setattr(incidence, "DEFAULT_BLOCK_BUDGET", q ** l)
+    assert len(build_gdd(l, q).blocks) == q ** l
+    monkeypatch.setattr(incidence, "DEFAULT_BLOCK_BUDGET", q ** l - 1)
     with pytest.raises(OutOfBudgetError, match=f"^{q}\\^{l} blocks exceed budget {q ** l - 1}$"):
-        build_gdd(l, q, block_budget=q ** l - 1)
+        build_gdd(l, q)
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (2, 4)])
-def test_hyperplane_point_budget_is_exact(q, n):
-    assert build_hyperplane_design(q, n, block_budget=q ** n).num_points == q ** n
+def test_hyperplane_point_budget_is_exact(q, n, monkeypatch):
+    monkeypatch.setattr(incidence, "MAX_HYPERPLANE_POINTS", q ** n)
+    assert build_hyperplane_design(q, n).num_points == q ** n
+    monkeypatch.setattr(incidence, "MAX_HYPERPLANE_POINTS", q ** n - 1)
     with pytest.raises(OutOfBudgetError, match=f"^{q}\\^{n} points exceed budget {q ** n - 1}$"):
-        build_hyperplane_design(q, n, block_budget=q ** n - 1)
+        build_hyperplane_design(q, n)
 
 
 @pytest.mark.parametrize("build,args,message", [
