@@ -66,10 +66,31 @@ def _safe_spectrum(p: DsrgParams) -> Spectrum | None:
         return None
 
 
+def _verified_multiples(d: Digraph, max_order: int, multiples: int) -> list[DsrgParams]:
+    """verify_dsrg of d and, where t = mu, of its multiples m = 2, 3, ... while
+    m <= multiples and m * v <= max_order, in order of m."""
+    got = verify_dsrg(d)
+    proofs = [got]
+    if got.t == got.mu:
+        # d is verified with t = mu just above, so each multiple is
+        # built without verifying d again and verified once itself
+        m = 2
+        while m <= multiples and m * got.v <= max_order:
+            proofs.append(verify_dsrg(_blow_up(d, m)))
+            m += 1
+    return proofs
+
+
 def catalog_rows(max_order: int = 110, families: tuple[str, ...] | None = None,
                  multiples: int = 13) -> list[CatalogRow]:
-    """Build, verify and tabulate every family instance with v <= max_order."""
+    """Build, verify and tabulate every family instance with v <= max_order.
+
+    Specs that build equal rows (`transversal q` and `ap-pencils q;l=q`)
+    share one proof of the graph and of each multiple; each row is still
+    compared with its own spec's expected parameters.
+    """
     rows: list[CatalogRow] = []
+    proofs: dict[tuple[int, ...], list[DsrgParams]] = {}
     for spec, formula_only in catalog_instances(max_order):
         if families is not None and spec.name not in families:
             continue
@@ -79,18 +100,12 @@ def catalog_rows(max_order: int = 110, families: tuple[str, ...] | None = None,
                                    _safe_spectrum(expected), formula_only=True))
             continue
         d = build_digraph(spec)
-        got = verify_dsrg(d)
-        rows.append(CatalogRow(got, spec.name, spec.describe(),
-                               got == expected, _safe_spectrum(got)))
-        if got.t == got.mu:
-            # d is verified with t = mu just above, so each multiple is
-            # built without verifying d again and verified once itself
-            m = 2
-            while m <= multiples and m * got.v <= max_order:
-                got_m = verify_dsrg(_blow_up(d, m))
-                rows.append(CatalogRow(got_m, spec.name, f"{spec.describe()};m={m}",
-                                       got_m == expected.scaled(m), _safe_spectrum(got_m)))
-                m += 1
+        if d.rows not in proofs:
+            proofs[d.rows] = _verified_multiples(d, max_order, multiples)
+        for m, got in enumerate(proofs[d.rows], 1):
+            rows.append(CatalogRow(got, spec.name,
+                                   spec.describe() + (f";m={m}" if m > 1 else ""),
+                                   got == expected.scaled(m), _safe_spectrum(got)))
     rows.sort(key=CatalogRow.sort_key)
     return rows
 

@@ -16,16 +16,19 @@ per row class, not once per vertex: vertices with one out-row share
 their out- and 2-walk histograms whatever their own colors, and
 vertices with one in-column (a row class of the transpose) share their
 in-histogram, so each class sums once and its rank is spread to its
-members.  A tree node individualizes one vertex (for `are_isomorphic`
-one class-structure node) of the smallest non-singleton color class
-(ties to the lowest color id).  The root invariant and a mapping's row
-images are also computed once per row class.
+members.  A tree node targets the smallest non-singleton color class
+(ties to the lowest color id) and individualizes a tuple of nodes, each
+in a fresh color in tuple order: for `canonical_form` one vertex of the
+target class, for `are_isomorphic` a whole vertex cell where it can (see
+below).  The root invariant and a mapping's row images are also
+computed once per row class.
 
-`are_isomorphic` first compares what an isomorphism must preserve:
-the sorted sizes of the out-row classes and of the in-column classes
-(it maps classes onto classes of the same size), and the multisets of
-the per-class invariant {|N+(u) & N+(w)| : w in N+(u)}, one popcount
-per arc of a class's row, paired with the class size.  A difference
+`are_isomorphic` first compares what an isomorphism must preserve: the
+sorted sizes of the out-row classes and of the in-column classes (it
+maps classes onto classes of the same size), and the multisets of the
+per-class invariant {|N+(u) & N+(w)| : w in N+(u)}, paired with the
+class size; |N+(u) & N+(w)| depends only on w's out-row class, so it
+takes one popcount per pair of classes, not one per arc.  A difference
 proves the pair non-isomorphic before any tree node.  Otherwise it
 searches the class structure.  A(u, v) depends only on u's out-row
 class r and v's in-column class c, so a digraph is fixed up to
@@ -34,14 +37,21 @@ N[r][c]; two digraphs are isomorphic exactly when bijections of their
 row classes and of their column classes carry (B, N) onto (B', N').
 The search runs on a multigraph on D + C nodes, an arc r -> c where
 B = 1 and N[r][c] arcs c -> r, with row nodes colored by invariant
-rank and column nodes in a color of their own.  Twins share a cell,
-so a Duval multiple costs what its base does.  Both structures are
-refined jointly under one color numbering, the first individualizes
-the first node of the target class and the second branches over its
-matching class; a leaf pairs the members of each cell with those of
-its image cell, in index order.  Every returned mapping is re-checked
-edge by edge, a negative answer means the tree was exhausted, and
-running out of the node budget is its own outcome, never a silent "no".
+rank and column nodes in a color of their own.  Twins share a cell, so a
+Duval multiple costs what its base does.  Both structures are refined
+jointly under one color numbering.  A vertex cell is a row node and a
+column node that share a vertex (N[r][c] > 0), and each tree level
+fixes one: the first structure fixes u, the first node of the target
+class X, with w, the first node that shares a cell with u in Y, the
+smallest non-singleton class among u's cell partners; the second
+branches over every cell (u', w') of X x Y, in index order.  An
+isomorphism maps cell (u, w) onto a cell of the same two colors, so
+the tree is complete; where u's partners are all singletons, u alone
+is fixed against each node of X.  A leaf pairs the members of each
+cell with those of its image cell, in index order.  Every returned
+mapping is re-checked edge by edge, a negative answer means the tree
+was exhausted, and running out of the node budget is its own outcome,
+never a silent "no".
 
 `canonical_form` searches the vertices of one graph from the trivial
 coloring and keeps the first leaf with the least adjacency string.  Two
@@ -58,16 +68,17 @@ the cell and merges the leaf automorphisms found since it last looked.
 Duval multiples and `partition` for q >= 2 are full of twins:
 `partition(2,3)` takes 19 nodes (39 with leaf automorphisms alone, 757
 unpruned).  Only `canonical_form` prunes: `are_isomorphic` branches
-over every node of its target cell, since class structures have no
+over every candidate cell of its level, since class structures have no
 twins and it collects no automorphisms.  IsoResult counts tree nodes,
-refinement rounds and the deepest tree level reached.
+refinement rounds and the deepest tree level reached, a level being one
+individualized tuple.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat, starmap
 from operator import add
 from struct import Struct
 
@@ -86,7 +97,9 @@ class IsoResult:
     """Outcome of an isomorphism search; mapping is set only when found.
 
     nodes counts class-structure tree nodes, rounds the refinement
-    rounds, depth the deepest tree level reached (the root is level 0).
+    rounds, depth the deepest tree level reached (the root is level 0;
+    each level individualizes one tuple, a row node with a column node
+    it shares a cell with, or one node where it has no such partner).
     pruned, the branches skipped as automorphic images of explored ones,
     is 0: are_isomorphic prunes none, and the field stays for the
     reports that print it.
@@ -146,7 +159,7 @@ class _Neighborhoods:
     once per arc, so a multigraph repeats it.
     """
 
-    __slots__ = ("out", "out_class", "walk", "inn", "in_class", "most")
+    __slots__ = ("out", "out_class", "walk", "inn", "in_class", "most", "cells")
 
     def __init__(self, d: Digraph):
         t = d.transpose()
@@ -161,12 +174,17 @@ class _Neighborhoods:
         out-row class and node D + c per in-column class, with an arc
         r -> D + c where class r's out-row holds class c's vertices, and
         one arc D + c -> r per vertex of out-row class r and in-column
-        class c.  Every node is its own class."""
+        class c.  Every node is its own class.  cells[x] lists, in
+        increasing order, the nodes of the other side that share a
+        nonempty cell with node x: the column nodes c with N[x][c] > 0
+        for a row node, the row nodes r with N[r][x] > 0 for a column
+        node."""
         n_rows = len(d.distinct)
         col = list(map(n_rows.__add__, t.row_class))     # each vertex's column node
         out = [sorted(set(map(col.__getitem__, vs))) for vs in nbrs]
         inn = [list(map(col.__getitem__, _bits(mask))) for mask in d.members]
         out += [list(map(d.row_class.__getitem__, _bits(mask))) for mask in t.members]
+        cells = [sorted(set(nodes)) for nodes in inn + out[n_rows:]]
         inn += [[] for _ in t.distinct]
         for r in range(n_rows):
             for c in out[r]:
@@ -174,6 +192,7 @@ class _Neighborhoods:
         nodes = range(len(out))
         g = cls.__new__(cls)
         g._link(out, nodes, out, inn, nodes)
+        g.cells = cells
         return g
 
     def _link(self, out, out_class, walk, inn, in_class) -> None:
@@ -289,14 +308,25 @@ class _BudgetHit(Exception):
     pass
 
 
+def _smallest(counts: Counter, colors) -> int | None:
+    """The smallest non-singleton class among colors, ties to the lowest
+    color, counts giving the class sizes; None if all are singletons."""
+    return min((c for c in colors if counts[c] > 1), key=lambda c: (counts[c], c),
+               default=None)
+
+
 class _Search:
     """Depth-first individualize-refine tree over one graph or a pair.
 
+    Each tree level individualizes a tuple of nodes in every graph: its
+    nodes take fresh colors in tuple order, so the i-th node of one
+    graph's tuple can only go onto the i-th of the other's.  The target
+    is the smallest non-singleton color class, and tuples() lists a
+    node's branches; here they are those of are_isomorphic over two
+    class structures.  With two graphs the refinement is joint, the
+    first graph's tuple is fixed and only the second graph branches.
     leaf(colorings) is called at each discrete leaf and returns True to
-    stop the search.  With two graphs the refinement is joint and only
-    the second graph branches, over branches(cell, path): cell lists the
-    vertices of the target class in increasing order, path the vertices
-    individualized to reach the node.
+    stop the search.
     """
 
     def __init__(self, graphs: list[_Neighborhoods], budget: int, leaf):
@@ -305,36 +335,49 @@ class _Search:
         self.leaf = leaf
         self.nodes = self.rounds = self.depth = 0
 
-    def branches(self, cell: list[int], path: tuple[int, ...]):
-        """The vertices of cell to individualize: every one."""
-        return cell
+    def tuples(self, colorings: list[list[int]], counts: Counter, target: int,
+               path: tuple[int, ...]):
+        """Per branch, the tuple of nodes each class structure individualizes.
 
-    def visit(self, colorings: list[list[int]], path: tuple[int, ...] = ()) -> bool:
-        """Search the subtree below colorings, reached by individualizing path."""
+        In the first, u is the first node of the target class X, Y the
+        smallest non-singleton class among the nodes that share a
+        nonempty cell with u, and w the first of those in Y.  The second
+        branches over every (u', w') in X x Y that shares a nonempty
+        cell, in index order: an isomorphism maps cell (u, w) onto one
+        of them.  Where u's cell partners are all singletons, u alone
+        goes against each u' in X.
+        """
+        (c1, c2), (g1, g2) = colorings, self.graphs
+        u = c1.index(target)
+        y = _smallest(counts, {c1[v] for v in g1.cells[u]})
+        cell = [x for x, c in enumerate(c2) if c == target]
+        if y is None:
+            return (((u,), (x,)) for x in cell)
+        w = next(v for v in g1.cells[u] if c1[v] == y)
+        return (((u, w), (x, v)) for x in cell for v in g2.cells[x] if c2[v] == y)
+
+    def visit(self, colorings: list[list[int]], path: tuple[int, ...] = (),
+              depth: int = 0) -> bool:
+        """Search the subtree below colorings, reached in depth levels that
+        individualized path, the last graph's nodes."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise _BudgetHit
-        self.depth = max(self.depth, len(path))
-        colorings, rounds = _refine(self.graphs, colorings, dist2=bool(path))
+        self.depth = max(self.depth, depth)
+        colorings, rounds = _refine(self.graphs, colorings, dist2=depth > 0)
         self.rounds += rounds
         if colorings is None:
             return False
-        n = len(colorings[0])
         counts = Counter(colorings[0])
-        if len(counts) == n:
+        if len(counts) == len(colorings[0]):
             return self.leaf(colorings)
-        target = min((c for c, cnt in counts.items() if cnt > 1),
-                     key=lambda c: (counts[c], c))
         fresh = len(counts)
-        pair = len(colorings) == 2
-        fixed = colorings[0].index(target)
-        cell = [u for u, c in enumerate(colorings[-1]) if c == target]
-        for u in self.branches(cell, path):
+        for branch in self.tuples(colorings, counts, _smallest(counts, counts), path):
             children = [list(c) for c in colorings]
-            if pair:
-                children[0][fixed] = fresh
-            children[-1][u] = fresh
-            if self.visit(children, path + (u,)):
+            for coloring, nodes in zip(children, branch):
+                for color, x in enumerate(nodes, fresh):
+                    coloring[x] = color
+            if self.visit(children, path + branch[-1], depth + 1):
                 return True
         return False
 
@@ -356,6 +399,12 @@ class _CanonicalSearch(_Search):
         super().__init__(graphs, budget, leaf)
         self.twin_key = list(zip(graphs[0].out_class, graphs[0].in_class))
         self.automorphisms: list[tuple[int, ...]] = []
+
+    def tuples(self, colorings: list[list[int]], counts: Counter, target: int,
+               path: tuple[int, ...]):
+        """One vertex of the target class per branch, as branches() prunes."""
+        cell = [u for u, c in enumerate(colorings[0]) if c == target]
+        return (((u,),) for u in self.branches(cell, path))
 
     def branches(self, cell: list[int], path: tuple[int, ...]):
         """The vertices of cell whose orbit holds no explored sibling.
@@ -396,12 +445,22 @@ class _CanonicalSearch(_Search):
                 seen.add(find(u))
 
 
-def _intersection_profile(d: Digraph, nbrs: list[list[int]]) -> list[tuple[int, ...]]:
+def _intersection_profile(d: Digraph) -> list[tuple[int, ...]]:
     """Per out-row class, the sorted multiset {|N+(u) & N+(w)| : w in N+(u)}
-    of its vertices u, nbrs[r] being the out-neighbors of class r."""
-    rows = d.rows
-    return [tuple(sorted((row & rows[w]).bit_count() for w in vs))
-            for row, vs in zip(d.distinct, nbrs)]
+    of its vertices u.
+
+    |N+(u) & N+(w)| depends only on w's out-row class r', so with R the
+    class's row, each r' adds |R & rep_r'| taken |R & M_r'| times, rep_r'
+    being the row of r' and M_r' its members: D popcounts per class, not
+    one per arc.
+    """
+    profiles = []
+    for row in d.distinct:
+        pairs = sorted(((row & rep).bit_count(), hits)
+                       for rep, members in zip(d.distinct, d.members)
+                       if (hits := (row & members).bit_count()))
+        profiles.append(tuple(chain.from_iterable(starmap(repeat, pairs))))
+    return profiles
 
 
 def _class_sizes(members: tuple[int, ...]) -> list[int]:
@@ -430,15 +489,15 @@ def are_isomorphic(d1: Digraph, d2: Digraph,
     if (d1.n != d2.n or d1.edge_count() != d2.edge_count()
             or _class_sizes(d1.members) != _class_sizes(d2.members)):
         return IsoResult(NOT_ISOMORPHIC)
-    # the out-neighbors of each out-row class, taken once per graph
-    nbrs1, nbrs2 = list(map(_bits, d1.distinct)), list(map(_bits, d2.distinct))
-    p1, p2 = _intersection_profile(d1, nbrs1), _intersection_profile(d2, nbrs2)
+    p1, p2 = _intersection_profile(d1), _intersection_profile(d2)
     if (sorted(zip(p1, map(int.bit_count, d1.members)))
             != sorted(zip(p2, map(int.bit_count, d2.members)))):
         return IsoResult(NOT_ISOMORPHIC)
     t1, t2 = d1.transpose(), d2.transpose()
     if _class_sizes(t1.members) != _class_sizes(t2.members):
         return IsoResult(NOT_ISOMORPHIC)
+    # the out-neighbors of each out-row class
+    nbrs1, nbrs2 = list(map(_bits, d1.distinct)), list(map(_bits, d2.distinct))
     g1, g2 = _Neighborhoods.of_classes(d1, t1, nbrs1), _Neighborhoods.of_classes(d2, t2, nbrs2)
     order2 = _cell_order(d2, t2, range(len(g2.out)))
     mapping = None

@@ -45,6 +45,9 @@ the one that ORs each out-row class's vertex mask into its columns.
 reference_orbits is the search's first orbit computation, rebuilt from
 every automorphism each time one is found, kept verbatim as the
 reference for the union-find that merges only the new ones.
+reference_intersection_profile is are_isomorphic's first intersection
+invariant, one popcount per arc of each out-row class, kept as the
+reference for the one that takes one popcount per pair of classes.
 reference_color_tuple is the refinement's first histogram sort key,
 which expands each packed histogram into its sorted color tuple, kept
 verbatim as the reference for the key read from the counts.
@@ -589,6 +592,13 @@ def reference_canonical_form(d: Digraph, budget: int = DEFAULT_NODE_BUDGET
 
     search([0] * n, 0)
     return best[0], best[1]
+
+
+def reference_intersection_profile(d: Digraph) -> list[tuple[int, ...]]:
+    """Per out-row class of d, the sorted multiset {|N+(u) & N+(w)| : w in
+    N+(u)} of its vertices u, one popcount per arc."""
+    return [tuple(sorted((row & d.rows[w]).bit_count() for w in reference_bits(row)))
+            for row in d.distinct]
 
 
 def reference_orbits(n: int, automorphisms, path: tuple[int, ...]) -> list[int]:

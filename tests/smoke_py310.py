@@ -7,7 +7,7 @@ through dgr text, checks the duality mapping of the bundled 36-vertex
 fixture (forward graph, transposed backward graph, dual structure),
 finds and checks an isomorphism from gdd(2,3) to a relabelled copy
 and one between the Duval multiples ap-pencils(3,3) x 9 and
-transversal(3) x 9 (n=486) in at most 5 class-structure nodes,
+transversal(3) x 9 (n=486) in at most 3 class-structure nodes,
 rejects a degree-keeping swap mutant of gdd(2,3) with the error class,
 witness and message of tests/oracles.py's reference_verify_dsrg,
 checks the row-class index of the Duval multiple gdd(2,3) x 3 against
@@ -87,9 +87,9 @@ def checks():
     pencils, transversal = (duval_multiple(build_digraph(spec), 9)
                             for spec in (ApPencils(3, 3), Transversal(3)))
     result = are_isomorphic(pencils, transversal)
-    yield "ap-pencils q=3;l=3;m=9 isomorphic to transversal q=3;m=9 in <= 5 nodes", (
+    yield "ap-pencils q=3;l=3;m=9 isomorphic to transversal q=3;m=9 in <= 3 nodes", (
         result.status == ISOMORPHIC and verify_mapping(pencils, transversal, result.mapping)
-        and result.nodes <= 5)
+        and result.nodes <= 3)
     mutant = _swap_mutant(gdd)
     got = _rejection(verify_dsrg, mutant)
     yield "gdd l=2;q=3 swap mutant rejected like the reference", (

@@ -15,7 +15,7 @@ from dsrg import (Digraph, DsrgError, TooLargeError, are_isomorphic, build_antif
 from dsrg import cli, families, feasibility
 from dsrg.cli import (CSV_HEADER, _spec_from_args, build_parser, catalog_rows, main, render_csv,
                       render_table)
-from dsrg.families import Gdd, PgAntiflag, catalog_instances
+from dsrg.families import ApPencils, Gdd, PgAntiflag, Transversal, catalog_instances
 
 
 def run(capsys, *argv):
@@ -450,18 +450,41 @@ def test_catalog_matches_its_digests(max_order):
         assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[max_order][kind], kind
 
 
-def test_catalog_verifies_each_built_graph_once(monkeypatch):
+def count_verify_calls(monkeypatch):
+    """The rows of every graph verify_dsrg is called on, in a list."""
     real = verify_dsrg
     calls = []
 
     def counting(d):
-        calls.append(d.n)
+        calls.append(d.rows)
         return real(d)
 
     monkeypatch.setattr("dsrg.cli.verify_dsrg", counting)
     monkeypatch.setattr("dsrg.digraph.verify_dsrg", counting)
+    return calls
+
+
+def test_catalog_verifies_each_built_graph_once(monkeypatch):
+    """No graph is verified twice, and every base graph is verified;
+    `transversal q` and `ap-pencils q;l=q` build equal rows, so their
+    rows share one proof."""
+    calls = count_verify_calls(monkeypatch)
     rows = catalog_rows()
-    assert len(calls) == sum(not r.formula_only for r in rows)
+    assert len(set(calls)) == len(calls) < sum(not r.formula_only for r in rows)
+    assert {build_digraph(spec).rows for spec, formula_only in catalog_instances(110)
+            if not formula_only} <= set(calls)
+    assert build_digraph(Transversal(3)).rows == build_digraph(ApPencils(3, 3)).rows
+
+
+@pytest.mark.parametrize("max_order, calls, before", [(110, 135, 150), (500, 311, 336),
+                                                      (1000, 382, 415)])
+def test_catalog_verify_calls_are_pinned(monkeypatch, max_order, calls, before):
+    """One verify_dsrg call per distinct graph, `before` when each spec
+    verified its own graph and multiples."""
+    counted = count_verify_calls(monkeypatch)
+    rows = catalog_rows(max_order=max_order)
+    assert len(counted) == calls
+    assert sum(not r.formula_only for r in rows) == before
 
 
 def test_catalog_csv_shape():

@@ -743,7 +743,7 @@ def out_neighbors(d):
 
 
 def profile(d):
-    return iso._intersection_profile(d, out_neighbors(d))
+    return iso._intersection_profile(d)
 
 
 CLASS_GRAPHS = {
@@ -776,6 +776,17 @@ def test_class_structure_holds_the_incidence_and_the_cell_sizes(name):
     assert Counter((x, y) for x, ys in enumerate(g.out) for y in ys) == arcs
     assert Counter((x, y) for y, xs in enumerate(g.inn) for x in xs) == arcs
     assert g.walk == g.out and list(g.out_class) == list(g.in_class) == list(range(len(g.out)))
+
+
+def test_intersection_profile_equals_the_per_arc_definition():
+    """One popcount per pair of out-row classes gives the tuple of one
+    popcount per arc, on every buildable catalog-110 graph with its
+    multiples m = 2, 3 and on 60 seeded digraphs with repeated rows."""
+    rng = random.Random("intersection profile")
+    graphs = [d for _, d in _catalog_110_with_multiples()]
+    graphs += [repeated_rows_digraph(rng, rng.randint(1, 16)) for _ in range(60)]
+    for d in graphs:
+        assert profile(d) == oracles.reference_intersection_profile(d)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -811,9 +822,9 @@ def test_empty_and_complete_graphs(n):
 # (base, m) twice, then the class-structure nodes of the search
 DUVAL_PAIRS = {
     "transversal q=2;m=62 vs affine-resolvable m=2;s=2;l=2;m=31":
-        ((Transversal(2), 62), (AffineResolvable(2, 2, 2), 31), 3),
+        ((Transversal(2), 62), (AffineResolvable(2, 2, 2), 31), 2),
     "ap-pencils q=3;l=3;m=9 vs transversal q=3;m=9":
-        ((ApPencils(3, 3), 9), (Transversal(3), 9), 5),
+        ((ApPencils(3, 3), 9), (Transversal(3), 9), 3),
 }
 
 
@@ -826,6 +837,106 @@ def test_duval_multiple_pairs_take_a_few_class_nodes(name):
     assert result.status == ISOMORPHIC
     assert verify_mapping(a, b, result.mapping)
     assert result.nodes == nodes
+
+
+def cycles(*lengths):
+    """Disjoint directed cycles of the given lengths, numbered in order."""
+    rows, start = [], 0
+    for k in lengths:
+        rows += [1 << (start + (i + 1) % k) for i in range(k)]
+        start += k
+    return Digraph(start, tuple(rows))
+
+
+def record_tuples(monkeypatch):
+    """Every (tuple of d1, tuple of d2) branched on by are_isomorphic, with
+    the number of d2 nodes on the path to the node (0 at the root),
+    appended to the returned list."""
+    seen = []
+    tuples = iso._Search.tuples
+
+    def recorded(self, colorings, counts, target, path):
+        for pair in tuples(self, colorings, counts, target, path):
+            seen.append((len(path), pair))
+            yield pair
+
+    monkeypatch.setattr(iso._Search, "tuples", recorded)
+    return seen
+
+
+def nonempty_cells(d):
+    """The (row node, column node) of each vertex of d in its class structure."""
+    rows = len(d.distinct)
+    return {(r, rows + c) for r, c in zip(d.row_class, d.transpose().row_class)}
+
+
+def test_every_pair_level_branch_is_a_nonempty_cell(monkeypatch):
+    """Each level fixes a row node and a column node that share a vertex,
+    in d1 and in every branch of d2, read off the vertices; over the
+    isomorphic iso_pairs(), the Duval pairs, a pair of cycle unions and
+    seeded repeated-row pairs."""
+    pairs = [(a, b) for a, b, budget in iso_pairs().values() if budget is None]
+    pairs += [(_blow_up(build_digraph(s1), m1), _blow_up(build_digraph(s2), m2))
+              for (s1, m1), (s2, m2), _ in DUVAL_PAIRS.values()]
+    pairs.append((cycles(3, 4), cycles(4, 3)))
+    rng = random.Random("pair level")
+    for i in range(40):
+        d = repeated_rows_digraph(rng, rng.randint(2, 12))
+        pairs.append((d, shuffled_copy(d, i)[0]))
+    seen = record_tuples(monkeypatch)
+    pairs_checked = 0
+    for a, b in pairs:
+        seen.clear()
+        are_isomorphic(a, b)
+        cells_a, cells_b = nonempty_cells(a), nonempty_cells(b)
+        for _, (fixed, branch) in seen:
+            assert len(fixed) == len(branch)
+            if len(fixed) == 2:
+                assert fixed in cells_a or fixed[::-1] in cells_a
+                assert branch in cells_b or branch[::-1] in cells_b
+                pairs_checked += 1
+    assert pairs_checked >= 20
+
+
+def test_a_failed_first_candidate_backtracks_to_a_verified_mapping(monkeypatch):
+    """A 3-cycle and a 4-cycle against a 4-cycle and a 3-cycle: the root
+    fixes vertex 0's cell in the 3-cycle of d1, and the first candidates
+    of d2 are the cells of its 4-cycle, which refinement refutes."""
+    a, b = cycles(3, 4), cycles(4, 3)
+    seen = record_tuples(monkeypatch)
+    result = are_isomorphic(a, b)
+    assert result.status == ISOMORPHIC
+    assert verify_mapping(a, b, result.mapping)
+    root = [branch for on_path, (_, branch) in seen if on_path == 0]
+    # cells are row node v, column node 7 + v for vertex v of b
+    assert root == [(v, 7 + v) for v in range(5)]
+    assert result.mapping[0] in (4, 5, 6)
+    assert (result.nodes, result.depth) == (7, 2)
+
+
+def test_the_one_node_fallback_is_the_one_node_search(monkeypatch):
+    """With no cell partners every level individualizes one node: the
+    6-cycle is still refuted against two triangles, and the fixture
+    takes the counters of a one-node-per-level search (5 nodes, 9
+    rounds, depth 4) with a verified mapping."""
+    of_classes = _Neighborhoods.of_classes.__func__
+
+    def no_partners(cls, d, t, nbrs):
+        g = of_classes(cls, d, t, nbrs)
+        g.cells = [[] for _ in g.cells]
+        return g
+
+    monkeypatch.setattr(_Neighborhoods, "of_classes", classmethod(no_partners))
+    seen = record_tuples(monkeypatch)
+    for a, b in ((SIX_CYCLE, TWO_TRIANGLES), (TWO_TRIANGLES, SIX_CYCLE)):
+        result = are_isomorphic(a, b)
+        assert (result.status, result.nodes, result.rounds, result.depth) == \
+            (NOT_ISOMORPHIC, 7, 13, 1)
+    d1, d2, _ = bundled_iso_fixture()
+    result = are_isomorphic(d1, d2)
+    assert result.status == ISOMORPHIC and verify_mapping(d1, d2, result.mapping)
+    assert (result.nodes, result.rounds, result.depth) == (5, 9, 4)
+    assert seen and all(len(fixed) == len(branch) == 1 for _, (fixed, branch) in seen)
 
 
 def catalog_with_uncapped_multiples(max_order):
@@ -994,8 +1105,8 @@ def test_counters_default_to_zero_and_are_reported():
 
 def test_depth_is_the_deepest_level_reached():
     """The 6-cycle and two triangles are refuted by exhausting a tree
-    whose every level individualizes one more vertex; the budget stops a
-    search at its last expanded level."""
+    whose every level individualizes one more vertex cell; the budget
+    stops a search at its last expanded level."""
     result = are_isomorphic(SIX_CYCLE, TWO_TRIANGLES)
     assert result.status == NOT_ISOMORPHIC and result.depth >= 1
     d1, d2, _ = bundled_iso_fixture()
@@ -1008,8 +1119,8 @@ def test_depth_is_the_deepest_level_reached():
 # search: an IsoResult as (status, mapping, nodes, pruned, rounds), a
 # canonical form as (string, labelling)
 ISO_PAIRS_DIGESTS = {
-    1: "dd36b66fc0cf244d072cbe8af14ce7ae5f642131608ed9e65fcd43dfc83de015",
-    2: "74ce3ae3200e1ab54477b5c76ad43b6d196e642bad70f6b0e73eefbf6514eb86",
+    1: "5480ce4421842b46b4213a8ea3c577a6bad0fbb208884c921d38937ad7528015",
+    2: "e50c892c90d4848bfe5ef569cfc31f108f2565e9b70df5756c0d6cce177f8f75",
 }
 
 # (nodes, pruned, rounds, depth) of each iso-pairs are_isomorphic op,
@@ -1017,10 +1128,10 @@ ISO_PAIRS_DIGESTS = {
 # nodes (an anti-flag graph has at most one row node per point and one
 # column node per block)
 ISO_PAIRS_COUNTERS = {
-    "bundled 36-vertex fixture": (5, 0, 9, 4),
-    "gdd l=2;q=3 relabelled": (5, 0, 9, 4),
-    "gdd l=2;q=4 relabelled": (7, 0, 13, 6),
-    "transversal q=3 relabelled": (5, 0, 11, 4),
+    "bundled 36-vertex fixture": (3, 0, 6, 2),
+    "gdd l=2;q=3 relabelled": (3, 0, 6, 2),
+    "gdd l=2;q=4 relabelled": (4, 0, 8, 3),
+    "transversal q=3 relabelled": (3, 0, 6, 2),
     "gdd l=2;q=3 forward vs backward": (0, 0, 0, 0),
     "gdd l=2;q=4 forward vs backward": (0, 0, 0, 0),
     "K33 forward vs grid forward": (0, 0, 0, 0),
