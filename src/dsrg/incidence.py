@@ -9,18 +9,18 @@ check the partial-geometry, group-divisible and 2-design axioms and
 report the first violated axiom with a witness.  dual swaps points and
 blocks; duality_mapping numbers the anti-flag map (p, B) -> (B, p).
 
-The field builders read GF(q) table rows directly and build one
-parallel class per step in C-level calls.  An affine plane's slope-m
-class is the transpose (`zip`) of its q point columns, column x read
-through the `itemgetter` of `add_table` row m*x.  A hyperplane design's
-class of direction a is solved for the last nonzero coordinate x_L of
-a: the block {x : a.x = c} holds, for each prefix x' = (x_0..x_{L-1}),
-the one row x_L = a_L^-1 (c - a'.x') of the cell of points with that
-prefix, whatever the coordinates after L.  The prefix values a'.x' are
-one memoized `bytes` per prefix of a, each cell is read through the
-itemgetter its prefix value picks, and one transpose gives the q sorted
-blocks of the class.  Every block takes its indices from one shared
-point list.
+The field builders read GF(q) table rows directly and share one kernel,
+_graph_blocks.  For a slope s in F^m, G_m[s][c] is the block of points
+x.q + (c + s.x), x in F^m in index order.  Splitting x = (x_0, x'')
+gives G_m[(s_0, s'')][c] as the blocks G_{m-1}[s''][c + s_0.x_0] of
+the subcubes of x_0 = 0..q-1, joined in that order, so it is sorted;
+level 1 is the transpose (`zip`) of the q point columns, column x read
+through the `itemgetter` of `add_table` row s.x.  The line y = m*x + b
+of an affine plane is G_1[m][b].  A hyperplane {x : a.x = c} of F_q^n,
+with a_L the last nonzero coordinate of a and inv = a_L^-1, is
+G_L[-inv.(a_0..a_{L-1})][c.inv] over the prefixes (x_0..x_L), each
+prefix widened to the row of its suffixes.  Every block takes its int
+objects from one shared point list.
 
 Pair counts are int bitmasks and `int.bit_count()`: verify_pg's axiom 3
 ANDs a point's block mask with the mask of the blocks meeting a line,
@@ -35,14 +35,14 @@ cross-group pairs and the point degrees of all verifiers are popcounts
 of the same masks.
 
 Validation runs on every structure, builder output included.  With
-parallel classes it first tries an exact acceptance test: one set union
-per class must equal {0..n-1} with the block lengths summing to n, each
-block must start at a point >= 0 and equal its sorted list, and no block
-may repeat.  A union equal to {0..n-1} from n points holds each int in
-range exactly once, so every block is in range and strictly increasing
-and every class partitions the points.  What the test does not accept
-goes through the per-block and per-class loops, which name the first
-failure.
+parallel classes it first tries an exact acceptance test: per class the
+set difference of {0..n-1} and its blocks must be empty with the block
+lengths summing to n, each block must start at a point >= 0 and equal
+its sorted list, and no block may repeat.  n slots that cover all n ints
+of {0..n-1} hold each exactly once, so every block is in range and
+strictly increasing and every class partitions the points.  What the
+test does not accept goes through the per-block and per-class loops,
+which name the first failure.
 
 All orderings are canonical and documented per builder, so identical
 inputs give identical structures element by element.
@@ -141,12 +141,11 @@ class IncidenceStructure:
     parallel_classes: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
+        object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
         if self.groups is not None:
-            object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
+            object.__setattr__(self, "groups", tuple(map(tuple, self.groups)))
         if self.parallel_classes is not None:
-            object.__setattr__(self, "parallel_classes",
-                               tuple(tuple(c) for c in self.parallel_classes))
+            object.__setattr__(self, "parallel_classes", tuple(map(tuple, self.parallel_classes)))
         self._validate()
 
     def _validate(self):
@@ -154,11 +153,12 @@ class IncidenceStructure:
 
         With parallel classes, the blocks and classes first meet an exact
         acceptance test (_fast_accepts): the class indices sort to
-        0..b-1; per class the block lengths sum to n and the union of its
-        blocks equals set(range(n)); every block is non-empty, its first
-        point is >= 0 and it equals its sorted list; no two blocks are
-        equal.  It is sound: a set equal to {0..n-1} holds only points
-        that hash and compare equal to an int in range, one per int, so
+        0..b-1; per class the block lengths sum to n and no int of
+        set(range(n)) is left after the set difference with its blocks;
+        every block is non-empty, its first point is >= 0 and it equals
+        its sorted list; no two blocks are equal.  It is sound: n slots
+        that leave no int of {0..n-1} hold only points that hash and
+        compare equal to an int in range, one per int, so
         NaN, 0.5, -1, n, str and None fail it, and a point that equals an
         int but has no order (a complex number) makes the compare with 0
         or the sort raise TypeError, which the test reads as False.  With
@@ -177,10 +177,9 @@ class IncidenceStructure:
         scan = classes is None or not _fast_accepts(n, self.blocks, classes)
         if scan:
             _check_blocks(n, self.blocks)
-        everything = list(range(n))
         if self.groups is not None:
             flat = [p for g in self.groups for p in g]
-            if sorted(flat) != everything:
+            if sorted(flat) != list(range(n)):
                 raise ValueError("groups do not partition the point set")
             for g in self.groups:
                 if any(map(ge, g, g[1:])):
@@ -189,6 +188,7 @@ class IncidenceStructure:
             flat = [i for c in classes for i in c]
             if sorted(flat) != list(range(len(self.blocks))):
                 raise ValueError("parallel classes do not partition the block list")
+            everything = list(range(n))
             for c in classes:
                 covered: list[int] = []
                 for i in c:
@@ -228,13 +228,11 @@ def _fast_accepts(n: int, blocks, classes) -> bool:
     argues it: True only if _check_blocks and the class loop would accept;
     False on any TypeError, e.g. of unhashable or unordered points."""
     try:
-        if sorted(i for c in classes for i in c) != list(range(len(blocks))):
-            return False
-        members = [[blocks[i] for i in c] for c in classes]
-        if any(sum(map(len, m)) != n for m in members):
+        if sorted(chain.from_iterable(classes)) != list(range(len(blocks))):
             return False
         everything = set(range(n))
-        return (all(set().union(*m) == everything for m in members)
+        members = [list(map(blocks.__getitem__, c)) for c in classes]
+        return (not any(sum(map(len, m)) != n or everything.difference(*m) for m in members)
                 and all(b and b[0] >= 0 and list(b) == sorted(b) for b in blocks)
                 and len(set(blocks)) == len(blocks))
     except TypeError:
@@ -291,6 +289,39 @@ def build_gdd(l: int, q: int) -> IncidenceStructure:
     return IncidenceStructure(q * l, blocks, groups=groups)
 
 
+def _runs(items, size: int):
+    """The consecutive size-tuples of items."""
+    return zip(*[iter(items)] * size)
+
+
+def _join(parts) -> tuple:
+    """The concatenation of parts as one tuple."""
+    out: list = []
+    for part in parts:
+        out += part
+    return tuple(out)
+
+
+def _graph_blocks(f, m: int, points: list) -> list[list[tuple]]:
+    """G_m of the module docstring over the q^(m+1) points: for each slope s
+    in F^m in index order, the q tuples G_m[s][c] of points[x.q + (c + s.x)]
+    over x in F^m in index order, c = 0..q-1.  Level 1 reads column x of
+    each run of q^2 points from row s.x on; level j joins, in x_0 order,
+    the blocks [s''][c + s_0.x_0] of the runs of q^j points.
+    """
+    q = f.q
+    shifted = [itemgetter(*add_row) for add_row in f.add_table]   # shifted[w](seq)[c] = seq[w + c]
+    # readers[s_0][x_0] = shifted[s_0.x_0]
+    readers = [itemgetter(*slope)(shifted) for slope in f.mul_table]
+    level = [[list(zip(*map(_call, read, columns))) for read in readers]
+             for columns in _runs(_runs(points, q), q)]
+    for _ in range(1, m):
+        level = [[list(map(_join, zip(*map(_call, read, by_x))))
+                  for read in readers for by_x in zip(*cubes)]
+                 for cubes in _runs(level, q)]
+    return level[0]
+
+
 def build_affine_plane(q: int) -> IncidenceStructure:
     """Affine plane of order q over GF(q): point (x, y) has index x*q + y.
 
@@ -302,15 +333,9 @@ def build_affine_plane(q: int) -> IncidenceStructure:
         raise TooLargeError(f"affine plane order capped at 64, got {q}")
     f = make_field(q)
     points = list(range(q * q))
-    columns = [points[x * q:(x + 1) * q] for x in range(q)]   # columns[x][y] = x*q + y
-    shifted = [itemgetter(*add_row) for add_row in f.add_table]   # shifted[w](col)[b] = col[w + b]
-    blocks: list[Block] = []
-    for slope in f.mul_table:
-        # column x read from y = m*x on gives the point of every line y = m*x + b
-        blocks.extend(zip(*map(_call, map(shifted.__getitem__, slope), columns)))
-    blocks.extend(map(tuple, columns))
-    classes = tuple(tuple(range(i * q, (i + 1) * q)) for i in range(q + 1))
-    return IncidenceStructure(q * q, tuple(blocks), parallel_classes=classes)
+    # the line y = m*x + b is G_1[m][b]; the vertical lines are the runs of q points
+    blocks = (*chain.from_iterable(_graph_blocks(f, 1, points)), *_runs(points, q))
+    return IncidenceStructure(q * q, blocks, parallel_classes=tuple(_runs(range(len(blocks)), q)))
 
 
 def build_hyperplane_design(q: int, n: int) -> IncidenceStructure:
@@ -320,6 +345,10 @@ def build_hyperplane_design(q: int, n: int) -> IncidenceStructure:
     coordinate most significant.  Each direction is a canonical normal
     vector a (first nonzero coordinate 1, directions in lexicographic
     order) and its class holds the blocks {x : a.x = c} for c = 0..q-1.
+    With a_L the last nonzero coordinate of a and inv = a_L^-1, x_L =
+    c.inv - inv.(a_0..a_{L-1}).(x_0..x_{L-1}), so block c is the
+    _graph_blocks block G_L[-inv.(a_0..a_{L-1})][c.inv] over the
+    prefixes (x_0..x_L), each prefix widened to its row of suffixes.
     More than MAX_HYPERPLANE_POINTS points, or more than
     MAX_HYPERPLANE_INCIDENCES point-block incidences, raise
     OutOfBudgetError before GF(q) is built.
@@ -336,45 +365,25 @@ def build_hyperplane_design(q: int, n: int) -> IncidenceStructure:
             f"incidences, above the budget {MAX_HYPERPLANE_INCIDENCES}")
     f = make_field(q)
     points = list(range(q ** n))
-    # cells[L][x'] lists, by x_L, the points with prefix x' = (x_0..x_{L-1}):
-    # single points for L = n-1, else rows of the q^(n-1-L) free suffixes
-    cells = []
-    for last in range(n):
-        width = q ** (n - 1 - last)
-        rows = [points[i:i + width] for i in range(0, q ** n, width)] if width > 1 else points
-        cells.append([rows[i:i + q] for i in range(0, len(rows), q)])
-    shifted = [itemgetter(*add_row) for add_row in f.add_table]   # shifted[w](cell)[d] = cell[w + d]
-    neg_one = f.add_table[1].index(0)
-    spreads: dict[int, list[bytes]] = {}
-    prefix_values = {b"": b"\0"}
-
-    def values_of(prefix: bytes) -> bytes:
-        """a'.x' for every prefix x', in index order, as one byte per value."""
-        if prefix not in prefix_values:
-            t = prefix[-1]
-            if t not in spreads:   # spreads[t][v] = v + t*y for y = 0..q-1
-                at_multiples = itemgetter(*f.mul_table[t])
-                spreads[t] = [bytes(at_multiples(add_row)) for add_row in f.add_table]
-            prefix_values[prefix] = b"".join(map(spreads[t].__getitem__, values_of(prefix[:-1])))
-        return prefix_values[prefix]
-
+    graphs = []   # graphs[L][s][c] = G_L[s][c], joined from suffix rows below L = n-1
+    for last in range(n - 1):
+        rows = list(_runs(points, q ** (n - 1 - last)))
+        graphs.append([list(map(_join, by_c)) for by_c in _graph_blocks(f, last, rows)]
+                      if last else [rows])
+    graphs.append(_graph_blocks(f, n - 1, points))
     blocks: list[Block] = []
     for lead in reversed(range(n)):
         for tail in product(range(q), repeat=n - 1 - lead):
-            # a up to its last nonzero coordinate a_L: a block holds one
-            # x_L = a_L^-1 (c - a'.x') per prefix x', with any suffix after L
             a = (bytes(lead) + b"\1" + bytes(tail)).rstrip(b"\0")
             last = len(a) - 1
             inv = f.inv_table[a[last]]
-            # picks[v] = shifted[-inv*v] reads the rows x_L = d - inv*v, d = 0..q-1,
-            # of a cell whose prefix value is v: there a.x = a_L*d
-            picks = itemgetter(*f.mul_table[f.mul_table[neg_one][inv]])(shifted)
-            columns = map(_call, map(picks.__getitem__, values_of(a[:last])), cells[last])
-            by_value = itemgetter(*f.mul_table[inv])(list(zip(*columns)))   # block c is d = inv*c
-            blocks.extend(by_value if last == n - 1
-                          else map(tuple, map(chain.from_iterable, by_value)))
-    classes = tuple(tuple(range(i * q, (i + 1) * q)) for i in range(len(blocks) // q))
-    return IncidenceStructure(q ** n, tuple(blocks), parallel_classes=classes)
+            times = f.mul_table[f.add_table[inv].index(0)]   # times -inv
+            s = 0
+            for t in a[:last]:
+                s = s * q + times[t]
+            blocks.extend(itemgetter(*f.mul_table[inv])(graphs[last][s]))   # c is G_L[s][c.inv]
+    return IncidenceStructure(q ** n, tuple(blocks),
+                              parallel_classes=tuple(_runs(range(len(blocks)), q)))
 
 
 def restrict_parallel_classes(s: IncidenceStructure, l: int) -> IncidenceStructure:

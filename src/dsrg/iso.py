@@ -287,7 +287,8 @@ def _refine(graphs: list[_Neighborhoods], colorings: list[list[int]],
 
     Returns the colorings (None as soon as the per-color histograms of
     two graphs disagree; no isomorphism can survive that) and the number
-    of refinement rounds run.
+    of refinement rounds run.  A round that leaves every node its own
+    color ends the refinement, since no further round can split a color.
     """
     ncolors = len(set(colorings[0]))
     rounds = 0
@@ -299,7 +300,7 @@ def _refine(graphs: list[_Neighborhoods], colorings: list[list[int]],
         if len(colorings) == 2 and Counter(colorings[0]) != Counter(colorings[1]):
             return None, rounds
         now = len(order)
-        if now == ncolors:
+        if now == ncolors or now == len(colorings[0]):
             return colorings, rounds
         ncolors = now
 

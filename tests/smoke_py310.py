@@ -17,9 +17,10 @@ oracles.py's unpruned reference_canonical_form, checks make_field's
 tables for q = 9, 64, 243, 256 against oracles.py's exp/log
 reference_mul_inv_tables, rejects two group-divisible mutants of
 gdd(2,3) like oracles.py's pair-dict reference_verify_gdd, and
-compares the SHA-256s of the catalog_rows(500) table and of the
-canonical forms of partition(1,4) and partition(2,3) with
-perfbench/golden.json, which it only reads.  Prints one line per check
+compares the SHA-256s of the catalog_rows(500) table, of the canonical
+forms of partition(1,4) and partition(2,3), and of the to_json of the
+affine plane of order 64 and the hyperplane designs AG(5,4) and
+AG(3,16) with perfbench/golden.json, which it only reads.  Prints one line per check
 and exits 1 if any check fails.  Its name does not start with test_, so
 pytest does not collect it.
 """
@@ -37,9 +38,9 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from dsrg import (ISOMORPHIC, ApPencils, Digraph, DsrgError, Gdd,  # noqa: E402
                   IncidenceStructure, Partition, Transversal, apply_mapping, are_isomorphic,
-                  build_digraph, build_gdd, bundled_iso_fixture, canonical_form,
-                  duval_multiple, expected_params, make_field, verify_dsrg, verify_gdd,
-                  verify_mapping)
+                  build_affine_plane, build_digraph, build_gdd, build_hyperplane_design,
+                  bundled_iso_fixture, canonical_form, duval_multiple, expected_params,
+                  make_field, to_json, verify_dsrg, verify_gdd, verify_mapping)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
 from oracles import (brute_row_classes, reference_canonical_form,  # noqa: E402
                      reference_mul_inv_tables, reference_verify_dsrg, reference_verify_gdd)
@@ -117,6 +118,12 @@ def checks():
         text, _ = canonical_form(build_digraph(Partition(q, l)))
         yield f"partition q={q};l={l} canonical form digest", (
             hashlib.sha256(text.encode()).hexdigest() == golden["canonical"][f"partition-{q}-{l}"])
+    for key, structure in (("plane-64", lambda: build_affine_plane(64)),
+                           ("hyperplane-4-5", lambda: build_hyperplane_design(4, 5)),
+                           ("hyperplane-16-3", lambda: build_hyperplane_design(16, 3))):
+        text = to_json(structure())
+        yield f"{key} to_json digest", (
+            hashlib.sha256(text.encode()).hexdigest() == golden["structures"][key])
     table = render_table(catalog_rows(max_order=500))
     yield "catalog 500 table digest", (
         hashlib.sha256(table.encode()).hexdigest() == golden["catalog"]["500"]["table"])

@@ -2,8 +2,10 @@
 
 The reference_* functions in oracles.py are the package's first
 per-point, frozenset and pair-dict implementations.  Built structures
-must be equal element by element, and the hyperplane blocks equal those
-of the per-point bucketing kernel up to q^n = 4096 and at AG(2,211);
+must be equal element by element, the hyperplane blocks equal those
+of the per-point bucketing kernel up to q^n = 4096 and at AG(2,211), and
+each level of the shared kernel _graph_blocks equals its blocks computed
+point by point from the field tables;
 validation and the pg / 2-design / gdd verifiers must give the same result,
 or the same error class, message, axiom and witness, on the
 structuregen sample and on seeded mutants.
@@ -15,6 +17,7 @@ output that carries parallel classes without the block loop.
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -26,6 +29,7 @@ from dsrg import (
     build_hyperplane_design,
     build_partition_structure,
     dual,
+    make_field,
     restrict_parallel_classes,
     verify_2design,
     verify_gdd,
@@ -99,6 +103,35 @@ def test_hyperplane_design_errors_match_reference(q, n):
 @pytest.mark.parametrize("q", [1, 6, 65, 81])
 def test_affine_plane_errors_match_reference(q):
     assert outcome(build_affine_plane, q) == outcome(reference_build_affine_plane, q)
+
+
+def brute_graph_blocks(f, m):
+    """Per slope s in F^m, the q blocks (x.q + (c + s.x) for x in F^m), c =
+    0..q-1, with s and x in index order, from the field tables point by point."""
+    q = f.q
+    graph = []
+    for s in product(range(q), repeat=m):
+        dots = [0]   # s.x for the x of the coordinates so far, in index order
+        for s_i in s:
+            dots = [f.add_table[d][f.mul_table[s_i][t]] for d in dots for t in range(q)]
+        graph.append([tuple(x * q + f.add_table[c][d] for x, d in enumerate(dots))
+                      for c in range(q)])
+    return graph
+
+
+GRAPH_LEVELS = [(q, m) for q in (2, 3, 4, 5, 9) for m in range(1, 12) if q ** (m + 1) <= 4096]
+
+
+@pytest.mark.parametrize("q,m", GRAPH_LEVELS, ids=[f"G{m}({q})" for q, m in GRAPH_LEVELS])
+def test_graph_blocks_match_the_point_by_point_blocks(q, m):
+    f = make_field(q)
+    assert dsrg.incidence._graph_blocks(f, m, list(range(q ** (m + 1)))) == \
+        brute_graph_blocks(f, m)
+
+
+def test_hyperplane_blocks_take_their_ints_from_one_point_list():
+    s = build_hyperplane_design(8, 4)
+    assert len({id(p) for b in s.blocks for p in b}) == s.num_points
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +328,20 @@ def test_fast_acceptance_admits_points_equal_to_their_ints():
         got = outcome(validate, n, lone, parallel_classes=classes)
         assert got[0] is TypeError
         assert got == outcome(reference_validate, n, lone, parallel_classes=classes)
+
+
+def test_set_difference_refuses_a_repeated_point_and_a_point_n():
+    """A class whose n slots repeat one point misses another, and a block
+    holding n misses the point it stands in for: either way the set
+    difference with {0..n-1} is not empty, and the loops name the fault."""
+    plane = build_affine_plane(3)
+    classes = plane.parallel_classes
+    for i, bad, message in ((1, (1, 4, 6), "is not a partition"), (2, (2, 5, 9), "outside")):
+        blocks = plane.blocks[:i] + (bad,) + plane.blocks[i + 1:]
+        assert not dsrg.incidence._fast_accepts(9, blocks, classes)
+        got = outcome(validate, 9, blocks, parallel_classes=classes)
+        assert got[0] is ValueError and message in got[1]
+        assert got == outcome(reference_validate, 9, blocks, parallel_classes=classes)
 
 
 def _class_carrying_builds():

@@ -917,7 +917,7 @@ def test_a_failed_first_candidate_backtracks_to_a_verified_mapping(monkeypatch):
 def test_the_one_node_fallback_is_the_one_node_search(monkeypatch):
     """With no cell partners every level individualizes one node: the
     6-cycle is still refuted against two triangles, and the fixture
-    takes the counters of a one-node-per-level search (5 nodes, 9
+    takes the counters of a one-node-per-level search (5 nodes, 8
     rounds, depth 4) with a verified mapping."""
     of_classes = _Neighborhoods.of_classes.__func__
 
@@ -935,8 +935,44 @@ def test_the_one_node_fallback_is_the_one_node_search(monkeypatch):
     d1, d2, _ = bundled_iso_fixture()
     result = are_isomorphic(d1, d2)
     assert result.status == ISOMORPHIC and verify_mapping(d1, d2, result.mapping)
-    assert (result.nodes, result.rounds, result.depth) == (5, 9, 4)
+    assert (result.nodes, result.rounds, result.depth) == (5, 8, 4)
     assert seen and all(len(fixed) == len(branch) == 1 for _, (fixed, branch) in seen)
+
+
+# (n, rows, degree-keeping swap mutant of rows, relabelling of the mutant):
+# each search reaches a discrete leaf that one more refinement round would
+# refute, so verify_mapping now decides it
+REFUTABLE_LEAVES = [
+    (5, (4, 4, 18, 1, 4), (4, 4, 18, 4, 1), (3, 2, 4, 1, 0)),
+    (6, (34, 4, 32, 2, 4, 1), (34, 1, 32, 2, 4, 4), (1, 3, 4, 2, 5, 0)),
+    (7, (34, 8, 16, 0, 6, 30, 16), (34, 16, 8, 0, 6, 30, 16), (5, 6, 2, 3, 4, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("n, rows, mutant, perm", REFUTABLE_LEAVES)
+def test_a_leaf_the_skipped_round_would_refute_keeps_its_verdict(monkeypatch, n, rows,
+                                                                  mutant, perm):
+    """_refine stops at the round that makes the coloring discrete; the
+    round after it, which the search ran before, is put back here."""
+    a, b = Digraph(n, rows), apply_mapping(Digraph(n, mutant), perm)
+    result = are_isomorphic(a, b)
+    refuted = []
+
+    def one_more_round(graphs, colorings, dist2):
+        out, rounds = _refine(graphs, colorings, dist2)
+        if out is not None and len(set(colorings[0])) < len(out[0]) == len(set(out[0])):
+            out, _ = _refine(graphs, out, dist2)
+            refuted.append(out is None)
+            rounds += 1
+        return out, rounds
+
+    monkeypatch.setattr(iso, "_refine", one_more_round)
+    before = are_isomorphic(a, b)
+    assert any(refuted)
+    assert result.status == before.status == reference_are_isomorphic(a, b).status
+    assert result.status == NOT_ISOMORPHIC and result.mapping is None
+    assert (result.nodes, result.depth) == (before.nodes, before.depth)
+    assert result.rounds == before.rounds - len(refuted)
 
 
 def catalog_with_uncapped_multiples(max_order):
@@ -1119,8 +1155,8 @@ def test_depth_is_the_deepest_level_reached():
 # search: an IsoResult as (status, mapping, nodes, pruned, rounds), a
 # canonical form as (string, labelling)
 ISO_PAIRS_DIGESTS = {
-    1: "5480ce4421842b46b4213a8ea3c577a6bad0fbb208884c921d38937ad7528015",
-    2: "e50c892c90d4848bfe5ef569cfc31f108f2565e9b70df5756c0d6cce177f8f75",
+    1: "64083d7f34886aab7bf81f126e1431fd6a953b4ad1292cde9b5644124c55429f",
+    2: "39c5f7db689f949b56520e3601f7b1f434ec88dc4b64bd41d8c9c50441936009",
 }
 
 # (nodes, pruned, rounds, depth) of each iso-pairs are_isomorphic op,
@@ -1128,10 +1164,10 @@ ISO_PAIRS_DIGESTS = {
 # nodes (an anti-flag graph has at most one row node per point and one
 # column node per block)
 ISO_PAIRS_COUNTERS = {
-    "bundled 36-vertex fixture": (3, 0, 6, 2),
-    "gdd l=2;q=3 relabelled": (3, 0, 6, 2),
-    "gdd l=2;q=4 relabelled": (4, 0, 8, 3),
-    "transversal q=3 relabelled": (3, 0, 6, 2),
+    "bundled 36-vertex fixture": (3, 0, 5, 2),
+    "gdd l=2;q=3 relabelled": (3, 0, 5, 2),
+    "gdd l=2;q=4 relabelled": (4, 0, 7, 3),
+    "transversal q=3 relabelled": (3, 0, 5, 2),
     "gdd l=2;q=3 forward vs backward": (0, 0, 0, 0),
     "gdd l=2;q=4 forward vs backward": (0, 0, 0, 0),
     "K33 forward vs grid forward": (0, 0, 0, 0),
