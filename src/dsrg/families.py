@@ -244,8 +244,9 @@ def build_structure(spec: FamilySpec):
     only; ap-pencils needs a prime-power q with at most q+1 pencils;
     affine-resolvable needs m to be a power of s, its hyperplane-design
     source; the 2-design families are built from the 7-point plane only.
-    A gdd within its block guard is held to the verification cap before
-    it is built, since its q^l blocks are fewer than its vertices.
+    A gdd or partition within its size guard is held to the verification
+    cap before it is built, since its blocks or points are fewer than its
+    vertices.
     """
     match spec:
         case Gdd(l=l, q=q):
@@ -261,6 +262,8 @@ def build_structure(spec: FamilySpec):
                                        f"{q + 1} parallel classes, asked for {l}")
             return restrict_parallel_classes(build_affine_plane(q), l)
         case Partition(q=q, l=l):
+            if q * l <= DEFAULT_BLOCK_BUDGET:
+                _check_cap(spec)
             return build_partition_structure(q, l)
         case AffineResolvable(m=m, s=s, l=l):
             e = _power_exponent(m, s)

@@ -34,15 +34,8 @@ count a pair as the popcount of its two point masks; verify_gdd's
 cross-group pairs and the point degrees of all verifiers are popcounts
 of the same masks.
 
-Validation runs on every structure, builder output included.  With
-parallel classes it first tries an exact acceptance test: per class the
-set difference of {0..n-1} and its blocks must be empty with the block
-lengths summing to n, each block must start at a point >= 0 and equal
-its sorted list, and no block may repeat.  n slots that cover all n ints
-of {0..n-1} hold each exactly once, so every block is in range and
-strictly increasing and every class partitions the points.  What the
-test does not accept goes through the per-block and per-class loops,
-which name the first failure.
+Validation runs on every structure, builder output included; the
+docstring of IncidenceStructure._validate argues its acceptance test.
 
 All orderings are canonical and documented per builder, so identical
 inputs give identical structures element by element.
@@ -152,23 +145,26 @@ class IncidenceStructure:
         """Check the points, blocks, groups and parallel classes.
 
         With parallel classes, the blocks and classes first meet an exact
-        acceptance test (_fast_accepts): the class indices sort to
-        0..b-1; per class the block lengths sum to n and no int of
-        set(range(n)) is left after the set difference with its blocks;
-        every block is non-empty, its first point is >= 0 and it equals
-        its sorted list; no two blocks are equal.  It is sound: n slots
-        that leave no int of {0..n-1} hold only points that hash and
-        compare equal to an int in range, one per int, so
-        NaN, 0.5, -1, n, str and None fail it, and a point that equals an
-        int but has no order (a complex number) makes the compare with 0
-        or the sort raise TypeError, which the test reads as False.  With
-        n points in n block slots, the blocks of a class are disjoint and
-        repeat no point, so each block lies in range and, being sorted,
-        is strictly increasing, and each class covers 0..n-1 once.  What
-        the test does not accept goes through the block loop
-        (_check_blocks) and the class loop below, so an error has the
-        class and message of the loops' first failure.  The group checks
-        run in either case, between the two loops.
+        acceptance test (_fast_accepts): _check_classes passes (the class
+        indices sort to 0..b-1; per class the block lengths sum to n and
+        no int of set(range(n)) is left after the set difference with its
+        blocks); every block is non-empty, its first point is >= 0 and
+        it equals its sorted list; no two blocks are equal.
+        It is sound: n slots that leave no int of {0..n-1} hold only
+        points that hash and compare equal to an int in range, one per
+        int, so NaN, 0.5, -1, n, str and None fail it, and a point that
+        equals an int but has no order (a complex number) makes the
+        compare with 0 or the sort raise TypeError, which the test reads
+        as False.  With n points in n block slots, the blocks of a class
+        are disjoint and repeat no point, so each block lies in range
+        and, being sorted, is strictly increasing, and each class covers
+        0..n-1 once.  A structure without classes, or one the test does
+        not accept, is scanned block by block (_check_blocks), then class
+        by class with the same set difference (_check_classes), so the
+        first failure is named: past the block scan every point hashes
+        and compares with ints, and a class's n slots then leave no int
+        of 0..n-1 uncovered exactly when they sort to 0..n-1.  The group
+        checks run in either case, between the two scans.
         """
         n = self.num_points
         if n < 1:
@@ -185,16 +181,7 @@ class IncidenceStructure:
                 if any(map(ge, g, g[1:])):
                     raise ValueError("group classes must be strictly increasing")
         if scan and classes is not None:
-            flat = [i for c in classes for i in c]
-            if sorted(flat) != list(range(len(self.blocks))):
-                raise ValueError("parallel classes do not partition the block list")
-            everything = list(range(n))
-            for c in classes:
-                covered: list[int] = []
-                for i in c:
-                    covered.extend(self.blocks[i])
-                if sorted(covered) != everything:
-                    raise ValueError(f"parallel class {c} is not a partition of the points")
+            _check_classes(n, self.blocks, classes)
 
     def block_sets(self) -> list[frozenset[int]]:
         return [frozenset(b) for b in self.blocks]
@@ -209,12 +196,12 @@ class IncidenceStructure:
 
 def _check_blocks(n: int, blocks) -> None:
     """Raise ValueError at the first empty, out-of-range, unsorted or repeated
-    block (or the TypeError of a plain scan over points that do not compare)."""
+    block (or the TypeError of the scan over points that do not compare)."""
     seen = set()
     for i, b in enumerate(blocks):
         if not b:
             raise ValueError(f"block {i} is empty")
-        if _outside(b, n):
+        if any(p < 0 or p >= n for p in b):
             raise ValueError(f"block {i} has a point outside 0..{n - 1}")
         if any(map(ge, b, b[1:])):
             raise ValueError(f"block {i} is not strictly increasing")
@@ -223,36 +210,28 @@ def _check_blocks(n: int, blocks) -> None:
         seen.add(b)
 
 
+def _check_classes(n: int, blocks, classes) -> None:
+    """Raise ValueError unless the class indices sort to 0..b-1, then at the
+    first class whose block lengths do not sum to n or whose blocks leave an
+    int of 0..n-1 uncovered."""
+    if sorted(chain.from_iterable(classes)) != list(range(len(blocks))):
+        raise ValueError("parallel classes do not partition the block list")
+    everything = set(range(n))
+    for c in classes:
+        members = list(map(blocks.__getitem__, c))
+        if sum(map(len, members)) != n or everything.difference(*members):
+            raise ValueError(f"parallel class {c} is not a partition of the points")
+
+
 def _fast_accepts(n: int, blocks, classes) -> bool:
-    """The acceptance test of IncidenceStructure._validate, whose docstring
-    argues it: True only if _check_blocks and the class loop would accept;
-    False on any TypeError, e.g. of unhashable or unordered points."""
+    """The acceptance test argued in IncidenceStructure._validate's docstring;
+    False on any ValueError or TypeError, e.g. of unhashable or unordered points."""
     try:
-        if sorted(chain.from_iterable(classes)) != list(range(len(blocks))):
-            return False
-        everything = set(range(n))
-        members = [list(map(blocks.__getitem__, c)) for c in classes]
-        return (not any(sum(map(len, m)) != n or everything.difference(*m) for m in members)
-                and all(b and b[0] >= 0 and list(b) == sorted(b) for b in blocks)
+        _check_classes(n, blocks, classes)
+        return (all(b and b[0] >= 0 and list(b) == sorted(b) for b in blocks)
                 and len(set(blocks)) == len(blocks))
-    except TypeError:
+    except (TypeError, ValueError):
         return False
-
-
-def _outside(b, n: int) -> bool:
-    """Whether a point of b lies outside 0..n-1.
-
-    min and max answer for numbers in a total order; anything else
-    (mixed types, a NaN first point) is scanned point by point, so the
-    answer and any TypeError are those of the plain scan.
-    """
-    try:
-        lo, hi = min(b), max(b)
-        if lo == lo and hi == hi:
-            return lo < 0 or hi >= n
-    except TypeError:
-        pass
-    return any(p < 0 or p >= n for p in b)
 
 
 # ---------------------------------------------------------------------------

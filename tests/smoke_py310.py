@@ -22,7 +22,7 @@ forms of partition(1,4) and partition(2,3), and of the to_json of the
 affine plane of order 64 and the hyperplane designs AG(5,4) and
 AG(3,16) with perfbench/golden.json, which it only reads.  Prints one line per check
 and exits 1 if any check fails.  Its name does not start with test_, so
-pytest does not collect it.
+pytest does not collect it; test_smoke_py310.py runs its checks instead.
 """
 
 import hashlib

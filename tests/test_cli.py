@@ -163,6 +163,21 @@ def test_gdd_above_the_cap_is_refused_before_its_structure(capsys, monkeypatch):
                           "above the verification cap 4096\n")
 
 
+@pytest.mark.parametrize("family", ["partition", "partition-spiked"])
+def test_partition_above_the_cap_is_refused_before_its_structure(family, capsys, monkeypatch):
+    # 900,000 points within the point guard; the closed form's v is over the cap
+    def no_build(q, l):
+        raise AssertionError(f"built partition({q}, {l}) above the verification cap")
+
+    monkeypatch.setattr(families, "build_partition_structure", no_build)
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "build", "--family", family, "--q", "300000", "--l", "3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (1, "")
+    assert stderr == (f"error: {family} q=300000;l=3 has 1800000 vertices, "
+                      "above the verification cap 4096\n")
+
+
 def test_negative_budget_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["iso", "a.dgr", "b.dgr", "--budget", "-5"])

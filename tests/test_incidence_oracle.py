@@ -203,6 +203,43 @@ def test_validation_matches_reference_on_random_block_lists():
     assert kinds == {"ok", "empty", "outside", "increasing", "duplicate"}
 
 
+def _point_faults(rng, blocks, n):
+    """(name, blocks) with one seeded fault each: a point n, a point -1, a
+    NaN, two points of a block swapped, a block repeating another."""
+    def replaced(i, b):
+        return blocks[:i] + (b,) + blocks[i + 1:]
+
+    def with_point(p):
+        i = rng.randrange(len(blocks))
+        b = list(blocks[i])
+        b[rng.randrange(len(b))] = p
+        return replaced(i, tuple(b))
+
+    i = rng.randrange(len(blocks))
+    b = list(blocks[i])
+    j, k = sorted(rng.sample(range(len(b)), 2))
+    b[j], b[k] = b[k], b[j]
+    i2, i3 = rng.sample(range(len(blocks)), 2)
+    return [("point n", with_point(n)), ("point -1", with_point(-1)),
+            ("NaN", with_point(math.nan)), ("swapped", replaced(i, tuple(b))),
+            ("repeated", replaced(i2, blocks[i3]))]
+
+
+@pytest.mark.parametrize("build", [lambda: build_affine_plane(16),
+                                   lambda: build_hyperplane_design(4, 4)],
+                         ids=["plane-16", "hyperplane-4-4"])
+def test_block_scan_matches_reference_on_large_classless_blocks(build):
+    """Without parallel classes every structure meets the block scan; on
+    blocks of 16 and 64 points each fault gives the reference's outcome."""
+    s = build()
+    assert outcome(validate, s.num_points, s.blocks) == ("ok", None)
+    for name, blocks in _point_faults(random.Random(3), s.blocks, s.num_points):
+        got = outcome(validate, s.num_points, blocks)
+        assert got == outcome(reference_validate, s.num_points, blocks), name
+        # NaN compares False both ways, so the scan, like the reference, reads it in range
+        assert name == "NaN" or got[0] is ValueError, (name, got)
+
+
 # ---------------------------------------------------------------------------
 # the set-based acceptance test for structures with parallel classes
 # ---------------------------------------------------------------------------
