@@ -20,7 +20,12 @@ of an affine plane is G_1[m][b].  A hyperplane {x : a.x = c} of F_q^n,
 with a_L the last nonzero coordinate of a and inv = a_L^-1, is
 G_L[-inv.(a_0..a_{L-1})][c.inv] over the prefixes (x_0..x_L), each
 prefix widened to the row of its suffixes.  Every block takes its int
-objects from one shared point list.
+objects from one shared point list.  That matters to validation:
+CPython shares only the ints up to 256, and a set lookup of an equal
+int that is another object costs an int compare after the hash, while
+the same object is found by identity.  The class test compares every
+class with class 0's own point set, so on builder output each lookup
+is an identity hit.
 
 Pair counts are int bitmasks and `int.bit_count()`: verify_pg's axiom 3
 ANDs a point's block mask with the mask of the blocks meeting a line,
@@ -146,24 +151,30 @@ class IncidenceStructure:
 
         With parallel classes, the blocks and classes first meet an exact
         acceptance test (_fast_accepts): _check_classes passes (the class
-        indices sort to 0..b-1; per class the block lengths sum to n and
-        no int of set(range(n)) is left after the set difference with its
-        blocks); every block is non-empty, its first point is >= 0 and
-        it equals its sorted list; no two blocks are equal.
-        It is sound: n slots that leave no int of {0..n-1} hold only
-        points that hash and compare equal to an int in range, one per
-        int, so NaN, 0.5, -1, n, str and None fail it, and a point that
-        equals an int but has no order (a complex number) makes the
-        compare with 0 or the sort raise TypeError, which the test reads
-        as False.  With n points in n block slots, the blocks of a class
-        are disjoint and repeat no point, so each block lies in range
-        and, being sorted, is strictly increasing, and each class covers
-        0..n-1 once.  A structure without classes, or one the test does
-        not accept, is scanned block by block (_check_blocks), then class
-        by class with the same set difference (_check_classes), so the
-        first failure is named: past the block scan every point hashes
-        and compares with ints, and a class's n slots then leave no int
-        of 0..n-1 uncovered exactly when they sort to 0..n-1.  The group
+        indices sort to 0..b-1; per class the block lengths sum to n; the
+        set of class 0's points contains every int of 0..n-1, and that
+        reference set leaves no element after the set difference with
+        the blocks of each later class); every block is non-empty, its
+        first point is >= 0 and it equals its sorted list; no two blocks
+        are equal.
+        It is sound: n slots whose set contains every int of {0..n-1}
+        hold only points that hash and compare equal to an int in range,
+        one per int (the ints have distinct hashes, so no point stands
+        for two), so the reference set is {0..n-1}, element for element.
+        A later class's n slots that leave none of its elements hold, in
+        the same way, one point equal to each of them, and so, equality
+        of numbers being transitive, to each int.  So NaN, 0.5, -1, n,
+        str and None fail it, and a point that equals an int but has no
+        order (a complex number) makes the compare with 0 or the sort
+        raise TypeError, which the test reads as False.  With n points in n
+        block slots, the blocks of a class are disjoint and repeat no point,
+        so each block lies in range and, being sorted, is strictly
+        increasing, and each class covers 0..n-1 once.  A structure without
+        classes, or one the test does not accept, is scanned block by block
+        (_check_blocks), then class by class with the same set differences
+        (_check_classes), so the first failure is named: past the block scan
+        every point hashes and compares with ints, and a class's n slots
+        then cover 0..n-1 exactly when they sort to 0..n-1.  The group
         checks run in either case, between the two scans.
         """
         n = self.num_points
@@ -196,12 +207,14 @@ class IncidenceStructure:
 
 def _check_blocks(n: int, blocks) -> None:
     """Raise ValueError at the first empty, out-of-range, unsorted or repeated
-    block (or the TypeError of the scan over points that do not compare)."""
+    block (or the TypeError of the scan over points that do not compare).
+    A point is in range when p < 0 is false and p < n is true, so NaN,
+    which compares false both ways, is outside."""
     seen = set()
     for i, b in enumerate(blocks):
         if not b:
             raise ValueError(f"block {i} is empty")
-        if any(p < 0 or p >= n for p in b):
+        if any(p < 0 or not p < n for p in b):
             raise ValueError(f"block {i} has a point outside 0..{n - 1}")
         if any(map(ge, b, b[1:])):
             raise ValueError(f"block {i} is not strictly increasing")
@@ -213,13 +226,26 @@ def _check_blocks(n: int, blocks) -> None:
 def _check_classes(n: int, blocks, classes) -> None:
     """Raise ValueError unless the class indices sort to 0..b-1, then at the
     first class whose block lengths do not sum to n or whose blocks leave an
-    int of 0..n-1 uncovered."""
+    int of 0..n-1 uncovered.
+
+    Class 0's own point set, once it covers 0..n-1, is the reference of
+    every later class's set difference: it holds the blocks' own int
+    objects, so a builder's shared points are found by identity, without
+    the int compare that a point above 256 costs against set(range(n))."""
     if sorted(chain.from_iterable(classes)) != list(range(len(blocks))):
         raise ValueError("parallel classes do not partition the block list")
-    everything = set(range(n))
+    everything = range(n)   # before the loop: a non-int n raises TypeError with no classes too
+    points = None
     for c in classes:
         members = list(map(blocks.__getitem__, c))
-        if sum(map(len, members)) != n or everything.difference(*members):
+        if sum(map(len, members)) != n:
+            covered = False
+        elif points is None:
+            points = set().union(*members)
+            covered = points.issuperset(everything)
+        else:
+            covered = not points.difference(*members)
+        if not covered:
             raise ValueError(f"parallel class {c} is not a partition of the points")
 
 
@@ -613,21 +639,37 @@ def to_json(s: IncidenceStructure) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+def _int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
+    """rows as a tuple of tuples; FormatError at the first entry that is not
+    an int (JSON's 0.5, NaN, true and "1" read as float, float, bool, str)."""
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError as exc:
+        raise FormatError(1, str(exc)) from exc
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+        i, x = next((i, x) for i, row in enumerate(rows) for x in row if type(x) is not int)
+        raise FormatError(1, f"{what} {i} holds {x!r}, which is not an int")
+    return rows
+
+
 def from_json(text: str) -> IncidenceStructure:
-    """Parse the interchange document produced by to_json."""
+    """Parse the interchange document produced by to_json.  The point count,
+    every point and every class's block index must be a JSON int; anything
+    else raises FormatError before the structure is built."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(exc.lineno, f"bad JSON: {exc.msg}") from exc
     if not isinstance(doc, dict) or "points" not in doc or "blocks" not in doc:
         raise FormatError(1, "expected an object with 'points' and 'blocks'")
+    n = doc["points"]
+    if type(n) is not int:
+        raise FormatError(1, f"'points' is {n!r}, which is not an int")
+    blocks = _int_rows(doc["blocks"], "block")
+    groups = _int_rows(doc["groups"], "group") if "groups" in doc else None
+    classes = (_int_rows(doc["parallel_classes"], "parallel class")
+               if "parallel_classes" in doc else None)
     try:
-        return IncidenceStructure(
-            doc["points"],
-            tuple(tuple(b) for b in doc["blocks"]),
-            groups=tuple(tuple(g) for g in doc["groups"]) if "groups" in doc else None,
-            parallel_classes=(tuple(tuple(c) for c in doc["parallel_classes"])
-                              if "parallel_classes" in doc else None),
-        )
+        return IncidenceStructure(n, blocks, groups=groups, parallel_classes=classes)
     except (TypeError, ValueError) as exc:
         raise FormatError(1, str(exc)) from exc

@@ -749,7 +749,7 @@ def reference_validate(num_points, blocks, groups=None, parallel_classes=None):
     for i, b in enumerate(blocks):
         if not b:
             raise ValueError(f"block {i} is empty")
-        if any(p < 0 or p >= n for p in b):
+        if any(p < 0 or not p < n for p in b):   # NaN is outside
             raise ValueError(f"block {i} has a point outside 0..{n - 1}")
         if any(b[j] >= b[j + 1] for j in range(len(b) - 1)):
             raise ValueError(f"block {i} is not strictly increasing")

@@ -16,9 +16,11 @@ gdd(2,2) x 2, whose twins seed the search's orbit forest, against
 oracles.py's unpruned reference_canonical_form, checks make_field's
 tables for q = 9, 64, 243, 256 against oracles.py's exp/log
 reference_mul_inv_tables, rejects two group-divisible mutants of
-gdd(2,3) like oracles.py's pair-dict reference_verify_gdd, and
-compares the SHA-256s of the catalog_rows(500) table, of the canonical
-forms of partition(1,4) and partition(2,3), and of the to_json of the
+gdd(2,3) like oracles.py's pair-dict reference_verify_gdd, refuses a
+NaN point as outside the point range, round-trips the affine plane of
+order 17 (289 points, with parallel classes) through JSON byte for
+byte, and compares the SHA-256s of the catalog_rows(500) table, of the
+canonical forms of partition(1,4) and partition(2,3), and of the to_json of the
 affine plane of order 64 and the hyperplane designs AG(5,4) and
 AG(3,16) with perfbench/golden.json, which it only reads.  Prints one line per check
 and exits 1 if any check fails.  Its name does not start with test_, so
@@ -40,7 +42,7 @@ from dsrg import (ISOMORPHIC, ApPencils, Digraph, DsrgError, Gdd,  # noqa: E402
                   IncidenceStructure, Partition, Transversal, apply_mapping, are_isomorphic,
                   build_affine_plane, build_digraph, build_gdd, build_hyperplane_design,
                   bundled_iso_fixture, canonical_form, duval_multiple, expected_params,
-                  make_field, to_json, verify_dsrg, verify_gdd, verify_mapping)
+                  from_json, make_field, to_json, verify_dsrg, verify_gdd, verify_mapping)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
 from oracles import (brute_row_classes, reference_canonical_form,  # noqa: E402
                      reference_mul_inv_tables, reference_verify_dsrg, reference_verify_gdd)
@@ -113,6 +115,14 @@ def checks():
     yield "gdd(2,3) group-divisible mutants rejected like the reference", all(
         _rejection(verify_gdd, m) is not None
         and _rejection(verify_gdd, m) == _rejection(reference_verify_gdd, m) for m in mutants)
+    try:
+        IncidenceStructure(3, ((float("nan"), 1), (0, 2)))
+        refused = ""
+    except ValueError as exc:
+        refused = str(exc)
+    yield "a NaN point is refused as outside 0..n-1", refused == "block 0 has a point outside 0..2"
+    text = to_json(build_affine_plane(17))
+    yield "plane-17 (289 points, classed) JSON round trip", to_json(from_json(text)) == text
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     for q, l in ((1, 4), (2, 3)):
         text, _ = canonical_form(build_digraph(Partition(q, l)))

@@ -400,3 +400,38 @@ def test_json_errors():
         from_json('{"points": 3}')
     with pytest.raises(FormatError):
         from_json('{"points": 3, "blocks": [[0, 0]]}')
+
+
+@pytest.mark.parametrize("doc,message", [
+    ('{"points": 3, "blocks": [[0, 1], [0.5, 2]]}', "block 1 holds 0.5, which is not an int"),
+    ('{"points": 3, "blocks": [[NaN, 1], [0, 2]]}', "block 0 holds nan, which is not an int"),
+    ('{"points": 3, "blocks": [[0, 1], [0, 2.0]]}', "block 1 holds 2.0, which is not an int"),
+    ('{"points": 3, "blocks": [[0, true]]}', "block 0 holds True, which is not an int"),
+    ('{"points": 3, "blocks": [["1", 2]]}', "block 0 holds '1', which is not an int"),
+    ('{"points": 3, "blocks": [[0, 1]], "groups": [[0, 1], [false]]}',
+     "group 1 holds False, which is not an int"),
+    ('{"points": 2, "blocks": [[0], [1]], "parallel_classes": [[0, 1.0]]}',
+     "parallel class 0 holds 1.0, which is not an int"),
+    ('{"points": 3.0, "blocks": [[0, 1]]}', "'points' is 3.0, which is not an int"),
+    ('{"points": true, "blocks": [[0]]}', "'points' is True, which is not an int"),
+])
+def test_json_refuses_a_point_that_is_not_an_int(doc, message, monkeypatch):
+    """Refused before the structure is built: IncidenceStructure is replaced
+    by a stub that fails.  Validation alone reads 0.5, 2.0 and True as
+    points in range."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("structure built")
+    monkeypatch.setattr(incidence, "IncidenceStructure", refuse)
+    with pytest.raises(FormatError) as info:
+        from_json(doc)
+    assert str(info.value) == f"line 1: {message}"
+
+
+def test_json_round_trips_a_classed_structure_above_256_points():
+    """from_json reads each point as its own int object, unlike the builder's
+    shared points; the copy is equal and writes the same bytes."""
+    s = build_affine_plane(17)
+    text = to_json(s)
+    back = from_json(text)
+    assert back == s and to_json(back) == text
+    assert len({id(p) for b in back.blocks for p in b if p > 256}) > s.num_points

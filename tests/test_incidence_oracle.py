@@ -154,7 +154,7 @@ VALIDATION_CASES = [
     (3, ((0, 2), (2, 1), (0, 2))),
     (0, ((0,),)),
     (3, ((0.5, 1),)),                   # the scan accepts floats in range
-    (3, ((math.nan, 5),)),              # NaN hides 5 from min and max
+    (3, ((math.nan, 5),)),              # NaN, like 5, is outside
     (3, ((0, math.nan, 7, math.nan, 1),)),
     (3, ((math.nan, 1),)),
     (3, ((5, math.nan),)),
@@ -236,8 +236,22 @@ def test_block_scan_matches_reference_on_large_classless_blocks(build):
     for name, blocks in _point_faults(random.Random(3), s.blocks, s.num_points):
         got = outcome(validate, s.num_points, blocks)
         assert got == outcome(reference_validate, s.num_points, blocks), name
-        # NaN compares False both ways, so the scan, like the reference, reads it in range
-        assert name == "NaN" or got[0] is ValueError, (name, got)
+        assert got[0] is ValueError, (name, got)
+        if name == "NaN":
+            assert "outside" in got[1], got
+
+
+NAN_BLOCKS = [((math.nan, 1), (0, 2)), ((0, 1), (0, math.nan)), ((0, math.nan, 2),)]
+
+
+@pytest.mark.parametrize("blocks", NAN_BLOCKS)
+def test_a_nan_point_is_outside(blocks):
+    """NaN compares false both ways; the scan reads `p < n` as false, so the
+    block with NaN is named as outside 0..n-1, as by the reference."""
+    i = next(i for i, b in enumerate(blocks) if any(p != p for p in b))
+    got = outcome(validate, 3, blocks)
+    assert got[:2] == (ValueError, f"block {i} has a point outside 0..2")
+    assert got == outcome(reference_validate, 3, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +393,81 @@ def test_set_difference_refuses_a_repeated_point_and_a_point_n():
         got = outcome(validate, 9, blocks, parallel_classes=classes)
         assert got[0] is ValueError and message in got[1]
         assert got == outcome(reference_validate, 9, blocks, parallel_classes=classes)
+
+
+# more than 256 points, so the builder's point ints are not CPython's small
+# ints; each base has few blocks
+LARGE_CLASS_BASES = {"plane-17": build_affine_plane(17), "AG(3,8)": build_hyperplane_design(8, 3)}
+
+
+def _fresh(blocks):
+    """blocks with every int point a new int object at each occurrence, as
+    json.loads reads them."""
+    return tuple(tuple(int(str(p)) if type(p) is int else p for p in b) for b in blocks)
+
+
+def _both_ways(n, blocks, classes):
+    """The validation outcome on blocks and on their _fresh copy, each
+    required to equal the reference's; returns it."""
+    want = outcome(reference_validate, n, blocks, parallel_classes=classes)
+    for copy in (blocks, _fresh(blocks)):
+        assert outcome(validate, n, copy, parallel_classes=classes) == want, (blocks, classes)
+    return want
+
+
+@pytest.mark.parametrize("name", LARGE_CLASS_BASES)
+def test_class_mutants_above_256_points_match_reference_on_shared_and_fresh_ints(name):
+    base = LARGE_CLASS_BASES[name]
+    fresh = _fresh(base.blocks)
+    assert len({id(p) for b in base.blocks for p in b}) == base.num_points
+    # CPython caches the ints up to 256; above them each occurrence is its own object
+    large = [id(p) for b in fresh for p in b if p > 256]
+    assert len(large) > base.num_points and len(set(large)) == len(large)
+    assert _both_ways(base.num_points, base.blocks, base.parallel_classes) == ("ok", None)
+    rng = random.Random(13)
+    kinds = {_kind(_both_ways(*_class_mutant(rng, base))) for _ in range(60)}
+    assert {"ok", "is not a partition"} <= kinds, kinds
+
+
+def _repeat_a_point(blocks, cls):
+    """blocks with a point of cls's first block replaced by the last point
+    of its second block, re-sorted: the blocks stay in range, increasing and
+    distinct, but cls covers that point twice and misses the one replaced."""
+    first, second = cls[0], cls[1]
+    b = list(blocks[first])
+    b[len(b) // 2] = blocks[second][-1]
+    out = list(blocks)
+    out[first] = tuple(sorted(b))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", LARGE_CLASS_BASES)
+def test_the_first_class_that_misses_a_point_is_named(name):
+    """A point repeated in class 0, or in the last class only: the class
+    test refuses it and names that class, on shared and on fresh ints."""
+    s = LARGE_CLASS_BASES[name]
+    n, classes = s.num_points, s.parallel_classes
+    for cls in (classes[0], classes[-1]):
+        blocks = _repeat_a_point(s.blocks, cls)
+        assert not dsrg.incidence._fast_accepts(n, blocks, classes)
+        assert not dsrg.incidence._fast_accepts(n, _fresh(blocks), classes)
+        assert _both_ways(n, blocks, classes) == (
+            ValueError, f"parallel class {cls} is not a partition of the points", None, None)
+
+
+@pytest.mark.parametrize("name", LARGE_CLASS_BASES)
+def test_classes_that_all_cover_1_to_n_are_refused(name):
+    """Every point moved up by one: each class covers {1..n} and agrees with
+    class 0, so only class 0's compare with 0..n-1 refuses it."""
+    s = LARGE_CLASS_BASES[name]
+    n, classes = s.num_points, s.parallel_classes
+    up = list(range(1, n + 1))    # shared ints, as a builder hands them out
+    blocks = tuple(tuple(map(up.__getitem__, b)) for b in s.blocks)
+    assert not dsrg.incidence._fast_accepts(n, blocks, classes)
+    assert not dsrg.incidence._fast_accepts(n, _fresh(blocks), classes)
+    i = next(i for i, b in enumerate(blocks) if b[-1] == n)
+    assert _both_ways(n, blocks, classes) == (
+        ValueError, f"block {i} has a point outside 0..{n - 1}", None, None)
 
 
 def _class_carrying_builds():
