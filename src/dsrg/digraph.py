@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, count, repeat, zip_longest
+from itertools import chain, compress, count, repeat
 from operator import itemgetter, mul, ne, sub
 from typing import Literal
 
@@ -54,6 +54,16 @@ from .errors import (
 )
 from .incidence import AntiFlag, IncidenceStructure, anti_flags, verify_2design
 from .params import DsrgParams
+from .planes import (  # noqa: F401 - _add_planes and _add_times stay importable from here
+    _add_planes,
+    _add_times,
+    _bits,
+    _count,
+    _differ,
+    _low_bit,
+    _value_planes,
+    _weighted_sum,
+)
 
 MAX_VERIFY_ORDER = 4096
 
@@ -293,21 +303,6 @@ def _check_classes(reps: Iterable[int], members: Iterable[int], n: int) -> None:
         raise ValueError(message)
 
 
-def _low_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of a non-negative mask, ascending, in one C-level pass:
-    its binary digits, reversed and mapped to 0/1 bytes, select from the
-    positions 0..width-1."""
-    flags = format(mask, "b")[::-1].encode().translate(_BIT_FLAGS)
-    return list(compress(range(len(flags)), flags))
-
-
 # ---------------------------------------------------------------------------
 # anti-flag builders
 # ---------------------------------------------------------------------------
@@ -391,71 +386,6 @@ def build_partition_spiked(s: IncidenceStructure) -> Digraph:
 # verification and the multiple construction
 # ---------------------------------------------------------------------------
 
-def _add_planes(acc: list[int], planes: list[int], shift: int) -> None:
-    """Add the counts held in `planes`, times 2**shift, to those in `acc`.
-
-    A ripple-carry adder over whole planes: plane i of `planes` meets
-    plane i + shift of `acc`, and the carry runs on until it dies out.
-    """
-    if len(acc) < shift + len(planes):
-        acc.extend([0] * (shift + len(planes) - len(acc)))
-    carry = 0
-    i = shift
-    for plane in planes:
-        a = acc[i]
-        half = a ^ plane
-        acc[i] = half ^ carry
-        carry = (a & plane) | (carry & half)
-        i += 1
-    while carry:
-        if i == len(acc):
-            acc.append(carry)
-            return
-        a = acc[i]
-        acc[i] = a ^ carry
-        carry &= a
-        i += 1
-
-
-def _add_times(acc: list[int], planes: list[int], c: int) -> None:
-    """Add c times the counts in `planes` to `acc`: one shifted add per bit of c."""
-    shift = 0
-    while c:
-        if c & 1:
-            _add_planes(acc, planes, shift)
-        c >>= 1
-        shift += 1
-
-
-def _weighted_sum(terms: Iterable[tuple[int, int]]) -> list[int]:
-    """Bit planes of the sum of c * x over the (c, x) terms, x a 0/1 vector.
-
-    The vectors of one count are added into one plane stack, and each
-    stack is then multiplied by its count, so a count shared by many
-    terms costs one multiplication.  Terms with c = 0 are skipped.  A
-    vector enters its stack by ripple carry: plane i takes the sum bit,
-    the carry moves up, and the loop stops as soon as no position
-    carries.
-    """
-    stacks: dict[int, list[int]] = {}
-    for c, x in terms:
-        if c:
-            stack = stacks.get(c)
-            if stack is None:
-                stack = stacks[c] = []
-            for i, plane in enumerate(stack):
-                stack[i] = plane ^ x
-                x &= plane
-                if not x:
-                    break
-            if x:
-                stack.append(x)
-    acc: list[int] = []
-    for c, stack in stacks.items():
-        _add_times(acc, stack, c)
-    return acc
-
-
 def _square_row(rows: tuple[int, ...], row: int) -> list[int]:
     """The row of A^2 of a vertex with out-row `row`, one add per out-neighbour."""
     return _weighted_sum(zip(repeat(1), map(rows.__getitem__, _bits(row))))
@@ -464,34 +394,6 @@ def _square_row(rows: tuple[int, ...], row: int) -> list[int]:
 def _square_row_by_class(reps: tuple[int, ...], members: tuple[int, ...], row: int) -> list[int]:
     """The row of A^2 of a vertex with out-row `row`, one add per out-row class."""
     return _weighted_sum(zip(map(int.bit_count, map(row.__and__, members)), reps))
-
-
-def _value_planes(parts: list[tuple[int, int]], width: int) -> list[int]:
-    """Bit planes of the vector that equals `value` on each disjoint `mask`.
-
-    Every value must be below 2**width.
-    """
-    planes = [0] * width
-    for value, mask in parts:
-        i = 0
-        while value:
-            if value & 1:
-                planes[i] |= mask
-            value >>= 1
-            i += 1
-    return planes
-
-
-def _differ(got: list[int], want: list[int]) -> int:
-    """Mask of the positions where two plane stacks hold different counts."""
-    diff = 0
-    for a, b in zip_longest(got, want, fillvalue=0):
-        diff |= a ^ b
-    return diff
-
-
-def _count(planes: list[int], w: int) -> int:
-    return sum(((plane >> w) & 1) << i for i, plane in enumerate(planes))
 
 
 def verify_dsrg(d: Digraph) -> DsrgParams:

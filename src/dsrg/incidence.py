@@ -27,17 +27,21 @@ the same object is found by identity.  The class test compares every
 class with class 0's own point set, so on builder output each lookup
 is an identity hit.
 
-Pair counts are int bitmasks and `int.bit_count()`: verify_pg's axiom 3
-ANDs a point's block mask with the mask of the blocks meeting a line,
-and verify_2design ANDs per-point block masks (lambda) and per-block
-point masks (the intersection size of non-parallel blocks).  Pairs are
-scanned in the order of the plain pair loops, so the first failure and
-its witness are those of a brute pair count.  verify_pg's axiom 2 and
-verify_gdd's same-group check walk the pairs of each block in block
-order, the order in which a pair count would first meet them, and
-count a pair as the popcount of its two point masks; verify_gdd's
-cross-group pairs and the point degrees of all verifiers are popcounts
-of the same masks.
+The verifiers hold a point's blocks as an int bitmask.  verify_pg works
+per line, not per pair: axiom 2 ORs the masks of a line's points into
+the lines met once and twice, and axiom 3, once axiom 2 holds, is one
+bit-sliced sum (dsrg.planes) per line of the collinearity masks of its
+points, which counts the transversals of every anti-flag on that line.
+verify_2design counts pairs as popcounts of two point masks (lambda)
+and reads the intersection size of non-parallel blocks from Bose's
+counting identity, with no block pairs at all.  Each docstring argues
+its identity.  A failure and its witness are those of the plain pair
+loops: verify_pg's axiom 2 runs the pair scan, in the order in which a
+pair count would first meet the pairs, once the per-line test has found
+that a pair fails, and its axiom 3 names the failing anti-flag that
+comes first in anti_flags order.  verify_gdd walks the pairs of each
+block in block order for the same-group check and counts cross-group
+pairs as popcounts of the same masks.
 
 Validation runs on every structure, builder output included; the
 docstring of IncidenceStructure._validate argues its acceptance test.
@@ -66,6 +70,7 @@ from .errors import (
     TooLargeError,
 )
 from .ffield import make_field
+from .planes import _count, _differ, _low_bit, _value_planes, _weighted_sum
 
 DEFAULT_BLOCK_BUDGET = 10 ** 6
 # points and point-block incidences a hyperplane design may hold; (8, 4)
@@ -175,9 +180,13 @@ class IncidenceStructure:
         (_check_classes), so the first failure is named: past the block scan
         every point hashes and compares with ints, and a class's n slots
         then cover 0..n-1 exactly when they sort to 0..n-1.  The group
-        checks run in either case, between the two scans.
+        checks run in either case, between the two scans.  A point count
+        that is not an int (a float, a bool, NaN) is a TypeError before
+        any block is read.
         """
         n = self.num_points
+        if type(n) is not int:
+            raise TypeError(f"point count {n!r} is not an int")
         if n < 1:
             raise ValueError("structure needs at least one point")
         classes = self.parallel_classes
@@ -234,7 +243,6 @@ def _check_classes(n: int, blocks, classes) -> None:
     the int compare that a point above 256 costs against set(range(n))."""
     if sorted(chain.from_iterable(classes)) != list(range(len(blocks))):
         raise ValueError("parallel classes do not partition the block list")
-    everything = range(n)   # before the loop: a non-int n raises TypeError with no classes too
     points = None
     for c in classes:
         members = list(map(blocks.__getitem__, c))
@@ -242,7 +250,7 @@ def _check_classes(n: int, blocks, classes) -> None:
             covered = False
         elif points is None:
             points = set().union(*members)
-            covered = points.issuperset(everything)
+            covered = points.issuperset(range(n))
         else:
             covered = not points.difference(*members)
         if not covered:
@@ -462,6 +470,21 @@ def verify_pg(s: IncidenceStructure) -> PgParams:
     rho >= 2.  Axiom 2: two points on at most one common line.  Axiom 3:
     every anti-flag sees a constant number tau >= 1 of transversal lines.
     Raises NotPartialGeometryError naming the first violated axiom.
+
+    Both pair axioms are checked line by line.  Axiom 2: a line's points
+    meet another line twice exactly when two of them share two lines, so
+    one scan of each line's point masks finds whether any pair fails, and
+    only then does the pair scan run, to name the first pair in pair
+    order.  Axiom 3: once axiom 2 holds, a line M through a point p off
+    a line L meets L in at most one point (two would make M = L, which
+    misses p), and two lines through p cannot meet L in the same point q
+    (they would share p and q).  So the lines through p that meet L are
+    the lines from p to the points of L collinear with p, one per point:
+    crossing(p, L) = |L & coll(p)|, where coll(p) is the set of points
+    collinear with p.  For each line L, the bit-sliced sum of coll(q)
+    over the points q of L holds crossing(p, L) at every p off L.  tau
+    is read at the first anti-flag, and the witness is the least failing
+    (p, L), the anti-flag that comes first in anti_flags order.
     """
     if not s.blocks:
         raise NotPartialGeometryError(1, None, "no lines")
@@ -473,30 +496,39 @@ def verify_pg(s: IncidenceStructure) -> PgParams:
     rho = _uniform(list(map(int.bit_count, on)), axiom_1, "point degrees differ: {} != {}")
     if rho < 2:
         raise NotPartialGeometryError(1, 0, f"point degree {rho} < 2")
-    # the pairs in the order they first occur on a line
-    for a, b in chain.from_iterable(map(combinations, s.blocks, repeat(2))):
-        c = (on[a] & on[b]).bit_count()
-        if c > 1:
-            raise NotPartialGeometryError(2, (a, b), f"points share {c} lines")
-    # crossing(p, L) = lines through p that meet L = |on[p] & meets[L]|
-    meets = [0] * len(s.blocks)
     for i, b in enumerate(s.blocks):
+        once = twice = 0   # the lines met at one point of b, and at two
         for p in b:
-            meets[i] |= on[p]
-    tau = None
-    # the anti-flags in anti_flags(s) order: points, then the blocks off each
-    for p, lines in enumerate(on):
-        for i, meeting in enumerate(meets):
-            if (lines >> i) & 1:
-                continue
-            crossing = (lines & meeting).bit_count()
-            if tau is None:
-                tau = crossing
-            if crossing != tau:
-                raise NotPartialGeometryError(
-                    3, (p, i), f"anti-flag sees {crossing} lines, expected {tau}")
-    if tau is None:
+            lines = on[p]
+            twice |= once & lines
+            once |= lines
+        if twice != 1 << i:
+            # the pairs in the order they first occur on a line
+            for x, y in chain.from_iterable(map(combinations, s.blocks, repeat(2))):
+                c = (on[x] & on[y]).bit_count()
+                if c > 1:
+                    raise NotPartialGeometryError(2, (x, y), f"points share {c} lines")
+    every = (1 << len(s.blocks)) - 1
+    first = next((p for p, lines in enumerate(on) if lines != every), None)
+    if first is None:
         raise NotPartialGeometryError(3, None, "no anti-flag exists")
+    points = [sum(map((1).__lshift__, b)) for b in s.blocks]
+    coll = [0] * s.num_points
+    for b, line in zip(s.blocks, points):
+        for p in b:
+            coll[p] |= line
+    tau = (coll[first] & points[_low_bit(~on[first])]).bit_count()
+    want = _value_planes([(tau, (1 << s.num_points) - 1)], tau.bit_length())
+    witness = None
+    for i, (b, line) in enumerate(zip(s.blocks, points)):
+        sums = _weighted_sum(zip(repeat(1), map(coll.__getitem__, b)))
+        bad = _differ(sums, want) & ~line
+        if bad and (witness is None or _low_bit(bad) < witness[0]):
+            witness = (_low_bit(bad), i, sums)
+    if witness is not None:
+        p, i, sums = witness
+        raise NotPartialGeometryError(
+            3, (p, i), f"anti-flag sees {_count(sums, p)} lines, expected {tau}")
     if tau < 1:
         raise NotPartialGeometryError(3, None, "anti-flags see 0 transversal lines")
     return PgParams(kappa, rho, tau)
@@ -546,6 +578,15 @@ def verify_2design(s: IncidenceStructure) -> DesignParams:
 
     When parallel classes are present, also report blocks-per-class s
     and, if constant, the intersection size m_int of non-parallel blocks.
+    m_int comes from Bose's counting identity (Sankhya 6, 1942), not from
+    the block pairs.  Each class partitions the points into s = v/k
+    blocks, so a block B meets N = b - s blocks off its class, and the
+    sizes x of these meets count, over the points of B and over the
+    ordered pairs of its points, the blocks other than B through them:
+    sum x = k(r - 1) and sum x^2 = k(r - 1) + k(k - 1)(lambda - 1), the
+    same for every block.  By Cauchy-Schwarz, N * sum x^2 >= (sum x)^2,
+    with equality iff every x is the mean, so the meets all have one
+    size m = sum x / N exactly when equality holds (and N > 0).
     """
     if s.num_points < 2:
         raise NotTwoDesignError(None, "need at least 2 points")
@@ -571,20 +612,12 @@ def verify_2design(s: IncidenceStructure) -> DesignParams:
     m_int = None
     if s.parallel_classes is not None:
         s_count = len(s.parallel_classes[0])
-        masks = [sum(1 << p for p in b) for b in s.blocks]
-        class_of = [0] * len(s.blocks)
-        for ci, c in enumerate(s.parallel_classes):
-            for i in c:
-                class_of[i] = ci
-        sizes: set[int] = set()
-        for i, mask in enumerate(masks):
-            ci = class_of[i]
-            sizes.update((mask & other).bit_count()
-                         for other, cj in zip(masks[i + 1:], class_of[i + 1:]) if cj != ci)
-            if len(sizes) > 1:
-                break
-        if len(sizes) == 1:
-            m_int = sizes.pop()
+        # Bose's count: the sizes x of B's meets with the blocks off its class
+        others = len(s.blocks) - s_count
+        total = k * (r - 1)                          # sum of x
+        squares = total + k * (k - 1) * (lam - 1)    # sum of x^2
+        if others and others * squares == total * total:
+            m_int = total // others
     return DesignParams(s.num_points, len(s.blocks), k, r, lam, s=s_count, m_int=m_int)
 
 

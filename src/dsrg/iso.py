@@ -82,8 +82,9 @@ from itertools import chain, repeat, starmap
 from operator import add
 from struct import Struct
 
-from .digraph import Digraph, _bits
+from .digraph import Digraph
 from .errors import OutOfBudgetError, SizeMismatchError
+from .planes import _bits
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 

@@ -741,8 +741,12 @@ def reference_mul_inv_tables(p: int, e: int):
 # ---------------------------------------------------------------------------
 
 def reference_validate(num_points, blocks, groups=None, parallel_classes=None):
-    """IncidenceStructure's first _validate on plain arguments; raises or returns None."""
+    """IncidenceStructure's first _validate on plain arguments; raises or returns None.
+    A point count that is not an int (a float, a bool, NaN) is a TypeError
+    before any block is read."""
     n = num_points
+    if type(n) is not int:
+        raise TypeError(f"point count {n!r} is not an int")
     if n < 1:
         raise ValueError("structure needs at least one point")
     seen = set()

@@ -16,7 +16,10 @@ gdd(2,2) x 2, whose twins seed the search's orbit forest, against
 oracles.py's unpruned reference_canonical_form, checks make_field's
 tables for q = 9, 64, 243, 256 against oracles.py's exp/log
 reference_mul_inv_tables, rejects two group-divisible mutants of
-gdd(2,3) like oracles.py's pair-dict reference_verify_gdd, refuses a
+gdd(2,3) like oracles.py's pair-dict reference_verify_gdd, checks
+verify_pg on AG(2,5) and its two-class restriction and verify_2design on
+AG(3,3) and the one-factorization of K6 against oracles.py's pair-by-pair
+reference_verify_pg and reference_verify_2design, refuses a
 NaN point as outside the point range, round-trips the affine plane of
 order 17 (289 points, with parallel classes) through JSON byte for
 byte, and compares the SHA-256s of the catalog_rows(500) table, of the
@@ -42,10 +45,18 @@ from dsrg import (ISOMORPHIC, ApPencils, Digraph, DsrgError, Gdd,  # noqa: E402
                   IncidenceStructure, Partition, Transversal, apply_mapping, are_isomorphic,
                   build_affine_plane, build_digraph, build_gdd, build_hyperplane_design,
                   bundled_iso_fixture, canonical_form, duval_multiple, expected_params,
-                  from_json, make_field, to_json, verify_dsrg, verify_gdd, verify_mapping)
+                  from_json, make_field, restrict_parallel_classes, to_json, verify_2design,
+                  verify_dsrg, verify_gdd, verify_mapping, verify_pg)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
 from oracles import (brute_row_classes, reference_canonical_form,  # noqa: E402
-                     reference_mul_inv_tables, reference_verify_dsrg, reference_verify_gdd)
+                     reference_mul_inv_tables, reference_verify_2design, reference_verify_dsrg,
+                     reference_verify_gdd, reference_verify_pg)
+
+# all pairs of 6 points, resolved by a one-factorization of K6
+K6_PAIRS = IncidenceStructure(6, (
+    (0, 1), (2, 3), (4, 5), (0, 2), (1, 4), (3, 5), (0, 3), (1, 5), (2, 4),
+    (0, 4), (1, 3), (2, 5), (0, 5), (1, 2), (3, 4)),
+    parallel_classes=tuple(tuple(range(i, i + 3)) for i in range(0, 15, 3)))
 
 
 def _rejection(verify, d):
@@ -54,6 +65,14 @@ def _rejection(verify, d):
     except DsrgError as exc:
         return type(exc), vars(exc), str(exc)
     return None
+
+
+def _outcome(verify, s):
+    """verify(s), or the rejection's class, fields and message."""
+    try:
+        return verify(s)
+    except DsrgError as exc:
+        return type(exc), vars(exc), str(exc)
 
 
 def _swap_mutant(d):
@@ -121,6 +140,13 @@ def checks():
     except ValueError as exc:
         refused = str(exc)
     yield "a NaN point is refused as outside 0..n-1", refused == "block 0 has a point outside 0..2"
+    plane = build_affine_plane(5)
+    for name, s in (("AG(2,5)", plane), ("AG(2,5) l=2", restrict_parallel_classes(plane, 2))):
+        yield f"verify_pg {name} equals the reference", (
+            _outcome(verify_pg, s) == _outcome(reference_verify_pg, s))
+    for name, s in (("AG(3,3)", build_hyperplane_design(3, 3)), ("K6 pairs", K6_PAIRS)):
+        yield f"verify_2design {name} equals the reference", (
+            _outcome(verify_2design, s) == _outcome(reference_verify_2design, s))
     text = to_json(build_affine_plane(17))
     yield "plane-17 (289 points, classed) JSON round trip", to_json(from_json(text)) == text
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())

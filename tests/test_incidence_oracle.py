@@ -8,7 +8,10 @@ each level of the shared kernel _graph_blocks equals its blocks computed
 point by point from the field tables;
 validation and the pg / 2-design / gdd verifiers must give the same result,
 or the same error class, message, axiom and witness, on the
-structuregen sample and on seeded mutants.
+structuregen sample and on seeded mutants.  Hand-made structures pin
+the witnesses of verify_pg's per-line scans where the first line that
+fails, or the lowest line met twice, does not hold them, and
+verify_2design's intersection identity at its edge cases.
 Validation's set-based acceptance test (_fast_accepts) must accept no
 structure that the reference rejects, and must accept every builder
 output that carries parallel classes without the block loop.
@@ -24,6 +27,8 @@ import pytest
 import dsrg.incidence
 from dsrg import (
     IncidenceStructure,
+    NotTwoDesignError,
+    anti_flags,
     build_affine_plane,
     build_gdd,
     build_hyperplane_design,
@@ -164,6 +169,10 @@ VALIDATION_CASES = [
     (3, ((None, 1),)),
     (3, ((5, "a"),)),
     (3, ((True, 2),)),
+    (4.0, ((0, 1), (2, 3))),            # a count that is not an int: TypeError
+    (True, ((0,),)),
+    (math.nan, ((0, 1), (2, 3))),
+    (4.0, ()),
 ]
 
 
@@ -180,6 +189,10 @@ GROUPED_CASES = [
     (4, ((0, 1), (1, 2), (0, 2, 3)), None, ((0, 1), (2,))),
     (4, ((0, 1), (2, 3)), None, ((0, 1),)),
     (4, ((0, 1), (2, 3), (0, 2), (1, 3)), ((0, 1), (2, 3)), ((0, 1), (2, 3))),
+    (4.0, ((0, 1), (2, 3)), None, ((0, 1),)),   # classes that would hold for n = 4
+    (True, ((0,),), None, ((0,),)),
+    (math.nan, ((0, 1), (2, 3)), None, ((0, 1),)),
+    (4.0, (), None, ()),
 ]
 
 
@@ -610,3 +623,90 @@ def test_bases_reach_axiom_3_and_an_unset_intersection_size():
     assert outcome(verify_pg, GRID_BESIDE_DUAL_K4)[2] == 3
     assert verify_2design(K6_PAIRS).m_int is None
     assert verify_2design(build_hyperplane_design(3, 3)).m_int == 3
+
+
+# ---------------------------------------------------------------------------
+# the per-line scans of verify_pg and the intersection identity of verify_2design
+# ---------------------------------------------------------------------------
+
+# AG(2,3) after two point swaps.  Line 0 meets every other line at most
+# once; line 1 = (1, 2, 7) meets line 5 at 2 and 7 and line 9 at 1 and 2.
+# The lowest line it meets twice is 5, but the first failing pair in pair
+# order is (1, 2), the first pair of line 1, which lies on line 9.
+SHARED_TWICE = IncidenceStructure(9, (
+    (0, 3, 6), (1, 2, 7), (1, 5, 8), (0, 4, 8), (4, 5, 6), (2, 3, 7),
+    (0, 5, 7), (1, 3, 8), (2, 4, 6), (0, 1, 2), (3, 4, 5), (6, 7, 8)))
+
+
+def test_axiom_2_witness_is_the_first_pair_in_pair_order():
+    lines = list(map(set, SHARED_TWICE.blocks))
+    met_twice = [[j for j, other in enumerate(lines) if j != i and len(line & other) > 1]
+                 for i, line in enumerate(lines[:2])]
+    assert met_twice == [[], [5, 9]]
+    got = outcome(verify_pg, SHARED_TWICE)
+    assert got == outcome(reference_verify_pg, SHARED_TWICE)
+    assert got[2:] == (2, (1, 2))
+
+
+# the dual of K4 (points 0..5 are its edges ab ac ad bc bd cd, lines its
+# vertices; tau 2) beside the 3x3 grid on points 6..14 (tau 1)
+DUAL_K4_BESIDE_GRID = IncidenceStructure(15, (
+    (0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5),
+    (6, 7, 8), (9, 10, 11), (12, 13, 14), (6, 9, 12), (7, 10, 13), (8, 11, 14)))
+
+
+def _crossings(s, i):
+    """Per point off line i, the lines through it that meet line i."""
+    line = set(s.blocks[i])
+    return {p: sum(1 for b in s.blocks if p in b and line & set(b))
+            for p in range(s.num_points) if p not in line}
+
+
+@pytest.mark.parametrize("s,witness", [(GRID_BESIDE_DUAL_K4, (0, 6)),
+                                       (DUAL_K4_BESIDE_GRID, (0, 4))],
+                         ids=["grid-first", "dual-K4-first"])
+def test_axiom_3_witness_is_the_first_anti_flag_in_anti_flags_order(s, witness):
+    """Line 0 fails only at a point after the witness's, so the first
+    failing line does not hold the witness."""
+    first = anti_flags(s)[0]
+    tau = _crossings(s, first.block)[first.point]
+    line_0_fails = [p for p, c in _crossings(s, 0).items() if c != tau]
+    assert witness[1] > 0 and min(line_0_fails) > witness[0]
+    got = outcome(verify_pg, s)
+    assert got == outcome(reference_verify_pg, s)
+    assert got[2:] == (3, witness)
+
+
+def _k8_one_factorization():
+    """The 28 pairs of 8 points in 7 classes: round i pairs 7 with i and
+    i + j with i - j mod 7 for j = 1, 2, 3."""
+    blocks = [tuple(sorted(pair)) for i in range(7)
+              for pair in [(i, 7)] + [((i + j) % 7, (i - j) % 7) for j in (1, 2, 3)]]
+    return IncidenceStructure(8, tuple(blocks),
+                              parallel_classes=tuple(tuple(range(i, i + 4)) for i in range(0, 28, 4)))
+
+
+# (structure, m_int): one block in one class (no block off its class); the
+# one-factorization of K8 (pairs meet in 0 or 1 points); AG(3,4) and
+# AG(4,3), whose non-parallel hyperplanes meet in q^(n-2) points
+INTERSECTIONS = [
+    (IncidenceStructure(4, ((0, 1, 2, 3),), parallel_classes=((0,),)), None),
+    (_k8_one_factorization(), None),
+    (build_hyperplane_design(4, 3), 4),
+    (build_hyperplane_design(3, 4), 9),
+]
+
+
+@pytest.mark.parametrize("s,m", INTERSECTIONS, ids=["one-block", "K8-pairs", "AG(3,4)", "AG(4,3)"])
+def test_intersection_identity_matches_the_block_pairs(s, m):
+    got = outcome(verify_2design, s)
+    assert got == outcome(reference_verify_2design, s)
+    assert got[1].m_int == m
+
+
+def test_a_classed_structure_that_fails_lambda_raises_before_the_identity():
+    """Two parallel classes of AG(2,3): a pair on no line fails lambda."""
+    s = restrict_parallel_classes(build_affine_plane(3), 2)
+    got = outcome(verify_2design, s)
+    assert got == outcome(reference_verify_2design, s)
+    assert got[0] is NotTwoDesignError and got[1].startswith("pair occurs in")
