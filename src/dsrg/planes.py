@@ -6,9 +6,11 @@ int whose bit v is bit i of the count at position v.  Adding a 0/1
 vector to such a stack is a ripple carry over whole planes, so a sum
 of many vectors costs a few wide-int operations per vector, and two
 stacks are compared, or a constant is matched, position by position
-with one xor per plane.  The DSRG verifier holds the rows of A^2 this
-way; the partial-geometry verifier holds, per line, how many of its
-points each point is collinear with.
+with one xor per plane.  Taking a stack from a larger one is a ripple
+borrow, the mirror of the carry.  The DSRG verifier holds the rows of
+A^2 this way, and may reach one row from another by adding and taking
+away the few terms in which they differ; the partial-geometry verifier
+holds, per line, how many of its points each point is collinear with.
 """
 
 from __future__ import annotations
@@ -56,6 +58,32 @@ def _add_planes(acc: list[int], planes: list[int], shift: int) -> None:
         acc[i] = a ^ carry
         carry &= a
         i += 1
+
+
+def _sub_planes(acc: list[int], planes: list[int]) -> None:
+    """Subtract the counts held in `planes` from those in `acc`.
+
+    A ripple-borrow subtractor over whole planes, the mirror of
+    _add_planes: plane i of `planes` meets plane i of `acc`, the borrow
+    runs on until it dies out, and the zero planes left on top are
+    dropped.  No count of `planes` may exceed the count of `acc` in its
+    column, so the borrow always dies inside `acc`.
+    """
+    borrow = 0
+    i = 0
+    for plane in planes:
+        a = acc[i]
+        half = a ^ plane
+        acc[i] = half ^ borrow
+        borrow = (plane & ~a) | (borrow & ~half)
+        i += 1
+    while borrow:
+        a = acc[i]
+        acc[i] = a ^ borrow
+        borrow &= ~a
+        i += 1
+    while acc and not acc[-1]:
+        acc.pop()
 
 
 def _add_times(acc: list[int], planes: list[int], c: int) -> None:

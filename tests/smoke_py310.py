@@ -10,6 +10,10 @@ and one between the Duval multiples ap-pencils(3,3) x 9 and
 transversal(3) x 9 (n=486) in at most 3 class-structure nodes,
 rejects a degree-keeping swap mutant of gdd(2,3) with the error class,
 witness and message of tests/oracles.py's reference_verify_dsrg,
+verifies transversal(7) (49 row classes, so rows of A^2 are reached by
+differences) and rejects a swap mutant of it like that reference,
+subtracts one plane stack from another with a borrow that runs to the
+top plane,
 checks the row-class index of the Duval multiple gdd(2,3) x 3 against
 oracles.py's per-vertex brute_row_classes, checks the canonical form of
 gdd(2,2) x 2, whose twins seed the search's orbit forest, against
@@ -48,6 +52,7 @@ from dsrg import (ISOMORPHIC, ApPencils, Digraph, DsrgError, Gdd,  # noqa: E402
                   from_json, make_field, restrict_parallel_classes, to_json, verify_2design,
                   verify_dsrg, verify_gdd, verify_mapping, verify_pg)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
+from dsrg.planes import _sub_planes  # noqa: E402
 from oracles import (brute_row_classes, reference_canonical_form,  # noqa: E402
                      reference_mul_inv_tables, reference_verify_2design, reference_verify_dsrg,
                      reference_verify_gdd, reference_verify_pg)
@@ -116,6 +121,15 @@ def checks():
     got = _rejection(verify_dsrg, mutant)
     yield "gdd l=2;q=3 swap mutant rejected like the reference", (
         got is not None and got == _rejection(reference_verify_dsrg, mutant))
+    transversal = build_digraph(Transversal(7))
+    mutant = _swap_mutant(transversal)
+    yield "transversal q=7 and a swap mutant verify like the reference", (
+        _rejection(verify_dsrg, mutant) is not None
+        and all(_outcome(verify_dsrg, g) == _outcome(reference_verify_dsrg, g)
+                for g in (transversal, mutant)))
+    acc = [0] * 6 + [0xFF]            # 64 in each of 8 columns
+    _sub_planes(acc, [0x0F, 0xF0])    # minus 1 in columns 0-3, minus 2 in columns 4-7
+    yield "_sub_planes borrows up to the top plane and drops it", acc == [0x0F] + [0xFF] * 5
     multiple = duval_multiple(gdd, 3)
     yield "gdd l=2;q=3 x 3 row-class index matches a per-vertex grouping", (
         (multiple.distinct, multiple.row_class, multiple.members) == brute_row_classes(multiple))

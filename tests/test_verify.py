@@ -39,7 +39,7 @@ from dsrg import (
     expected_params,
     verify_dsrg,
 )
-from dsrg.digraph import _add_planes, _add_times, _weighted_sum
+from dsrg.digraph import _add_planes, _add_times, _sub_planes, _weighted_sum
 from dsrg.families import catalog_instances
 from oracles import dense, popcount_verify_dsrg, reference_verify_dsrg, walks2, witness_problem
 
@@ -287,13 +287,17 @@ def test_flips_and_swaps_like_the_reference(spec):
 
 def test_both_kernels_run(monkeypatch):
     """D <= k sums by out-row class, D > k by out-neighbour, where D is
-    the number of distinct out-rows."""
-    calls = {"_square_row": 0, "_square_row_by_class": 0}
+    the number of distinct out-rows; from D = 32 on, a by-class row may
+    instead be the previous class's row plus a difference."""
+    calls = {"_square_row": 0, "_square_row_by_class": 0, "_square_row_by_difference": 0}
+    moved = []   # how many counts each difference row moved
     for name in calls:
         kernel = getattr(dsrg.digraph, name)
 
         def counted(*args, name=name, kernel=kernel):
             calls[name] += 1
+            if name == "_square_row_by_difference":
+                moved.append(len(args[-1]))
             return kernel(*args)
         monkeypatch.setattr(dsrg.digraph, name, counted)
 
@@ -303,7 +307,8 @@ def test_both_kernels_run(monkeypatch):
     for d in (spiked, fano):
         assert len(set(d.rows)) == d.n > d.rows[0].bit_count()
         verify_dsrg(d)
-    assert calls == {"_square_row": spiked.n + fano.n, "_square_row_by_class": 0}
+    assert calls == {"_square_row": spiked.n + fano.n, "_square_row_by_class": 0,
+                     "_square_row_by_difference": 0}
 
     # forward rule: the out-row depends on the point alone
     gdd = build_digraph(Gdd(2, 3))
@@ -312,7 +317,108 @@ def test_both_kernels_run(monkeypatch):
     for d in (gdd, multiple):
         assert len(set(d.rows)) <= d.rows[0].bit_count()
         verify_dsrg(d)
-    assert calls == {"_square_row": 0, "_square_row_by_class": 2 * len(set(gdd.rows))}
+    assert calls == {"_square_row": 0, "_square_row_by_class": 2 * len(set(gdd.rows)),
+                     "_square_row_by_difference": 0}
+
+    # transversal q=7, D = 49: two points of one group differ in two class
+    # counts, so 42 of the 48 later classes take the difference; the 6 that
+    # start a group move 14 of the 48 counts they meet, and are summed fresh
+    transversal = build_digraph(Transversal(7))
+    calls.update(_square_row_by_class=0)
+    assert verify_dsrg(transversal) == expected_params(Transversal(7))
+    assert calls == {"_square_row": 0, "_square_row_by_class": 7, "_square_row_by_difference": 42}
+    assert moved == [2] * 42
+
+    # no by-class graph of the catalog has 32 classes, so none takes the difference
+    calls.update(_square_row_by_class=0, _square_row_by_difference=0)
+    for spec, formula_only in catalog_instances(500):
+        if not formula_only:
+            d = build_digraph(spec)
+            verify_dsrg(d)
+            assert len(d.distinct) < 32 or len(d.distinct) > d.rows[0].bit_count(), spec
+    assert calls["_square_row_by_class"] > 0
+    assert calls["_square_row_by_difference"] == 0
+
+
+# -- the difference kernel ---------------------------------------------------
+
+@pytest.fixture
+def differences_everywhere(monkeypatch):
+    """verify_dsrg tries the difference on every by-class graph, whatever its D."""
+    monkeypatch.setattr(dsrg.digraph, "_DIFFERENCE_MIN_CLASSES", 0)
+
+
+@pytest.mark.parametrize("name,build", INSTANCES, ids=[name for name, _ in INSTANCES])
+def test_accepts_like_the_reference_by_differences(name, build, differences_everywhere):
+    test_accepts_like_the_reference(name, build)
+
+
+@pytest.mark.parametrize("name,build", INSTANCES, ids=[name for name, _ in INSTANCES])
+def test_mutants_rejected_like_the_reference_by_differences(name, build, differences_everywhere):
+    test_mutants_rejected_like_the_reference(name, build)
+
+
+@pytest.mark.parametrize("name,spec", REACH_13, ids=[name for name, _ in REACH_13])
+def test_catalog_multiples_up_to_13_like_the_reference_by_differences(
+        name, spec, differences_everywhere):
+    test_catalog_multiples_up_to_13_like_the_reference(name, spec)
+
+
+@pytest.mark.parametrize("spec", [Transversal(3), Gdd(2, 5)], ids=["transversal 3", "gdd 2 5"])
+def test_flips_and_swaps_like_the_reference_by_differences(spec, differences_everywhere):
+    test_flips_and_swaps_like_the_reference(spec)
+
+
+def _same_block_swap(d, rng):
+    """a->b, c->e become a->e, c->b, for anti-flags a, c of one block in
+    the second half.  A vertex points at a iff it points at c, so only a
+    and c get a new row of A^2, and the first failing vertex is late."""
+    half = d.n // 2
+    while True:
+        a = rng.randrange(half, d.n)
+        c = rng.choice([v for v in range(half, d.n)
+                        if v != a and d.labels[v].block == d.labels[a].block])
+        b = rng.choice([v for v in _bits(d.rows[a]) if not (d.rows[c] >> v) & 1 and v != c])
+        e = rng.choice([v for v in _bits(d.rows[c]) if not (d.rows[a] >> v) & 1 and v != a])
+        if d.rows[b] != d.rows[e]:
+            return a, b, c, e
+
+
+def test_transversal_7_and_same_block_swaps_like_the_reference(monkeypatch):
+    """At the shipped threshold: transversal q=7 (D = 49) and three seeded
+    degree-keeping swaps on it, each rejected at a vertex past the middle
+    whose row of A^2 the walk reached by differences."""
+    d = build_digraph(Transversal(7))
+    assert len(d.distinct) >= dsrg.digraph._DIFFERENCE_MIN_CLASSES
+    _same_as_reference(d, verify_dsrg(d), "transversal 7")
+    differences = []
+    kernel = dsrg.digraph._square_row_by_difference
+
+    def counted(*args):
+        differences.append(args)
+        return kernel(*args)
+    monkeypatch.setattr(dsrg.digraph, "_square_row_by_difference", counted)
+    rng = random.Random(f"{SEED} transversal 7")
+    for _ in range(3):
+        a, b, c, e = _same_block_swap(d, rng)
+        mutant = Digraph(d.n, _flip(d.rows, (a, b), (a, e), (c, e), (c, b)))
+        differences.clear()
+        got = _outcome(verify_dsrg, mutant)
+        _same_as_reference(mutant, got, f"transversal 7 swap {a}->{b},{c}->{e}")
+        assert isinstance(got, NonConstantError) and got.witness[0] == min(a, c)
+        assert len(differences) > 20
+
+
+def test_class_squares_are_the_rows_of_a_squared():
+    """Every row the class walk yields equals the one-add-per-out-neighbour
+    sum, also after the walk has gone on past it: a later difference
+    must not change a row that is held as a witness."""
+    d = build_digraph(Transversal(7))
+    rng = random.Random(f"{SEED} class squares")
+    a, b, c, e = _same_block_swap(d, rng)
+    for g in (d, Digraph(d.n, _flip(d.rows, (a, b), (a, e), (c, e), (c, b)))):
+        squares = list(dsrg.digraph._class_squares(g.distinct, g.members))
+        assert squares == [dsrg.digraph._square_row(g.rows, row) for row in g.distinct]
 
 
 # -- the plane-stack helpers -------------------------------------------------
@@ -379,6 +485,42 @@ def test_add_planes_into_an_empty_accumulator():
     acc = []
     _add_planes(acc, [], 2)
     assert _columns_of(acc) == [0] * WIDTH
+
+
+def test_sub_planes_matches_column_differences():
+    rng = random.Random(f"{SEED} sub")
+    for trial in range(60):
+        top = 2 ** rng.randrange(1, 14)
+        big = [rng.randrange(top) for _ in range(WIDTH)]
+        small = [rng.randrange(v + 1) for v in big]
+        acc = _planes_of(big)
+        _sub_planes(acc, _planes_of(small))
+        assert _columns_of(acc) == [x - y for x, y in zip(big, small)], trial
+        assert acc == _planes_of([x - y for x, y in zip(big, small)]), trial
+
+
+def test_sub_planes_borrows_past_the_top_plane():
+    """2**width minus 1 in every column: the borrow runs from plane 0 up
+    to plane width, above the subtrahend's top plane, which it clears."""
+    ones = (1 << WIDTH) - 1
+    for width in range(1, 6):
+        for low in range(1, width + 1):
+            acc = [0] * width + [ones]
+            _sub_planes(acc, [ones] * low)   # 2**low - 1
+            want = 2**width - 2**low + 1
+            assert _columns_of(acc) == [want] * WIDTH, (width, low)
+            assert len(acc) == want.bit_length()
+
+
+def test_sub_planes_to_zero_in_every_column():
+    rng = random.Random(f"{SEED} sub zero")
+    values = [rng.randrange(2**9) for _ in range(WIDTH)]
+    acc = _planes_of(values)
+    _sub_planes(acc, _planes_of(values))
+    assert acc == []
+    acc = []
+    _sub_planes(acc, [])
+    assert acc == []
 
 
 def test_weighted_sum_matches_column_sums():
