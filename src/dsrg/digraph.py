@@ -9,11 +9,13 @@ in order of first appearance, `row_class[u]` the class of vertex u and
 `members[c]` the vertex mask of class c.  Equal rows come in runs of
 consecutive vertices (the anti-flags of one point are numbered
 together, and a multiple stretches each run m times), so the index is
-built with one step per run: the runs are found in one C-level pass,
-and each run costs one dict lookup and one mask.  Row checks,
-columns(), to_dgr, the multiple, the verifier and iso work once per
-class: the verifier accepts a graph in one step per class, not per
-vertex.
+built with one step per run: one dict lookup and one mask.  The
+builders that lay their rows out in runs (the forward-rule wiring, the
+multiple and from_dgr) pass them to Digraph._from_runs, with no
+per-vertex search; only rows given as a tuple, Digraph(n, rows), are
+searched for runs, in one C-level pass.  Row checks, columns(), to_dgr,
+the multiple, the verifier and iso work once per class: the verifier
+accepts a graph in one step per class, not per vertex.
 
 The anti-flag builders take an incidence structure, number its
 non-incident (point, block) pairs in lexicographic order, and wire
@@ -31,16 +33,18 @@ rows of A^2 of their out-row classes are sums whose counts differ in
 two places, and one is reached from the other by adding and taking
 away those two terms.  from_dgr walks the text by line offsets without
 splitting it, so a row line that repeats the line before costs one
-compare.
+compare and extends the current run.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, count, repeat
-from operator import itemgetter, mul, ne, sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import itemgetter, mul, ne, not_, sub
 from typing import Literal
 
 from .errors import (
@@ -79,6 +83,11 @@ _DIFFERENCE_MIN_CLASSES = 32
 _ASCII_SEPARATORS = "\n\r\x0b\x0c\x1c\x1d\x1e"
 _LINE_SEPARATORS = _ASCII_SEPARATORS + "\x85\u2028\u2029"
 
+# runs x n bounds the bits that the row-class index's ORs copy; below 2^24
+# (about 0.1 ms of copying, as long as counting the runs of each class takes
+# on a few thousand runs) it does not look for classes spread over many runs
+_SPREAD_MIN_COPY = 1 << 24
+
 
 @dataclass(frozen=True)
 class Digraph:
@@ -86,7 +95,8 @@ class Digraph:
 
     The row-class index (distinct, row_class, members) is built per run
     of equal consecutive rows, not per vertex; a class may gather runs
-    that are not adjacent.
+    that are not adjacent.  Digraph(n, rows) finds the runs;
+    Digraph._from_runs takes them from a builder.
     """
 
     n: int
@@ -103,21 +113,59 @@ class Digraph:
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
         if not {int}.issuperset(map(type, rows)):
-            # a row-keyed dict would put 2.0 in the class of 2: check vertex by vertex
-            for u, row in enumerate(rows):
-                _check_classes((row,), (1 << u,), n)
+            _check_rows(rows, n)
         # True at each vertex whose row differs from the row before: a run start
         new_run = list(map(ne, rows, (None, *rows)))
         bounds = [*compress(count(), new_run), n]     # the run starts, then n
+        self._index(compress(rows, new_run), bounds)
+
+    @classmethod
+    def _from_runs(cls, n: int, heads: Iterable[int], lengths: Iterable[int],
+                   labels: tuple[AntiFlag, ...] | None = None) -> "Digraph":
+        """The graph whose rows are heads[i] repeated lengths[i] times, in order.
+
+        For builders that lay their rows out in runs: the index is built
+        from the given runs, with no search for equal rows.  Runs of
+        length 0 are dropped; equal heads, adjacent or not, share a class.
+        The checks and their errors are those of Digraph(n, rows).
+        """
+        heads, lengths = list(heads), list(lengths)
+        if 0 in lengths:
+            heads, lengths = list(compress(heads, lengths)), list(filter(None, lengths))
+        bounds = [*accumulate(lengths, initial=0)]
+        if bounds[-1] != n:
+            raise ValueError(f"expected {n} rows, got {bounds[-1]}")
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "rows", tuple(chain.from_iterable(map(mul, zip(heads), lengths))))
+        object.__setattr__(d, "labels", labels)
+        if not {int}.issuperset(map(type, heads)):
+            _check_rows(d.rows, n)
+        d._index(heads, bounds)
+        return d
+
+    def _index(self, heads: Iterable[int], bounds: list[int]) -> None:
+        """Set distinct, row_class and members from the runs of equal rows,
+        one step per run: run i is heads[i] at vertices bounds[i] ..
+        bounds[i + 1] - 1.  Then check the rows per class and the label
+        count."""
+        n = self.n
         lengths = list(map(sub, bounds[1:], bounds))
         ids: dict[int, int] = {}
-        run_class = [ids.setdefault(row, len(ids)) for row in compress(rows, new_run)]
-        members = [0] * len(ids)
-        for c, start, length in zip(run_class, bounds, lengths):
-            members[c] |= ((1 << length) - 1) << start
-        _check_classes(ids, members, n)
+        run_class = [ids.setdefault(row, len(ids)) for row in heads]
         # (c,) * length: each run's class once per vertex of the run
         row_class = tuple(chain.from_iterable(map(mul, zip(run_class), lengths)))
+        members = [0] * len(ids)
+        runs = zip(run_class, bounds, lengths)
+        # each OR below copies the class's mask so far: where they could copy
+        # many bits, a class of more than n/4 runs is read from row_class
+        if len(run_class) > len(ids) and len(run_class) * n > _SPREAD_MIN_COPY:
+            spread = [c for c, k in Counter(run_class).items() if 4 * k > n]
+            runs = compress(runs, map(not_, map(spread.__contains__, run_class)))
+            _spread_masks(members, spread, row_class)
+        for c, start, length in runs:
+            members[c] |= ((1 << length) - 1) << start
+        _check_classes(ids, members, n)
         object.__setattr__(self, "distinct", tuple(ids))
         object.__setattr__(self, "row_class", row_class)
         object.__setattr__(self, "members", tuple(members))
@@ -159,7 +207,10 @@ class Digraph:
         sliced and looked up in a dict local to the call, and checked and
         parsed at its first occurrence, so the first error is the one a
         line-by-line parse would raise.  A too-short file is reported
-        before a bad row, as that parse does.
+        before a bad row, as that parse does.  Each sliced line starts a
+        run of rows that the repeats after it extend, and the runs go to
+        Digraph._from_runs; equal rows whose lines differ (in separator
+        or trailing space) start separate runs of one class.
         """
         if not text:
             raise FormatError(1, "empty file")
@@ -172,12 +223,12 @@ class Digraph:
         if n < 1:
             raise FormatError(1, f"vertex count must be positive, got {n}")
         end = len(text)
-        rows = []
+        heads, starts = [], []            # a run of rows per line repeated by the lines after it
         line_rows: dict[str, int] = {}
         prev = ""                         # the last line sliced, "" if it ends in a lone "\r"
         for u in range(n):
             if prev and text.startswith(prev, o):
-                o += len(prev)
+                o += len(prev)            # row u extends the current run
             elif o == end:
                 _count_rows(text, o, u, n)    # raises: the rows ran out
             else:
@@ -193,7 +244,8 @@ class Digraph:
                 # "x\r" must not match the "x\r" of "x\r\n"
                 prev = "" if raw[-1] == "\r" else raw
                 o = stop
-            rows.append(row)
+                heads.append(row)
+                starts.append(u)
         lineno = 1 + n
         while o < end:
             lineno += 1
@@ -201,7 +253,7 @@ class Digraph:
             if text[o:cut].strip():
                 raise FormatError(lineno, f"unexpected text after the {n} adjacency rows")
             o = stop
-        return cls(n, tuple(rows))
+        return cls._from_runs(n, heads, map(sub, [*starts[1:], n], starts))
 
     def to_edge_list(self) -> str:
         """One 'u v' line per edge, sorted by (u, v)."""
@@ -296,6 +348,13 @@ def _parse_row(line: str, n: int, lineno: int) -> int:
     return int(line[::-1], 2)
 
 
+def _check_rows(rows: tuple[int, ...], n: int) -> None:
+    """_check_classes vertex by vertex, for rows that are not all ints: a
+    row-keyed dict would put 2.0 in the class of 2."""
+    for u, row in enumerate(rows):
+        _check_classes((row,), (1 << u,), n)
+
+
 def _check_classes(reps: Iterable[int], members: Iterable[int], n: int) -> None:
     """ValueError naming the first vertex with a bit outside 0..n-1 (checked
     first) or a loop, where reps[c] is the row of the vertices in members[c]."""
@@ -309,6 +368,19 @@ def _check_classes(reps: Iterable[int], members: Iterable[int], n: int) -> None:
             bad, message = loop, f"loop at vertex {loop}"
     if message:
         raise ValueError(message)
+
+
+def _spread_masks(members: list[int], spread: list[int], row_class: tuple[int, ...]) -> None:
+    """Set members[c] for each class c in spread (at most 3), each in one
+    C-level pass: a byte per vertex naming its class, translated to the
+    class's bit string and parsed.  One OR per run would copy the mask
+    so far at each of the class's more than n/4 runs."""
+    code = [0] * len(members)            # j for the j-th spread class, 0 for the others
+    for j, c in enumerate(spread, 1):
+        code[c] = j
+    marks = bytes(map(code.__getitem__, row_class))
+    for j, c in enumerate(spread, 1):
+        members[c] = int(marks.translate((b"0" * j + b"1").ljust(256, b"0"))[::-1], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +402,22 @@ def _wire(s: IncidenceStructure, same: Literal["point", "block"] | None = None) 
     for b, block in enumerate(s.blocks):
         for x in block:
             rule[x] |= block_mask[b]
-    # an anti-flag's forward out-row depends on its point alone
+    if same is None:
+        # an anti-flag's forward out-row depends on its point alone, and the
+        # anti-flags of point p are numbered together: one run of rule[p] each
+        bounds = [bisect_left(flags, (p,)) for p in range(s.num_points + 1)]
+        return Digraph._from_runs(len(flags), rule, map(sub, bounds[1:], bounds),
+                                  labels=tuple(flags))
     rows = list(map(rule.__getitem__, map(itemgetter(0), flags)))
-    if same is not None:
-        if same == "point":
-            coord, mask = 0, [0] * s.num_points    # vertices whose point is x
-            for j, (p, _) in enumerate(flags):
-                mask[p] |= 1 << j
-        else:
-            coord, mask = 1, block_mask
-        # vertex j lies in the mask of its own coordinate: xor drops the loop
-        for j, flag in enumerate(flags):
-            rows[j] |= mask[flag[coord]] ^ (1 << j)
+    if same == "point":
+        coord, mask = 0, [0] * s.num_points    # vertices whose point is x
+        for j, (p, _) in enumerate(flags):
+            mask[p] |= 1 << j
+    else:
+        coord, mask = 1, block_mask
+    # vertex j lies in the mask of its own coordinate: xor drops the loop
+    for j, flag in enumerate(flags):
+        rows[j] |= mask[flag[coord]] ^ (1 << j)
     return Digraph(len(flags), tuple(rows), labels=tuple(flags))
 
 
@@ -577,7 +653,8 @@ def _blow_up(d: Digraph, m: int) -> Digraph:
 
     Each distinct row is spread once, and the vertices of a class share
     its spread row, so each run of the base becomes one run m times as
-    long and the new graph's index costs one step per run.
+    long, handed to Digraph._from_runs: the new graph's index costs one
+    step per run.
     """
     if m == 1:
         return d
@@ -585,11 +662,11 @@ def _blow_up(d: Digraph, m: int) -> Digraph:
     # m ones fills bits v*m .. v*m + m - 1; once per class
     gap, width, block = "0" * (m - 1), f"0{d.n}b", (1 << m) - 1
     big = [int(gap.join(format(row, width)), 2) * block for row in d.distinct]
-    spread_rows = list(map(big.__getitem__, d.row_class))
-    rows = [0] * (d.n * m)
-    for i in range(m):
-        rows[i::m] = spread_rows
-    return Digraph(d.n * m, tuple(rows))
+    # the base's runs: where its class differs from the vertex before's
+    starts = list(compress(count(), map(ne, d.row_class, (None, *d.row_class))))
+    heads = map(big.__getitem__, map(d.row_class.__getitem__, starts))
+    lengths = map(mul, map(sub, [*starts[1:], d.n], starts), repeat(m))
+    return Digraph._from_runs(d.n * m, heads, lengths)
 
 
 def duval_multiple(d: Digraph, m: int) -> Digraph:

@@ -15,7 +15,10 @@ differences) and rejects a swap mutant of it like that reference,
 subtracts one plane stack from another with a borrow that runs to the
 top plane,
 checks the row-class index of the Duval multiple gdd(2,3) x 3 against
-oracles.py's per-vertex brute_row_classes, checks the canonical form of
+oracles.py's per-vertex brute_row_classes, checks that transversal(3),
+that multiple and transversal(3) read back from dgr text, each built
+from the runs its builder laid out (Digraph._from_runs), equal the same
+rows given to Digraph(n, rows), index included, checks the canonical form of
 gdd(2,2) x 2, whose twins seed the search's orbit forest, against
 oracles.py's unpruned reference_canonical_form, checks make_field's
 tables for q = 9, 64, 243, 256 against oracles.py's exp/log
@@ -133,6 +136,14 @@ def checks():
     multiple = duval_multiple(gdd, 3)
     yield "gdd l=2;q=3 x 3 row-class index matches a per-vertex grouping", (
         (multiple.distinct, multiple.row_class, multiple.members) == brute_row_classes(multiple))
+    t3 = build_digraph(Transversal(3))
+    for name, d in (("transversal q=3", t3), ("gdd l=2;q=3 x 3", multiple),
+                    ("transversal q=3 dgr round trip", Digraph.from_dgr(t3.to_dgr()))):
+        searched = Digraph(d.n, d.rows, labels=d.labels)
+        yield f"{name} built from runs equals the tuple constructor", (
+            d == searched and hash(d) == hash(searched)
+            and (d.distinct, d.row_class, d.members)
+            == (searched.distinct, searched.row_class, searched.members) == brute_row_classes(d))
     twins = build_digraph(Gdd(2, 2, 2))
     yield "gdd l=2;q=2;m=2 canonical form equals the reference", (
         canonical_form(twins) == reference_canonical_form(twins))

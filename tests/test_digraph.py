@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from itertools import groupby
 
 import pytest
 
@@ -11,6 +12,7 @@ from dsrg import (
     Digraph,
     DsrgError,
     FormatError,
+    Gdd,
     IncidenceStructure,
     NoAntiFlagsError,
     NonConstantError,
@@ -433,6 +435,135 @@ def test_blow_up_matches_a_brute_tensor():
         d = _random_distinct(n, rng)
         for m in range(1, 5):
             _check_blow_up(d, m, f"random all-distinct n={n} m={m}")
+
+
+# ---------------------------------------------------------------------------
+# Digraph._from_runs, the builders' entry, against Digraph(n, rows)
+# ---------------------------------------------------------------------------
+
+def _runs(rows):
+    """(heads, lengths) of the runs of equal consecutive rows."""
+    runs = [(row, len(list(group))) for row, group in groupby(rows)]
+    return [row for row, _ in runs], [length for _, length in runs]
+
+
+def _index(d):
+    return d.distinct, d.row_class, d.members
+
+
+def _check_same_graph(d, e, name):
+    """d and e are equal graphs with one index, and it is the per-vertex grouping."""
+    assert d == e and hash(d) == hash(e), name
+    assert d.labels == e.labels, name
+    assert _index(d) == _index(e) == brute_row_classes(d), name
+
+
+def _from_runs_and_tuple(rows, labels=None):
+    n = len(rows)
+    return (Digraph._from_runs(n, *_runs(rows), labels=labels),
+            Digraph(n, tuple(rows), labels=labels))
+
+
+def test_from_runs_equals_the_tuple_path_on_the_catalog():
+    """Every catalog-1000 graph, its multiples for m = 2, 3 and its transpose,
+    built both ways; the builders' own graphs are checked as they come."""
+    for spec, formula_only in catalog_instances(1000):
+        if formula_only:
+            continue
+        name = f"{spec.name} {spec.describe()}"
+        d = build_digraph(spec)
+        _check_same_graph(d, Digraph(d.n, d.rows, labels=d.labels), name)
+        for m in (2, 3):
+            big = dsrg.digraph._blow_up(d, m)
+            _check_same_graph(big, Digraph(big.n, big.rows), f"{name} x{m}")
+        t = d.transpose()
+        _check_same_graph(*_from_runs_and_tuple(t.rows, t.labels), f"{name} transposed")
+        _check_same_graph(*_from_runs_and_tuple(d.rows, d.labels), f"{name} rerun")
+
+
+def test_from_dgr_runs_split_by_line_text_keep_one_class():
+    """Equal rows in separate runs: a CRLF line next to an LF line, a line
+    with trailing spaces, repeats that are not adjacent."""
+    texts = {
+        "CRLF next to LF": "4\r\n0001\r\n0001\n0001\r\n1000\n",
+        "trailing spaces": "4\n0001\n0001  \n0001\n1000\n",
+        "repeats apart": "5\n00010\n00001\n00010\n00001\n00010\n",
+        "lone CR then CRLF": "4\n0001\r0001\r\n0001\n1000\n",
+    }
+    for name, text in texts.items():
+        d = Digraph.from_dgr(text)
+        ref = reference_from_dgr(text)
+        _check_same_graph(d, Digraph(ref.n, ref.rows), name)
+    d = Digraph.from_dgr(texts["CRLF next to LF"])
+    assert d.distinct == (8, 1) and d.members == (0b0111, 0b1000)
+
+
+def test_from_runs_drops_an_empty_run():
+    """Point 0 is on every block, so it has no anti-flag: its run has length 0
+    and must leave no class behind."""
+    s = IncidenceStructure(3, ((0, 1), (0, 2)))
+    d = build_antiflag_forward(s)
+    assert len(d.distinct) == 2
+    _check_same_graph(d, Digraph(d.n, d.rows, labels=d.labels), "point on every block")
+    e = Digraph._from_runs(3, (2, 5, 1), (1, 0, 2))
+    _check_same_graph(e, Digraph(3, (2, 1, 1)), "empty middle run")
+    assert e.distinct == (2, 1)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("heads, lengths", [
+    ((2, 16), (2, 2)),          # a head with a bit at or above n
+    ((0, -1), (3, 1)),
+    ((2, 8), (3, 1)),           # a loop at the run's second vertex
+    ((4, 8, 4), (1, 1, 2)),     # a stray bit before a later vertex's loop
+    ((2, 2.0), (1, 2)),         # a non-int head, equal to the head before
+    ((1.0, 0), (1, 3)),
+    ((16, "1"), (1, 3)),        # a bad int head before a non-int one
+    ((True, 2), (1, 3)),
+])
+def test_from_runs_errors_match_the_tuple_path(heads, lengths):
+    rows = [head for head, length in zip(heads, lengths) for _ in range(length)]
+    got = _outcome(lambda: Digraph._from_runs(len(rows), heads, lengths))
+    assert got == _outcome(lambda: Digraph(len(rows), tuple(rows)))
+    if not isinstance(got, Digraph):
+        assert got[0] in (ValueError, TypeError)
+
+
+def test_from_runs_refuses_lengths_that_miss_n():
+    with pytest.raises(ValueError, match=r"^expected 4 rows, got 3$"):
+        Digraph._from_runs(4, (2, 1), (1, 2))
+    with pytest.raises(ValueError, match=r"^expected 2 rows, got 3$"):
+        Digraph._from_runs(2, (2, 1), (1, 2))
+    with pytest.raises(ValueError, match=r"^label count does not match vertex count$"):
+        Digraph._from_runs(2, (2, 1), (1, 1), labels=((0, 0),))
+
+
+def _spread_rows(k):
+    """3k rows: two classes of k runs each, between k distinct rows."""
+    return [row for i in range(k) for row in (0, 1, 2 << (3 * i))]
+
+
+def test_many_run_class_masks_match_the_reference():
+    """Classes spread over many runs, below and above the copy bound past
+    which a class of more than n/4 runs is read in one pass: two such
+    classes alone, and two among more than 256 others."""
+    graphs = [(f"(2, 1) * {k}", Digraph(2 * k, (2, 1) * k)) for k in (1, 2, 50, 3000)]
+    graphs += [(f"spread among k={k}", Digraph(3 * k, tuple(_spread_rows(k)))) for k in (100, 2500)]
+    graphs += [(f"{spec.name} {spec.describe()} transposed", build_digraph(spec).transpose())
+               for spec in (Transversal(5), Gdd(2, 4))]
+    graphs.append(("all distinct", _random_distinct(200, random.Random(f"{IO_SEED} spread"))))
+    for _, d in (graphs[3], graphs[5]):    # every row starts a run
+        assert d.n * d.n > dsrg.digraph._SPREAD_MIN_COPY
+    assert len(graphs[5][1].distinct) > 256
+    for name, d in graphs:
+        assert _index(d) == brute_row_classes(d), name
+        _check_same_graph(*_from_runs_and_tuple(d.rows), name)
 
 
 def test_bits_match_the_reference():
