@@ -39,12 +39,11 @@ compare and extends the current run.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, count, repeat
-from operator import itemgetter, mul, ne, not_, sub
+from operator import itemgetter, mul, ne, sub
 from typing import Literal
 
 from .errors import (
@@ -83,11 +82,6 @@ _DIFFERENCE_MIN_CLASSES = 32
 _ASCII_SEPARATORS = "\n\r\x0b\x0c\x1c\x1d\x1e"
 _LINE_SEPARATORS = _ASCII_SEPARATORS + "\x85\u2028\u2029"
 
-# runs x n bounds the bits that the row-class index's ORs copy; below 2^24
-# (about 0.1 ms of copying, as long as counting the runs of each class takes
-# on a few thousand runs) it does not look for classes spread over many runs
-_SPREAD_MIN_COPY = 1 << 24
-
 
 @dataclass(frozen=True)
 class Digraph:
@@ -99,6 +93,8 @@ class Digraph:
     Digraph._from_runs takes them from a builder.
     """
 
+    # _from_runs skips __init__ and sets n, rows and labels itself: an init
+    # field added here must be set there too
     n: int
     rows: tuple[int, ...]
     labels: tuple[AntiFlag, ...] | None = None
@@ -156,14 +152,7 @@ class Digraph:
         # (c,) * length: each run's class once per vertex of the run
         row_class = tuple(chain.from_iterable(map(mul, zip(run_class), lengths)))
         members = [0] * len(ids)
-        runs = zip(run_class, bounds, lengths)
-        # each OR below copies the class's mask so far: where they could copy
-        # many bits, a class of more than n/4 runs is read from row_class
-        if len(run_class) > len(ids) and len(run_class) * n > _SPREAD_MIN_COPY:
-            spread = [c for c, k in Counter(run_class).items() if 4 * k > n]
-            runs = compress(runs, map(not_, map(spread.__contains__, run_class)))
-            _spread_masks(members, spread, row_class)
-        for c, start, length in runs:
+        for c, start, length in zip(run_class, bounds, lengths):
             members[c] |= ((1 << length) - 1) << start
         _check_classes(ids, members, n)
         object.__setattr__(self, "distinct", tuple(ids))
@@ -368,19 +357,6 @@ def _check_classes(reps: Iterable[int], members: Iterable[int], n: int) -> None:
             bad, message = loop, f"loop at vertex {loop}"
     if message:
         raise ValueError(message)
-
-
-def _spread_masks(members: list[int], spread: list[int], row_class: tuple[int, ...]) -> None:
-    """Set members[c] for each class c in spread (at most 3), each in one
-    C-level pass: a byte per vertex naming its class, translated to the
-    class's bit string and parsed.  One OR per run would copy the mask
-    so far at each of the class's more than n/4 runs."""
-    code = [0] * len(members)            # j for the j-th spread class, 0 for the others
-    for j, c in enumerate(spread, 1):
-        code[c] = j
-    marks = bytes(map(code.__getitem__, row_class))
-    for j, c in enumerate(spread, 1):
-        members[c] = int(marks.translate((b"0" * j + b"1").ljust(256, b"0"))[::-1], 2)
 
 
 # ---------------------------------------------------------------------------

@@ -550,17 +550,14 @@ def _spread_rows(k):
 
 
 def test_many_run_class_masks_match_the_reference():
-    """Classes spread over many runs, below and above the copy bound past
-    which a class of more than n/4 runs is read in one pass: two such
-    classes alone, and two among more than 256 others."""
-    graphs = [(f"(2, 1) * {k}", Digraph(2 * k, (2, 1) * k)) for k in (1, 2, 50, 3000)]
-    graphs += [(f"spread among k={k}", Digraph(3 * k, tuple(_spread_rows(k)))) for k in (100, 2500)]
+    """Classes spread over many runs, up to n = MAX_VERIFY_ORDER: two
+    such classes alone, and two among many others."""
+    graphs = [(f"(2, 1) * {k}", Digraph(2 * k, (2, 1) * k))
+              for k in (1, 2, 50, MAX_VERIFY_ORDER // 2)]
+    graphs.append(("spread among k=100", Digraph(300, tuple(_spread_rows(100)))))
     graphs += [(f"{spec.name} {spec.describe()} transposed", build_digraph(spec).transpose())
                for spec in (Transversal(5), Gdd(2, 4))]
     graphs.append(("all distinct", _random_distinct(200, random.Random(f"{IO_SEED} spread"))))
-    for _, d in (graphs[3], graphs[5]):    # every row starts a run
-        assert d.n * d.n > dsrg.digraph._SPREAD_MIN_COPY
-    assert len(graphs[5][1].distinct) > 256
     for name, d in graphs:
         assert _index(d) == brute_row_classes(d), name
         _check_same_graph(*_from_runs_and_tuple(d.rows), name)
