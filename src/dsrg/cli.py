@@ -36,7 +36,7 @@ from .families import (
 )
 from .incidence import to_json
 from .iso import BUDGET_EXCEEDED, DEFAULT_NODE_BUDGET, ISOMORPHIC, are_isomorphic
-from .params import DsrgParams, Spectrum, _raw_spectrum, spectrum
+from .params import DsrgParams, Spectrum, feasibility, spectrum
 
 CSV_HEADER = "v,k,t,lambda,mu,family,family_params,verified,theta1,theta2,m1,m2"
 # every spec field of the registry, in flag order: one int build flag each
@@ -222,8 +222,8 @@ def cmd_iso(args, parser) -> int:
     d1 = _load_digraph(args.path1)
     d2 = _load_digraph(args.path2)
     result = are_isomorphic(d1, d2, budget=args.budget)
-    print(f"nodes={result.nodes} pruned={result.pruned} rounds={result.rounds} "
-          f"depth={result.depth}", file=sys.stderr)
+    print(f"nodes={result.nodes} rounds={result.rounds} depth={result.depth}",
+          file=sys.stderr)
     if result.status == ISOMORPHIC:
         print("ISOMORPHIC")
         for u, v in enumerate(result.mapping):
@@ -237,14 +237,13 @@ def cmd_iso(args, parser) -> int:
 
 
 def cmd_spectrum(args, parser) -> int:
-    raw = (args.v, args.k, args.t, args.lam, args.mu)
-    try:
-        s = _raw_spectrum(*raw)
-        DsrgParams(*raw)   # the identities every DSRG tuple satisfies
-    except (NotFeasibleError, ValueError) as exc:
-        print(f"infeasible: {exc}")
+    report = feasibility(args.v, args.k, args.t, args.lam, args.mu)
+    bad, s = report.first_failure(), report.spectrum
+    if bad:
+        print(f"infeasible: {bad.name} fails: {bad.detail}")
         return 1
-    print(f"theta {s.theta0} {s.theta1} {s.theta2} mult {s.m0} {s.m1} {s.m2}")
+    print(f"theta {s.theta0} {s.theta1} {s.theta2} mult {s.m0} {s.m1} {s.m2}" if s
+          else f"no integer spectrum: t = {'k' if args.t == args.k else '0'}")
     return 0
 
 

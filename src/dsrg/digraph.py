@@ -61,9 +61,8 @@ from .errors import (
 )
 from .incidence import AntiFlag, IncidenceStructure, anti_flags, verify_2design
 from .params import DsrgParams
-from .planes import (  # noqa: F401 - _add_planes and _add_times stay importable from here
+from .planes import (
     _add_planes,
-    _add_times,
     _bits,
     _count,
     _differ,

@@ -109,8 +109,9 @@ class UnbuildableError(DsrgError):
 class NotFeasibleError(DsrgError):
     """Parameter tuple admits no integer spectrum.
 
-    reason is one of: delta_not_integer, halves_not_integer,
-    multiplicity_not_integer, multiplicity_negative.
+    reason is one of: delta_not_positive (delta^2 <= 0),
+    delta_not_integer, halves_not_integer, multiplicity_not_integer,
+    multiplicity_negative.
     """
 
     def __init__(self, reason: str, message: str):

@@ -14,12 +14,13 @@ m, and gdd is pg(q, l, l-1) scaled by m * q^(l-2).  Each has t = mu,
 so the scaled tuple is again a DSRG tuple.  build_digraph performs
 the construction when one is available and raises UnbuildableError for
 parameter choices that only make sense as formula evaluations;
-catalog_instances is the deterministic instance grid of the catalog.
+catalog_instances is the catalog's instance grid, sized by expected_params.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
+from itertools import chain, count, takewhile
 from typing import ClassVar, Union
 
 from .digraph import (
@@ -326,39 +327,24 @@ def _is_prime_power(q: int) -> bool:
 
 
 def catalog_instances(max_order: int) -> list[tuple[FamilySpec, bool]]:
-    """Deterministic instance grid; the bool marks formula-only rows."""
-    out: list[tuple[FamilySpec, bool]] = []
-    q = 2
-    while 2 * q * q * (q - 1) <= max_order:
-        l = 2
-        while l * q ** l * (q - 1) <= max_order:
-            out.append((Gdd(l, q), False))
-            l += 1
-        q += 1
-    q = 2
-    while 2 * q * q * (q - 1) <= max_order:
-        if _is_prime_power(q):
-            # the affine plane of order 2 has only 3 pencils; the closed
-            # form still evaluates for l up to 8, so those go formula-only
-            l = 2
-            while l <= (8 if q == 2 else q + 1) and l * q * q * (q - 1) <= max_order:
-                out.append((ApPencils(q, l), l > q + 1))
-                l += 1
-        q += 1
-    q = 2
-    while q ** 3 * (q - 1) <= max_order:
-        if _is_prime_power(q):
-            out.append((Transversal(q), False))
-        q += 1
-    for q in (1, 2, 3):
-        for l in (3, 4):
-            if q * l * (l - 1) <= max_order:
-                out.append((Partition(q, l), False))
-                out.append((PartitionSpiked(q, l), False))
-    for l in range(2, 8):
-        if 2 * l * 4 <= max_order:
-            out.append((AffineResolvable(2, 2, l), False))
-    if 28 <= max_order:
-        out.append((TwoDesignBack(*FANO_DESIGN_TUPLE), False))
-        out.append((TwoDesignBackLoopy(*FANO_DESIGN_TUPLE), False))
-    return out
+    """Deterministic instance grid; the bool marks formula-only rows.  Orders
+    grow along every axis, so a line of specs ends at its first spec with
+    more than max_order vertices, and a grid of lines at its first empty line."""
+    def fits(spec: FamilySpec) -> bool:
+        return expected_params(spec).v <= max_order
+
+    def grid(line) -> list[FamilySpec]:
+        fitting = (list(takewhile(fits, line(q))) for q in count(2))
+        return list(chain.from_iterable(takewhile(bool, fitting)))
+
+    # the affine plane of order 2 has only 3 pencils; the closed
+    # form still evaluates for l up to 8, so those go formula-only
+    pencils = grid(lambda q: (ApPencils(q, l) for l in range(2, 9 if q == 2 else q + 2)))
+    cells = [*(cls(q, l) for q in (1, 2, 3) for l in (3, 4) for cls in (Partition, PartitionSpiked)),
+             *(AffineResolvable(2, 2, l) for l in range(2, 8)),
+             TwoDesignBack(*FANO_DESIGN_TUPLE), TwoDesignBackLoopy(*FANO_DESIGN_TUPLE)]
+    return ([(spec, False) for spec in grid(lambda q: (Gdd(l, q) for l in count(2)))]
+            + [(spec, spec.l > spec.q + 1) for spec in pencils if _is_prime_power(spec.q)]
+            + [(spec, False) for spec in takewhile(fits, map(Transversal, count(2)))
+               if _is_prime_power(spec.q)]
+            + [(spec, False) for spec in cells if fits(spec)])

@@ -82,7 +82,7 @@ from itertools import chain, repeat, starmap
 from operator import add
 from struct import Struct
 
-from .digraph import Digraph
+from .digraph import Digraph, _format_row
 from .errors import OutOfBudgetError, SizeMismatchError
 from .planes import _bits
 
@@ -101,15 +101,11 @@ class IsoResult:
     rounds, depth the deepest tree level reached (the root is level 0;
     each level individualizes one tuple, a row node with a column node
     it shares a cell with, or one node where it has no such partner).
-    pruned, the branches skipped as automorphic images of explored ones,
-    is 0: are_isomorphic prunes none, and the field stays for the
-    reports that print it.
     """
 
     status: str
     mapping: tuple[int, ...] | None = None
     nodes: int = 0
-    pruned: int = 0
     rounds: int = 0
     depth: int = 0
 
@@ -537,7 +533,7 @@ def _leaf_string(d: Digraph, labels: tuple[int, ...]) -> str:
     rows = [0] * n
     for label, image in zip(labels, _images(d, labels)):
         rows[label] = image
-    return "".join(format(row, f"0{n}b")[::-1] for row in rows)
+    return "".join(_format_row(row, n) for row in rows)
 
 
 def canonical_form(d: Digraph, budget: int = DEFAULT_NODE_BUDGET) -> tuple[str, tuple[int, ...]]:

@@ -1,11 +1,16 @@
 """Exact integer arithmetic on DSRG parameter tuples.
 
 A (v, k, t, lambda, mu) tuple is admissible only if it satisfies the
-basic identities every directed strongly regular graph obeys; the
-spectrum of such a graph has three integer eigenvalues k, (lam-mu+d)/2
-and (lam-mu-d)/2 with d = sqrt((mu-lam)^2 + 4(t-mu)), and integer
-nonnegative multiplicities.  Everything here is computed exactly in
-Python integers; there is no floating point anywhere.
+basic identities every directed strongly regular graph obeys.  The
+spectrum of such a graph has the eigenvalues k, (lam-mu+d)/2 and
+(lam-mu-d)/2 with d = sqrt((mu-lam)^2 + 4(t-mu)), with multiplicities
+1, m1 and m2.  For 0 < t < k the eigenvalues are integers and the
+multiplicities integral and nonnegative (Duval 1988).  At t = k the
+graph is an undirected strongly regular graph and at t = 0 a doubly
+regular tournament, and either may have irrational or non-real
+eigenvalues, so there feasibility does not ask d^2 to be a positive
+square.  Everything here is computed exactly in Python integers; there
+is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ class Spectrum:
 def _raw_spectrum(v: int, k: int, t: int, lam: int, mu: int) -> Spectrum:
     disc = (mu - lam) ** 2 + 4 * (t - mu)
     if disc <= 0:
-        raise NotFeasibleError("delta_not_integer", f"delta^2={disc}")
+        raise NotFeasibleError("delta_not_positive", f"delta^2={disc}")
     delta = math.isqrt(disc)
     if delta * delta != disc:
         raise NotFeasibleError("delta_not_integer", f"delta^2={disc}")
@@ -108,8 +113,8 @@ def _raw_spectrum(v: int, k: int, t: int, lam: int, mu: int) -> Spectrum:
 def spectrum(p: DsrgParams) -> Spectrum:
     """Exact integer spectrum of a DSRG parameter tuple.
 
-    Raises NotFeasibleError with reason delta_not_integer,
-    halves_not_integer, multiplicity_not_integer or
+    Raises NotFeasibleError with reason delta_not_positive,
+    delta_not_integer, halves_not_integer, multiplicity_not_integer or
     multiplicity_negative when no integer spectrum exists.
     """
     s = _raw_spectrum(p.v, p.k, p.t, p.lam, p.mu)
@@ -148,7 +153,11 @@ class FeasibilityReport:
 
 
 def feasibility(v: int, k: int, t: int, lam: int, mu: int) -> FeasibilityReport:
-    """Run all parameter invariants plus spectrum integrality on a raw tuple."""
+    """Run all parameter invariants plus spectrum integrality on a raw tuple.
+
+    At t = 0 or t = k a delta^2 that is no positive square passes
+    integer_spectrum, whose detail says so, and spectrum is None.
+    """
     checks: list[FeasibilityCheck] = []
     spec: Spectrum | None = None
     try:
@@ -157,8 +166,11 @@ def feasibility(v: int, k: int, t: int, lam: int, mu: int) -> FeasibilityReport:
                                        f"theta=({spec.theta0},{spec.theta1},{spec.theta2}) "
                                        f"mult=({spec.m0},{spec.m1},{spec.m2})"))
     except NotFeasibleError as exc:
-        checks.append(FeasibilityCheck("integer_spectrum", False,
-                                       f"{exc.reason}: {exc}"))
+        detail = f"{exc.reason}: {exc}"
+        waived = exc.reason in ("delta_not_positive", "delta_not_integer") and t in (0, k)
+        if waived:
+            detail = f"waived at t = {'k' if t == k else '0'}: {detail}"
+        checks.append(FeasibilityCheck("integer_spectrum", waived, detail))
     checks += [FeasibilityCheck(name, holds, detail())
                for name, holds, detail in _identities(v, k, t, lam, mu)]
     return FeasibilityReport((v, k, t, lam, mu), tuple(checks), spec)

@@ -53,7 +53,9 @@ which expands each packed histogram into its sorted color tuple, kept
 verbatim as the reference for the key read from the counts.
 brute_row_classes groups a digraph's vertices by out-row one vertex at
 a time, the reference for the row-class index that Digraph builds per
-run of equal rows.
+run of equal rows.  reference_catalog_instances is the first catalog
+grid, which writes out each family's vertex count, kept verbatim as the
+reference for the grid that reads it from expected_params.
 """
 
 from __future__ import annotations
@@ -86,6 +88,19 @@ from dsrg import (
     verify_mapping,
 )
 from dsrg.digraph import MAX_VERIFY_ORDER
+from dsrg.families import (
+    FANO_DESIGN_TUPLE,
+    AffineResolvable,
+    ApPencils,
+    FamilySpec,
+    Gdd,
+    Partition,
+    PartitionSpiked,
+    Transversal,
+    TwoDesignBack,
+    TwoDesignBackLoopy,
+    _is_prime_power,
+)
 from dsrg.incidence import Block, DesignParams, GddParams, PgParams
 
 
@@ -1012,3 +1027,46 @@ def reference_from_dgr(text: str) -> Digraph:
         if lines[i].strip():
             raise FormatError(1 + i, f"unexpected text after the {n} adjacency rows")
     return Digraph(n, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# the first catalog grid, each family's vertex count written out
+# ---------------------------------------------------------------------------
+
+def reference_catalog_instances(max_order: int) -> list[tuple[FamilySpec, bool]]:
+    """Deterministic instance grid; the bool marks formula-only rows."""
+    out: list[tuple[FamilySpec, bool]] = []
+    q = 2
+    while 2 * q * q * (q - 1) <= max_order:
+        l = 2
+        while l * q ** l * (q - 1) <= max_order:
+            out.append((Gdd(l, q), False))
+            l += 1
+        q += 1
+    q = 2
+    while 2 * q * q * (q - 1) <= max_order:
+        if _is_prime_power(q):
+            # the affine plane of order 2 has only 3 pencils; the closed
+            # form still evaluates for l up to 8, so those go formula-only
+            l = 2
+            while l <= (8 if q == 2 else q + 1) and l * q * q * (q - 1) <= max_order:
+                out.append((ApPencils(q, l), l > q + 1))
+                l += 1
+        q += 1
+    q = 2
+    while q ** 3 * (q - 1) <= max_order:
+        if _is_prime_power(q):
+            out.append((Transversal(q), False))
+        q += 1
+    for q in (1, 2, 3):
+        for l in (3, 4):
+            if q * l * (l - 1) <= max_order:
+                out.append((Partition(q, l), False))
+                out.append((PartitionSpiked(q, l), False))
+    for l in range(2, 8):
+        if 2 * l * 4 <= max_order:
+            out.append((AffineResolvable(2, 2, l), False))
+    if 28 <= max_order:
+        out.append((TwoDesignBack(*FANO_DESIGN_TUPLE), False))
+        out.append((TwoDesignBackLoopy(*FANO_DESIGN_TUPLE), False))
+    return out

@@ -29,7 +29,9 @@ AG(3,3) and the one-factorization of K6 against oracles.py's pair-by-pair
 reference_verify_pg and reference_verify_2design, refuses a
 NaN point as outside the point range, round-trips the affine plane of
 order 17 (289 points, with parallel classes) through JSON byte for
-byte, and compares the SHA-256s of the catalog_rows(500) table, of the
+byte, checks catalog_instances(500) against oracles.py's written-out
+reference_catalog_instances, and compares the SHA-256s of the
+catalog_rows(500) table, of the
 canonical forms of partition(1,4) and partition(2,3), and of the to_json of the
 affine plane of order 64 and the hyperplane designs AG(5,4) and
 AG(3,16) with perfbench/golden.json, which it only reads.  Prints one line per check
@@ -55,9 +57,10 @@ from dsrg import (ISOMORPHIC, ApPencils, Digraph, DsrgError, Gdd,  # noqa: E402
                   from_json, make_field, restrict_parallel_classes, to_json, verify_2design,
                   verify_dsrg, verify_gdd, verify_mapping, verify_pg)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
+from dsrg.families import catalog_instances  # noqa: E402
 from dsrg.planes import _sub_planes  # noqa: E402
 from oracles import (brute_row_classes, reference_canonical_form,  # noqa: E402
-                     reference_mul_inv_tables, reference_verify_2design, reference_verify_dsrg,
+                     reference_catalog_instances, reference_mul_inv_tables, reference_verify_2design, reference_verify_dsrg,
                      reference_verify_gdd, reference_verify_pg)
 
 # all pairs of 6 points, resolved by a one-factorization of K6
@@ -185,6 +188,8 @@ def checks():
         text = to_json(structure())
         yield f"{key} to_json digest", (
             hashlib.sha256(text.encode()).hexdigest() == golden["structures"][key])
+    yield "catalog_instances(500) equals the written-out grid", (
+        catalog_instances(500) == reference_catalog_instances(500))
     table = render_table(catalog_rows(max_order=500))
     yield "catalog 500 table digest", (
         hashlib.sha256(table.encode()).hexdigest() == golden["catalog"]["500"]["table"])

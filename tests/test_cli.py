@@ -550,9 +550,8 @@ def test_iso_cli_reports_counters_on_stderr(tmp_path, capsys):
     assert code == 0
     mapping = "".join(f"{u} -> {v}\n" for u, v in enumerate(result.mapping))
     assert stdout == "ISOMORPHIC\n" + mapping
-    assert re.fullmatch(r"nodes=\d+ pruned=\d+ rounds=\d+ depth=\d+\n", stderr)
-    assert stderr == (f"nodes={result.nodes} pruned={result.pruned} rounds={result.rounds} "
-                      f"depth={result.depth}\n")
+    assert re.fullmatch(r"nodes=\d+ rounds=\d+ depth=\d+\n", stderr)
+    assert stderr == f"nodes={result.nodes} rounds={result.rounds} depth={result.depth}\n"
 
 
 def test_iso_cli_not_isomorphic(tmp_path, capsys):
@@ -584,7 +583,18 @@ def test_spectrum_cli(capsys):
 def test_spectrum_cli_infeasible(capsys):
     code, stdout, _ = run(capsys, "spectrum", "10", "4", "3", "1", "2")
     assert code == 1
-    assert stdout.strip() == "infeasible: delta^2=5"
+    assert stdout == "infeasible: integer_spectrum fails: delta_not_integer: delta^2=5\n"
+
+
+@pytest.mark.parametrize("raw, line", [
+    (("5", "2", "2", "0", "1"), "no integer spectrum: t = k"),     # the 5-cycle
+    (("7", "3", "0", "1", "2"), "no integer spectrum: t = 0"),     # residue tournament
+    (("4", "2", "1", "1", "1"), "infeasible: integer_spectrum fails: "
+                                 "delta_not_positive: delta^2=0"),
+])
+def test_spectrum_cli_without_an_integer_spectrum(capsys, raw, line):
+    code, stdout, _ = run(capsys, "spectrum", *raw)
+    assert (code, stdout) == (0 if line.startswith("no ") else 1, line + "\n")
 
 
 def test_spectrum_cli_checks_the_dsrg_identities(capsys):
@@ -603,11 +613,27 @@ def test_spectrum_cli_accepts_exactly_the_feasible_tuples(capsys):
     rng = random.Random(3)
     grid += [tuple(rng.randrange(-1, 9) for _ in range(5)) for _ in range(100)]
     parser = build_parser()   # built once: main would build it per tuple
-    accepted = 0
+    accepted, waived = 0, set()
     for raw in grid:
         code = cli.cmd_spectrum(parser.parse_args(["spectrum", *map(str, raw)]), parser)
         stdout = capsys.readouterr().out
-        assert code == (0 if feasibility(*raw).ok else 1), raw
-        assert stdout.startswith("theta" if code == 0 else "infeasible: "), raw
+        report = feasibility(*raw)
+        bad, s = report.first_failure(), report.spectrum
+        if bad:
+            line = f"infeasible: {bad.name} fails: {bad.detail}"
+        elif s:
+            line = f"theta {s.theta0} {s.theta1} {s.theta2} mult {s.m0} {s.m1} {s.m2}"
+        else:
+            line = f"no integer spectrum: t = {'k' if raw[2] == raw[1] else '0'}"
+            waived.add(raw)
+        assert (code, stdout) == (0 if report.ok else 1, line + "\n"), raw
         accepted += code == 0
-    assert accepted == 50
+    # 50 with an integer spectrum; the rest pass at t = 0 or t = k, where
+    # delta^2 need not be a positive square
+    assert accepted == 71
+    assert waived == {
+        (3, 1, 0, 0, 1), (4, 2, 0, 1, 2), (5, 2, 0, 0, 2), (5, 2, 0, 1, 1), (5, 2, 2, 0, 1),
+        (5, 3, 0, 2, 3), (6, 3, 0, 1, 3), (6, 4, 0, 3, 4), (7, 2, 0, 0, 1), (7, 3, 0, 0, 3),
+        (7, 3, 0, 1, 2), (7, 3, 0, 2, 1), (7, 3, 3, 0, 2), (7, 3, 3, 1, 1), (7, 4, 0, 2, 4),
+        (7, 4, 0, 3, 2), (7, 4, 4, 2, 2), (7, 5, 0, 4, 5), (8, 4, 0, 1, 4), (8, 5, 0, 3, 5),
+        (8, 6, 0, 5, 6)}

@@ -40,6 +40,7 @@ from dsrg import (
 )
 from dsrg.digraph import MAX_VERIFY_ORDER
 from dsrg.families import catalog_instances
+from dsrg.planes import _bits
 from oracles import (
     brute_row_classes,
     dense,
@@ -574,7 +575,7 @@ def test_bits_match_the_reference():
         for count in (1, width // 17, width // 16, width // 16 + 1):
             masks.append(sum(1 << p for p in rng.sample(range(width), count)))
     for mask in masks:
-        assert dsrg.digraph._bits(mask) == reference_bits(mask), mask
+        assert _bits(mask) == reference_bits(mask), mask
 
 
 def test_edge_list_round_trip():

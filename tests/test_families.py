@@ -21,6 +21,7 @@ from dsrg import (
 )
 from dsrg.digraph import MAX_VERIFY_ORDER
 from dsrg.families import catalog_instances
+from oracles import reference_catalog_instances
 
 FANO = (7, 7, 3, 3, 1)
 
@@ -263,3 +264,10 @@ def test_every_provable_gdd_is_far_inside_the_block_guard():
             assert spec.q ** spec.l < expected_params(spec).v <= MAX_VERIFY_ORDER
             blocks.append(spec.q ** spec.l)
     assert max(blocks) == 256 < DEFAULT_BLOCK_BUDGET
+
+
+# max-order 0 has no row, 28 adds the Fano cells, the catalog's own
+# orders follow, and 30000 walks every axis far past the verification cap
+@pytest.mark.parametrize("max_order", [0, 27, 28, 30, 110, 500, 1000, 4096, 30000])
+def test_catalog_grid_equals_the_written_out_grid(max_order):
+    assert catalog_instances(max_order) == reference_catalog_instances(max_order)

@@ -1073,9 +1073,9 @@ def test_twins_collapse_into_the_cells_of_the_class_structure(monkeypatch):
     monkeypatch.setattr(iso, "_class_sizes", lambda members: [])
     result = are_isomorphic(a, b)
     assert (result.status, result.mapping) == (NOT_ISOMORPHIC, None)
-    assert (result.nodes, result.pruned, result.rounds) == (1, 0, 1)
+    assert (result.nodes, result.rounds) == (1, 1)
     swapped = are_isomorphic(b, a)
-    assert (swapped.status, swapped.nodes, swapped.pruned) == (NOT_ISOMORPHIC, 1, 0)
+    assert (swapped.status, swapped.nodes) == (NOT_ISOMORPHIC, 1)
 
 
 def test_are_isomorphic_takes_the_bits_of_each_out_row_once(monkeypatch):
@@ -1107,7 +1107,7 @@ def test_are_isomorphic_builds_no_pruning_state(monkeypatch):
         out = {}
         for name, (a, b, budget) in pairs.items():
             r = are_isomorphic(a, b, budget=DEFAULT_NODE_BUDGET if budget is None else budget)
-            out[name] = (r.status, r.mapping, r.nodes, r.pruned, r.rounds, r.depth)
+            out[name] = (r.status, r.mapping, r.nodes, r.rounds, r.depth)
         return out
 
     before = run()
@@ -1120,7 +1120,6 @@ def test_are_isomorphic_builds_no_pruning_state(monkeypatch):
     with pytest.raises(AssertionError):
         canonical_form(SIX_CYCLE)
     assert run() == before
-    assert {r[3] for r in before.values()} == {0}
 
 
 def test_gdd_2_5_forward_vs_backward_needs_no_node():
@@ -1130,12 +1129,11 @@ def test_gdd_2_5_forward_vs_backward_needs_no_node():
 
 def test_counters_default_to_zero_and_are_reported():
     empty = IsoResult(NOT_ISOMORPHIC)
-    assert (empty.pruned, empty.rounds, empty.depth) == (0, 0, 0)
+    assert (empty.nodes, empty.rounds, empty.depth) == (0, 0, 0)
     d1, d2, _ = bundled_iso_fixture()
     result = are_isomorphic(d1, d2)
     assert result.nodes > 0
     assert result.rounds >= result.nodes     # every node refines at least once
-    assert result.pruned == 0                # class structures have no twins
     assert 0 < result.depth < result.nodes   # one path from the root to the leaf
 
 
@@ -1152,25 +1150,25 @@ def test_depth_is_the_deepest_level_reached():
 
 # sha256 of repr([(op name, output)]) over one pass of the iso-pairs
 # workload in perfbench/workloads.py, captured from the class-structure
-# search: an IsoResult as (status, mapping, nodes, pruned, rounds), a
+# search: an IsoResult as (status, mapping, nodes, rounds), a
 # canonical form as (string, labelling)
 ISO_PAIRS_DIGESTS = {
-    1: "64083d7f34886aab7bf81f126e1431fd6a953b4ad1292cde9b5644124c55429f",
-    2: "39c5f7db689f949b56520e3601f7b1f434ec88dc4b64bd41d8c9c50441936009",
+    1: "48028c9b68b954a18b9154ee69be3cc9077f9803aea4b3126b1c3054708a7aa6",
+    2: "ff94d52ed6c7873b691f7d7cd159d144143eed9ce0106536b4059254b3707ca6",
 }
 
-# (nodes, pruned, rounds, depth) of each iso-pairs are_isomorphic op,
+# (nodes, rounds, depth) of each iso-pairs are_isomorphic op,
 # by name up to the relabelling number; the nodes are class-structure
 # nodes (an anti-flag graph has at most one row node per point and one
 # column node per block)
 ISO_PAIRS_COUNTERS = {
-    "bundled 36-vertex fixture": (3, 0, 5, 2),
-    "gdd l=2;q=3 relabelled": (3, 0, 5, 2),
-    "gdd l=2;q=4 relabelled": (4, 0, 7, 3),
-    "transversal q=3 relabelled": (3, 0, 5, 2),
-    "gdd l=2;q=3 forward vs backward": (0, 0, 0, 0),
-    "gdd l=2;q=4 forward vs backward": (0, 0, 0, 0),
-    "K33 forward vs grid forward": (0, 0, 0, 0),
+    "bundled 36-vertex fixture": (3, 5, 2),
+    "gdd l=2;q=3 relabelled": (3, 5, 2),
+    "gdd l=2;q=4 relabelled": (4, 7, 3),
+    "transversal q=3 relabelled": (3, 5, 2),
+    "gdd l=2;q=3 forward vs backward": (0, 0, 0),
+    "gdd l=2;q=4 forward vs backward": (0, 0, 0),
+    "K33 forward vs grid forward": (0, 0, 0),
 }
 
 
@@ -1181,8 +1179,8 @@ def test_iso_pairs_outputs_are_pinned(seed):
         out = op.call()
         assert op.check(out) is None
         if isinstance(out, IsoResult):
-            counters[op.name.split(" #")[0]] = (out.nodes, out.pruned, out.rounds, out.depth)
-            out = (out.status, out.mapping, out.nodes, out.pruned, out.rounds)
+            counters[op.name.split(" #")[0]] = (out.nodes, out.rounds, out.depth)
+            out = (out.status, out.mapping, out.nodes, out.rounds)
         outputs.append((op.name, out))
     assert counters == ISO_PAIRS_COUNTERS
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() == ISO_PAIRS_DIGESTS[seed]

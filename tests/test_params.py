@@ -1,6 +1,7 @@
 import pytest
 
-from dsrg import DsrgParams, NotFeasibleError, Spectrum, feasibility, spectrum
+from dsrg import (Digraph, DsrgParams, FeasibilityCheck, NotFeasibleError, Spectrum, feasibility,
+                  spectrum, verify_dsrg)
 
 
 def test_valid_tuples_construct():
@@ -80,7 +81,8 @@ def test_infeasible_delta():
 
 
 def test_spectrum_raises_on_valid_but_infeasible_tuple():
-    # passes every degree invariant, yet delta^2 = 5 is not a square
+    # passes every degree invariant, yet delta^2 = 5 is not a square:
+    # the 5-cycle, t = k, has no integer spectrum
     p = DsrgParams(5, 2, 2, 0, 1)
     with pytest.raises(NotFeasibleError) as err:
         spectrum(p)
@@ -106,6 +108,49 @@ def test_feasibility_reports_identity_failures():
 
 
 def test_feasibility_negative_discriminant():
-    report = feasibility(3, 1, 0, 0, 1)  # directed 3-cycle: complex spectrum
+    # the directed 3-cycle, t = 0: a doubly regular tournament whose
+    # spectrum is not real, so integrality is waived
+    report = feasibility(3, 1, 0, 0, 1)
+    assert report.ok and report.spectrum is None
+    assert report.checks[0].detail == "waived at t = 0: delta_not_positive: delta^2=-3"
+    # 0 < t < k: every identity holds, but delta^2 < 0 refutes the tuple
+    report = feasibility(5, 3, 1, 2, 2)
     bad = [c for c in report.checks if not c.passed]
     assert len(bad) == 1 and bad[0].name == "integer_spectrum"
+    assert bad[0].detail == "delta_not_positive: delta^2=-4"
+
+
+def test_feasibility_zero_discriminant_is_not_positive():
+    # 0 is a square, but delta = 0 gives no two distinct eigenvalues
+    report = feasibility(4, 2, 1, 1, 1)
+    assert [c.name for c in report.checks if not c.passed] == ["integer_spectrum"]
+    assert report.first_failure().detail == "delta_not_positive: delta^2=0"
+    with pytest.raises(NotFeasibleError) as err:
+        spectrum(DsrgParams(4, 2, 1, 1, 1))
+    assert err.value.reason == "delta_not_positive"
+
+
+def _circulant(n, steps):
+    return Digraph(n, tuple(sum(1 << (u + s) % n for s in steps) for u in range(n)))
+
+
+# circulants at t = k (undirected strongly regular) and t = 0 (doubly
+# regular tournaments) whose eigenvalues are irrational or not real
+CIRCULANTS_WITHOUT_INTEGER_SPECTRUM = [
+    ("5-cycle", 5, {1, 4}, (5, 2, 2, 0, 1), "waived at t = k: delta_not_integer: delta^2=5"),
+    ("Paley(13)", 13, {1, 3, 4, 9, 10, 12}, (13, 6, 6, 2, 3),
+     "waived at t = k: delta_not_integer: delta^2=13"),
+    ("residue tournament 7", 7, {1, 2, 4}, (7, 3, 0, 1, 2),
+     "waived at t = 0: delta_not_positive: delta^2=-7"),
+    ("residue tournament 11", 11, {1, 3, 4, 5, 9}, (11, 5, 0, 2, 3),
+     "waived at t = 0: delta_not_positive: delta^2=-11"),
+]
+
+
+@pytest.mark.parametrize("name, n, steps, params, detail", CIRCULANTS_WITHOUT_INTEGER_SPECTRUM,
+                         ids=[c[0] for c in CIRCULANTS_WITHOUT_INTEGER_SPECTRUM])
+def test_feasibility_accepts_every_verified_circulant(name, n, steps, params, detail):
+    assert verify_dsrg(_circulant(n, steps)).tuple() == params
+    report = feasibility(*params)
+    assert report.ok and report.spectrum is None
+    assert report.checks[0] == FeasibilityCheck("integer_spectrum", True, detail)

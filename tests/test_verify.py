@@ -39,8 +39,8 @@ from dsrg import (
     expected_params,
     verify_dsrg,
 )
-from dsrg.digraph import _add_planes, _add_times, _sub_planes, _weighted_sum
 from dsrg.families import catalog_instances
+from dsrg.planes import _add_planes, _add_times, _sub_planes, _weighted_sum
 from oracles import dense, popcount_verify_dsrg, reference_verify_dsrg, walks2, witness_problem
 
 MAX_ORDER = 110
