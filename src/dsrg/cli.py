@@ -22,7 +22,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .digraph import MAX_VERIFY_ORDER, Digraph, _blow_up, verify_dsrg
+from .digraph import _LINE_SEPARATORS, MAX_VERIFY_ORDER, Digraph, _blow_up, verify_dsrg
 from .errors import DsrgError, NotFeasibleError
 from .families import (
     FAMILIES,
@@ -87,10 +87,13 @@ def catalog_rows(max_order: int = 110, families: tuple[str, ...] | None = None,
 
     Specs that build equal rows (`transversal q` and `ap-pencils q;l=q`)
     share one proof of the graph and of each multiple; each row is still
-    compared with its own spec's expected parameters.
+    compared with its own spec's expected parameters.  The proofs are
+    keyed by the row-class index (n, distinct, members), which fixes the
+    rows because classes are numbered by first appearance, and hashes D
+    ints, not n.
     """
     rows: list[CatalogRow] = []
-    proofs: dict[tuple[int, ...], list[DsrgParams]] = {}
+    proofs: dict[tuple[int, tuple[int, ...], tuple[int, ...]], list[DsrgParams]] = {}
     for spec, formula_only in catalog_instances(max_order):
         if families is not None and spec.name not in families:
             continue
@@ -100,9 +103,10 @@ def catalog_rows(max_order: int = 110, families: tuple[str, ...] | None = None,
                                    _safe_spectrum(expected), formula_only=True))
             continue
         d = build_digraph(spec)
-        if d.rows not in proofs:
-            proofs[d.rows] = _verified_multiples(d, max_order, multiples)
-        for m, got in enumerate(proofs[d.rows], 1):
+        key = (d.n, d.distinct, d.members)
+        if key not in proofs:
+            proofs[key] = _verified_multiples(d, max_order, multiples)
+        for m, got in enumerate(proofs[key], 1):
             rows.append(CatalogRow(got, spec.name,
                                    spec.describe() + (f";m={m}" if m > 1 else ""),
                                    got == expected.scaled(m), _safe_spectrum(got)))
@@ -182,7 +186,7 @@ def cmd_build(args, parser) -> int:
 # The first token of a file and, if the first non-blank line has one, its
 # second: whitespace after the token that is not a str.splitlines boundary
 # stays on the line.  Compiled on first use (re caches it), not at import.
-_FIRST_TOKENS = r"\S+[^\S\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*(\S)?"
+_FIRST_TOKENS = rf"\S+[^\S{_LINE_SEPARATORS}]*(\S)?"
 
 
 def _load_digraph(path: str) -> Digraph:

@@ -31,7 +31,9 @@ with a few wide-int operations.  In the paper's families two points of
 one group lie on equally many blocks with each third point, so the
 rows of A^2 of their out-row classes are sums whose counts differ in
 two places, and one is reached from the other by adding and taking
-away those two terms.  from_dgr walks the text by line offsets without
+away those two terms: on a graph with many classes, each class's row
+is the previous row plus the difference unless that has more terms
+than a fresh sum.  from_dgr walks the text by line offsets without
 splitting it, so a row line that repeats the line before costs one
 compare and extends the current run.
 """
@@ -497,34 +499,25 @@ def _class_squares(reps: tuple[int, ...], members: tuple[int, ...]) -> Iterator[
     of its 48 nonzero counts at 42 class steps and 14 at the 6 steps
     into a new group.
 
-    The difference is taken when it has at most a quarter as many terms
-    as the fresh sum, and only on a graph with at least
-    _DIFFERENCE_MIN_CLASSES classes: without that threshold, graphs of
-    9 or 10 classes verified 11-18% slower and graphs of 16 classes 2-8%
-    faster, and no by-class graph of the catalog up to order 500 has
-    more than 25 classes.  ap-pencils q=8;l=5 (64 classes) moves 32-34
-    of 63 counts at every step and is always summed fresh; a test at
-    every class cost it about 4%.  So a failed test is followed by 0, 1,
-    3, 7, ... classes summed fresh without one, the wait doubling with
-    each failure in a row: such a graph tests about log2(D) of its D
-    classes, while transversal q, whose failures come one per group and
-    never two in a row, still tests every class.
+    On a graph with at least _DIFFERENCE_MIN_CLASSES classes, each class
+    after the first makes one comparison: the difference has one term
+    per moved count and the fresh sum one per nonzero count, and the
+    difference is taken unless it has more.  Every later class of
+    transversal 7 then takes it, and so does every later class of
+    ap-pencils q=8;l=5, which moves 32-34 of its 63 counts.  Below the
+    threshold every row is summed fresh: no by-class graph of the
+    catalog up to order 500 has more than 25 classes, and without the
+    threshold its 336 graphs, multiples included, verified 19-26%
+    slower, 7% of it in finding the moved counts alone; on so few
+    classes a difference costs more than its terms say.
     """
-    next_test = 1 if len(reps) >= _DIFFERENCE_MIN_CLASSES else len(reps)
-    wait = 0
+    differ = len(reps) >= _DIFFERENCE_MIN_CLASSES
     for c, row in enumerate(reps):
         counts = list(map(int.bit_count, map(row.__and__, members)))
-        if c == next_test:
-            moved = list(compress(count(), map(ne, counts, before)))
-            # one term per moved count, against one per nonzero count
-            if 4 * len(moved) <= len(counts) - counts.count(0):
-                got = _square_row_by_difference(reps, got, counts, before, moved)
-                wait = 0
-            else:
-                got = _square_row_by_class(reps, counts)
-                next_test += wait
-                wait = 2 * wait + 1
-            next_test += 1
+        moved = list(compress(count(), map(ne, counts, before))) if c and differ else None
+        # one term per moved count, against one per nonzero count
+        if moved is not None and len(moved) <= len(counts) - counts.count(0):
+            got = _square_row_by_difference(reps, got, counts, before, moved)
         else:
             got = _square_row_by_class(reps, counts)
         before = counts
@@ -552,10 +545,11 @@ def verify_dsrg(d: Digraph) -> DsrgParams:
     class that starts past the first failing vertex found so far, whose
     row of A^2 and masks it keeps for the witness.  When the number D
     of classes is at most k, a row of A^2 is the sum of
-    |N+(u) & M_r| * r over the classes r with vertex mask M_r, or, when
-    these counts differ from the previous class's in few classes, that
-    class's row plus the difference (_class_squares);
-    otherwise the k out-rows of the out-neighbours are added.
+    |N+(u) & M_r| * r over the classes r with vertex mask M_r, or, on a
+    graph of at least _DIFFERENCE_MIN_CLASSES classes, the previous
+    class's row plus the difference in these counts, when that has no
+    more terms (_class_squares); otherwise the k out-rows of the
+    out-neighbours are added.
     """
     n = d.n
     if n < 2:

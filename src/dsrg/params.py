@@ -5,12 +5,15 @@ basic identities every directed strongly regular graph obeys.  The
 spectrum of such a graph has the eigenvalues k, (lam-mu+d)/2 and
 (lam-mu-d)/2 with d = sqrt((mu-lam)^2 + 4(t-mu)), with multiplicities
 1, m1 and m2.  For 0 < t < k the eigenvalues are integers and the
-multiplicities integral and nonnegative (Duval 1988).  At t = k the
-graph is an undirected strongly regular graph and at t = 0 a doubly
-regular tournament, and either may have irrational or non-real
-eigenvalues, so there feasibility does not ask d^2 to be a positive
-square.  Everything here is computed exactly in Python integers; there
-is no floating point anywhere.
+multiplicities integral and nonnegative (Duval 1988).  When d^2 is no
+positive square the two eigenvalues other than k are conjugate
+(irrational or non-real), so a rational characteristic polynomial gives
+them equal multiplicities (v-1)/2.  Then trace A = 0 forces 2k = v-1 and
+lambda = mu-1, and trace A^2 = tv forces t = k(k+1-2mu), a multiple of
+k: the conference graphs at t = k and the doubly regular tournaments at
+t = 0.  feasibility accepts such a tuple without an integer spectrum.
+Everything here is computed exactly in Python integers; there is no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -155,8 +158,9 @@ class FeasibilityReport:
 def feasibility(v: int, k: int, t: int, lam: int, mu: int) -> FeasibilityReport:
     """Run all parameter invariants plus spectrum integrality on a raw tuple.
 
-    At t = 0 or t = k a delta^2 that is no positive square passes
-    integer_spectrum, whose detail says so, and spectrum is None.
+    integer_spectrum passes on an integer spectrum, and on a delta^2
+    that is no positive square when 2k = v-1, lambda = mu-1 and
+    t = k(k+1-2mu); its detail then says so, and spectrum is None.
     """
     checks: list[FeasibilityCheck] = []
     spec: Spectrum | None = None
@@ -167,10 +171,11 @@ def feasibility(v: int, k: int, t: int, lam: int, mu: int) -> FeasibilityReport:
                                        f"mult=({spec.m0},{spec.m1},{spec.m2})"))
     except NotFeasibleError as exc:
         detail = f"{exc.reason}: {exc}"
-        waived = exc.reason in ("delta_not_positive", "delta_not_integer") and t in (0, k)
-        if waived:
-            detail = f"waived at t = {'k' if t == k else '0'}: {detail}"
-        checks.append(FeasibilityCheck("integer_spectrum", waived, detail))
+        conjugate = (exc.reason in ("delta_not_positive", "delta_not_integer")
+                     and 2 * k == v - 1 and lam == mu - 1 and t == k * (k + 1 - 2 * mu))
+        if conjugate:
+            detail = f"conjugate eigenvalues, 2k = v-1, lambda = mu-1, t = k(k+1-2mu): {detail}"
+        checks.append(FeasibilityCheck("integer_spectrum", conjugate, detail))
     checks += [FeasibilityCheck(name, holds, detail())
                for name, holds, detail in _identities(v, k, t, lam, mu)]
     return FeasibilityReport((v, k, t, lam, mu), tuple(checks), spec)

@@ -56,11 +56,15 @@ a time, the reference for the row-class index that Digraph builds per
 run of equal rows.  reference_catalog_instances is the first catalog
 grid, which writes out each family's vertex count, kept verbatim as the
 reference for the grid that reads it from expected_params.
+small_digraphs lists every out-regular digraph of a small order up to
+a relabelling that fixes vertex 0's out-neighbours, the ground truth for
+which parameter tuples occur at all.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from itertools import chain, combinations, product, repeat, zip_longest
 from operator import itemgetter
 from struct import Struct
@@ -1070,3 +1074,19 @@ def reference_catalog_instances(max_order: int) -> list[tuple[FamilySpec, bool]]
         out.append((TwoDesignBack(*FANO_DESIGN_TUPLE), False))
         out.append((TwoDesignBackLoopy(*FANO_DESIGN_TUPLE), False))
     return out
+
+
+# every out-regular digraph of a small order
+# ---------------------------------------------------------------------------
+
+def small_digraphs(v: int) -> Iterator[Digraph]:
+    """Every loopless out-regular digraph on v vertices with 0 < k < v-1
+    and N+(0) = {1..k}.  Any out-regular digraph with such a k can be
+    relabelled to one of these, so each tuple of order v that occurs
+    occurs here.  v = 3, 4, 5 and 6 give 4, 54, 1,808 and 206,250 graphs."""
+    for k in range(1, v - 1):
+        choices = [[sum(1 << w for w in out)
+                    for out in combinations([w for w in range(v) if w != u], k)]
+                   for u in range(1, v)]
+        for rest in product(*choices):
+            yield Digraph(v, ((1 << (k + 1)) - 2, *rest))

@@ -12,6 +12,10 @@ rejects a degree-keeping swap mutant of gdd(2,3) with the error class,
 witness and message of tests/oracles.py's reference_verify_dsrg,
 verifies transversal(7) (49 row classes, so rows of A^2 are reached by
 differences) and rejects a swap mutant of it like that reference,
+counts the kernels of transversal(7)'s proof (one row summed fresh, 48
+reached by differences that move 2 or 14 counts), checks that
+feasibility accepts exactly the tuples of oracles.py's small_digraphs
+at v <= 4,
 subtracts one plane stack from another with a borrow that runs to the
 top plane,
 checks the row-class index of the Duval multiple gdd(2,3) x 3 against
@@ -50,18 +54,19 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from dsrg import (ISOMORPHIC, ApPencils, Digraph, DsrgError, Gdd,  # noqa: E402
+import dsrg.digraph  # noqa: E402
+from dsrg import (ISOMORPHIC, ApPencils, Digraph, DsrgError, DsrgParams, Gdd,  # noqa: E402
                   IncidenceStructure, Partition, Transversal, apply_mapping, are_isomorphic,
                   build_affine_plane, build_digraph, build_gdd, build_hyperplane_design,
                   bundled_iso_fixture, canonical_form, duval_multiple, expected_params,
-                  from_json, make_field, restrict_parallel_classes, to_json, verify_2design,
-                  verify_dsrg, verify_gdd, verify_mapping, verify_pg)
+                  feasibility, from_json, make_field, restrict_parallel_classes, to_json,
+                  verify_2design, verify_dsrg, verify_gdd, verify_mapping, verify_pg)
 from dsrg.cli import catalog_rows, render_table  # noqa: E402
 from dsrg.families import catalog_instances  # noqa: E402
 from dsrg.planes import _sub_planes  # noqa: E402
 from oracles import (brute_row_classes, reference_canonical_form,  # noqa: E402
                      reference_catalog_instances, reference_mul_inv_tables, reference_verify_2design, reference_verify_dsrg,
-                     reference_verify_gdd, reference_verify_pg)
+                     reference_verify_gdd, reference_verify_pg, small_digraphs)
 
 # all pairs of 6 points, resolved by a one-factorization of K6
 K6_PAIRS = IncidenceStructure(6, (
@@ -101,6 +106,28 @@ def _swap_mutant(d):
     raise AssertionError("no swap")
 
 
+def _kernel_calls(d):
+    """verify_dsrg(d) with its two by-class kernels watched: the last
+    argument of each call, the counts of each row summed fresh and the
+    moved classes of each difference."""
+    calls = {"_square_row_by_class": [], "_square_row_by_difference": []}
+    real = {name: getattr(dsrg.digraph, name) for name in calls}
+
+    def watched(name):
+        def kernel(*args):
+            calls[name].append(args[-1])
+            return real[name](*args)
+        return kernel
+    for name in calls:
+        setattr(dsrg.digraph, name, watched(name))
+    try:
+        verify_dsrg(d)
+    finally:
+        for name in calls:
+            setattr(dsrg.digraph, name, real[name])
+    return calls.values()
+
+
 def checks():
     for spec in (Transversal(4), Gdd(2, 3, 2)):
         d = build_digraph(spec)
@@ -133,6 +160,15 @@ def checks():
         _rejection(verify_dsrg, mutant) is not None
         and all(_outcome(verify_dsrg, g) == _outcome(reference_verify_dsrg, g)
                 for g in (transversal, mutant)))
+    fresh, moved = _kernel_calls(transversal)
+    yield "transversal q=7 sums 1 row fresh and reaches 48 by differences", (
+        len(fresh) == 1 and sorted(map(len, moved)) == [2] * 42 + [14] * 6)
+    occur = {got.tuple() for v in (3, 4) for d in small_digraphs(v)
+             for got in [_outcome(verify_dsrg, d)] if isinstance(got, DsrgParams)}
+    accepted = {(v, k, t, lam, mu) for v in (3, 4) for k in range(1, v - 1)
+                for t, lam, mu in product(range(v), repeat=3) if feasibility(v, k, t, lam, mu).ok}
+    yield "feasibility at v <= 4 accepts exactly the tuples that occur", (
+        accepted == occur == {(3, 1, 0, 0, 1), (4, 1, 1, 0, 0), (4, 2, 2, 0, 2)})
     acc = [0] * 6 + [0xFF]            # 64 in each of 8 columns
     _sub_planes(acc, [0x0F, 0xF0])    # minus 1 in columns 0-3, minus 2 in columns 4-7
     yield "_sub_planes borrows up to the top plane and drops it", acc == [0x0F] + [0xFF] * 5

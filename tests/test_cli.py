@@ -488,7 +488,9 @@ def test_catalog_verifies_each_built_graph_once(monkeypatch):
     assert len(set(calls)) == len(calls) < sum(not r.formula_only for r in rows)
     assert {build_digraph(spec).rows for spec, formula_only in catalog_instances(110)
             if not formula_only} <= set(calls)
-    assert build_digraph(Transversal(3)).rows == build_digraph(ApPencils(3, 3)).rows
+    t3, p3 = build_digraph(Transversal(3)), build_digraph(ApPencils(3, 3))
+    assert t3.rows == p3.rows
+    assert (t3.n, t3.distinct, t3.members) == (p3.n, p3.distinct, p3.members)
 
 
 @pytest.mark.parametrize("max_order, calls, before", [(110, 135, 150), (500, 311, 336),
@@ -628,12 +630,7 @@ def test_spectrum_cli_accepts_exactly_the_feasible_tuples(capsys):
             waived.add(raw)
         assert (code, stdout) == (0 if report.ok else 1, line + "\n"), raw
         accepted += code == 0
-    # 50 with an integer spectrum; the rest pass at t = 0 or t = k, where
-    # delta^2 need not be a positive square
-    assert accepted == 71
-    assert waived == {
-        (3, 1, 0, 0, 1), (4, 2, 0, 1, 2), (5, 2, 0, 0, 2), (5, 2, 0, 1, 1), (5, 2, 2, 0, 1),
-        (5, 3, 0, 2, 3), (6, 3, 0, 1, 3), (6, 4, 0, 3, 4), (7, 2, 0, 0, 1), (7, 3, 0, 0, 3),
-        (7, 3, 0, 1, 2), (7, 3, 0, 2, 1), (7, 3, 3, 0, 2), (7, 3, 3, 1, 1), (7, 4, 0, 2, 4),
-        (7, 4, 0, 3, 2), (7, 4, 4, 2, 2), (7, 5, 0, 4, 5), (8, 4, 0, 1, 4), (8, 5, 0, 3, 5),
-        (8, 6, 0, 5, 6)}
+    # 50 with an integer spectrum; the rest have conjugate eigenvalues with
+    # 2k = v-1, lambda = mu-1 and t = k(k+1-2mu): the 3-cycle, C5 and QR(7)
+    assert accepted == 53
+    assert waived == {(3, 1, 0, 0, 1), (5, 2, 2, 0, 1), (7, 3, 0, 1, 2)}

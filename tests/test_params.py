@@ -1,7 +1,13 @@
+from itertools import product
+
 import pytest
 
-from dsrg import (Digraph, DsrgParams, FeasibilityCheck, NotFeasibleError, Spectrum, feasibility,
-                  spectrum, verify_dsrg)
+from dsrg import (Digraph, DsrgError, DsrgParams, FeasibilityCheck, NotFeasibleError, Spectrum,
+                  feasibility, spectrum, verify_dsrg)
+from oracles import small_digraphs
+
+# the integer_spectrum detail of a tuple accepted without an integer spectrum
+CONJUGATE = "conjugate eigenvalues, 2k = v-1, lambda = mu-1, t = k(k+1-2mu)"
 
 
 def test_valid_tuples_construct():
@@ -109,10 +115,14 @@ def test_feasibility_reports_identity_failures():
 
 def test_feasibility_negative_discriminant():
     # the directed 3-cycle, t = 0: a doubly regular tournament whose
-    # spectrum is not real, so integrality is waived
+    # eigenvalues other than k are a non-real conjugate pair
     report = feasibility(3, 1, 0, 0, 1)
     assert report.ok and report.spectrum is None
-    assert report.checks[0].detail == "waived at t = 0: delta_not_positive: delta^2=-3"
+    assert report.checks[0].detail == f"{CONJUGATE}: delta_not_positive: delta^2=-3"
+    # t = 0 alone is not enough: no digraph has these parameters
+    report = feasibility(4, 2, 0, 1, 2)
+    assert [c.name for c in report.checks if not c.passed] == ["integer_spectrum"]
+    assert report.first_failure().detail == "delta_not_positive: delta^2=-7"
     # 0 < t < k: every identity holds, but delta^2 < 0 refutes the tuple
     report = feasibility(5, 3, 1, 2, 2)
     bad = [c for c in report.checks if not c.passed]
@@ -137,13 +147,13 @@ def _circulant(n, steps):
 # circulants at t = k (undirected strongly regular) and t = 0 (doubly
 # regular tournaments) whose eigenvalues are irrational or not real
 CIRCULANTS_WITHOUT_INTEGER_SPECTRUM = [
-    ("5-cycle", 5, {1, 4}, (5, 2, 2, 0, 1), "waived at t = k: delta_not_integer: delta^2=5"),
+    ("5-cycle", 5, {1, 4}, (5, 2, 2, 0, 1), f"{CONJUGATE}: delta_not_integer: delta^2=5"),
     ("Paley(13)", 13, {1, 3, 4, 9, 10, 12}, (13, 6, 6, 2, 3),
-     "waived at t = k: delta_not_integer: delta^2=13"),
+     f"{CONJUGATE}: delta_not_integer: delta^2=13"),
     ("residue tournament 7", 7, {1, 2, 4}, (7, 3, 0, 1, 2),
-     "waived at t = 0: delta_not_positive: delta^2=-7"),
+     f"{CONJUGATE}: delta_not_positive: delta^2=-7"),
     ("residue tournament 11", 11, {1, 3, 4, 5, 9}, (11, 5, 0, 2, 3),
-     "waived at t = 0: delta_not_positive: delta^2=-11"),
+     f"{CONJUGATE}: delta_not_positive: delta^2=-11"),
 ]
 
 
@@ -154,3 +164,19 @@ def test_feasibility_accepts_every_verified_circulant(name, n, steps, params, de
     report = feasibility(*params)
     assert report.ok and report.spectrum is None
     assert report.checks[0] == FeasibilityCheck("integer_spectrum", True, detail)
+
+
+def test_feasibility_accepts_exactly_the_tuples_that_occur():
+    """At 3 <= v <= 5 and 0 < k < v-1 the tuples that pass feasibility
+    are those of the graphs that exist, as small_digraphs lists them."""
+    occur = set()
+    for v in range(3, 6):
+        for d in small_digraphs(v):
+            try:
+                occur.add(verify_dsrg(d).tuple())
+            except DsrgError:
+                pass
+    assert occur == {(3, 1, 0, 0, 1), (4, 1, 1, 0, 0), (4, 2, 2, 0, 2), (5, 2, 2, 0, 1)}
+    accepted = {(v, k, t, lam, mu) for v in range(3, 6) for k in range(1, v - 1)
+                for t, lam, mu in product(range(v), repeat=3) if feasibility(v, k, t, lam, mu).ok}
+    assert accepted == occur

@@ -18,12 +18,14 @@ plain per-column integer sums.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 import dsrg.digraph
 
 from dsrg import (
+    ApPencils,
     Digraph,
     DsrgError,
     DsrgParams,
@@ -41,7 +43,8 @@ from dsrg import (
 )
 from dsrg.families import catalog_instances
 from dsrg.planes import _add_planes, _add_times, _sub_planes, _weighted_sum
-from oracles import dense, popcount_verify_dsrg, reference_verify_dsrg, walks2, witness_problem
+from oracles import (dense, popcount_verify_dsrg, reference_verify_dsrg, small_digraphs, walks2,
+                     witness_problem)
 
 MAX_ORDER = 110
 MULTIPLES = 13
@@ -287,8 +290,9 @@ def test_flips_and_swaps_like_the_reference(spec):
 
 def test_both_kernels_run(monkeypatch):
     """D <= k sums by out-row class, D > k by out-neighbour, where D is
-    the number of distinct out-rows; from D = 32 on, a by-class row may
-    instead be the previous class's row plus a difference."""
+    the number of distinct out-rows; from D = 32 on, a by-class row after
+    the first is the previous class's row plus a difference when that has
+    no more terms than the fresh sum."""
     calls = {"_square_row": 0, "_square_row_by_class": 0, "_square_row_by_difference": 0}
     moved = []   # how many counts each difference row moved
     for name in calls:
@@ -321,13 +325,24 @@ def test_both_kernels_run(monkeypatch):
                      "_square_row_by_difference": 0}
 
     # transversal q=7, D = 49: two points of one group differ in two class
-    # counts, so 42 of the 48 later classes take the difference; the 6 that
-    # start a group move 14 of the 48 counts they meet, and are summed fresh
+    # counts, and the 6 classes that start a group move 14 of the 48 counts
+    # they meet; each is fewer than the nonzero counts, so every class after
+    # the first takes the difference
     transversal = build_digraph(Transversal(7))
     calls.update(_square_row_by_class=0)
     assert verify_dsrg(transversal) == expected_params(Transversal(7))
-    assert calls == {"_square_row": 0, "_square_row_by_class": 7, "_square_row_by_difference": 42}
-    assert moved == [2] * 42
+    assert calls == {"_square_row": 0, "_square_row_by_class": 1, "_square_row_by_difference": 48}
+    assert sorted(moved) == [2] * 42 + [14] * 6
+
+    # so does every later class of transversal q=8 and of ap-pencils q=8;l=5,
+    # which moves 32-34 of its 63 counts at each step
+    for spec in (Transversal(8), ApPencils(8, 5)):
+        d = build_digraph(spec)
+        calls.update(_square_row_by_class=0, _square_row_by_difference=0)
+        assert verify_dsrg(d) == expected_params(spec)
+        assert len(d.distinct) == 64
+        assert calls == {"_square_row": 0, "_square_row_by_class": 1,
+                         "_square_row_by_difference": 63}, spec
 
     # no by-class graph of the catalog has 32 classes, so none takes the difference
     calls.update(_square_row_by_class=0, _square_row_by_difference=0)
@@ -367,6 +382,21 @@ def test_catalog_multiples_up_to_13_like_the_reference_by_differences(
 @pytest.mark.parametrize("spec", [Transversal(3), Gdd(2, 5)], ids=["transversal 3", "gdd 2 5"])
 def test_flips_and_swaps_like_the_reference_by_differences(spec, differences_everywhere):
     test_flips_and_swaps_like_the_reference(spec)
+
+
+@pytest.mark.parametrize("threshold", [dsrg.digraph._DIFFERENCE_MIN_CLASSES, 0])
+def test_small_digraphs_like_the_reference(threshold, monkeypatch):
+    """Every out-regular digraph with 3 <= v <= 5 and 0 < k < v-1, up to
+    relabelling (small_digraphs), at the shipped threshold and with the
+    difference tried at every class."""
+    monkeypatch.setattr(dsrg.digraph, "_DIFFERENCE_MIN_CLASSES", threshold)
+    seen = Counter()
+    for v in range(3, 6):
+        for d in small_digraphs(v):
+            got = _outcome(verify_dsrg, d)
+            _same_as_reference(d, got, d.rows)
+            seen[type(got).__name__] += 1
+    assert seen == {"DsrgParams": 5, "NonConstantError": 60, "NotRegularError": 1801}
 
 
 def _same_block_swap(d, rng):
