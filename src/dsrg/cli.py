@@ -22,7 +22,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .digraph import _LINE_SEPARATORS, MAX_VERIFY_ORDER, Digraph, _blow_up, verify_dsrg
+from .digraph import MAX_VERIFY_ORDER, Digraph, _blow_up, verify_dsrg
 from .errors import DsrgError, NotFeasibleError
 from .families import (
     FAMILIES,
@@ -184,9 +184,9 @@ def cmd_build(args, parser) -> int:
 
 
 # The first token of a file and, if the first non-blank line has one, its
-# second: whitespace after the token that is not a str.splitlines boundary
-# stays on the line.  Compiled on first use (re caches it), not at import.
-_FIRST_TOKENS = rf"\S+[^\S{_LINE_SEPARATORS}]*(\S)?"
+# second: a line ends at "\n", as in the parsers.  Compiled on first use (re
+# caches it), not at import.
+_FIRST_TOKENS = r"\S+[^\S\n]*(\S)?"
 
 
 def _load_digraph(path: str) -> Digraph:

@@ -33,9 +33,10 @@ rows of A^2 of their out-row classes are sums whose counts differ in
 two places, and one is reached from the other by adding and taking
 away those two terms: on a graph with many classes, each class's row
 is the previous row plus the difference unless that has more terms
-than a fresh sum.  from_dgr walks the text by line offsets without
-splitting it, so a row line that repeats the line before costs one
-compare and extends the current run.
+than a fresh sum.  In dgr/1 and edge-list text a line ends at "\n".
+from_dgr walks the text from one "\n" to the next without splitting it,
+so a row line that repeats the line before costs one compare and
+extends the current run.
 """
 
 from __future__ import annotations
@@ -78,11 +79,6 @@ MAX_VERIFY_ORDER = 4096
 
 # below this many out-row classes a row of A^2 is always summed fresh
 _DIFFERENCE_MIN_CLASSES = 32
-
-# the line separators of str.splitlines; "\r\n" counts as one
-_ASCII_SEPARATORS = "\n\r\x0b\x0c\x1c\x1d\x1e"
-_LINE_SEPARATORS = _ASCII_SEPARATORS + "\x85\u2028\u2029"
-
 
 @dataclass(frozen=True)
 class Digraph:
@@ -191,21 +187,20 @@ class Digraph:
     def from_dgr(cls, text: str) -> "Digraph":
         """Parse dgr/1; FormatError names the first bad line.
 
-        The lines are those of str.splitlines, walked by offset in the
-        text without splitting it.  A row whose line, separator included,
-        repeats the line before costs one compare; any other line is
-        sliced and looked up in a dict local to the call, and checked and
-        parsed at its first occurrence, so the first error is the one a
-        line-by-line parse would raise.  A too-short file is reported
-        before a bad row, as that parse does.  Each sliced line starts a
-        run of rows that the repeats after it extend, and the runs go to
-        Digraph._from_runs; equal rows whose lines differ (in separator
-        or trailing space) start separate runs of one class.
+        A line ends at "\n"; a "\r" before it is whitespace, which strip()
+        removes around every line.  The text is walked by offset without
+        splitting it: a row whose line, "\n" included, repeats the line
+        before costs one compare and extends the current run; any other
+        line is sliced, checked and parsed, so the first error is the one
+        a line-by-line parse would raise, and its row starts a new run.
+        A too-short file is reported before a bad row, as that parse does.
+        Equal rows parsed from different lines share one int object and
+        one class, and the runs go to Digraph._from_runs.
         """
         if not text:
             raise FormatError(1, "empty file")
-        cut, o = _line_end(text, 0)
-        head = text[:cut]
+        o = text.find("\n") + 1 or len(text)
+        head = text[:o].rstrip("\n")
         try:
             n = int(head.strip())
         except ValueError:
@@ -214,35 +209,27 @@ class Digraph:
             raise FormatError(1, f"vertex count must be positive, got {n}")
         end = len(text)
         heads, starts = [], []            # a run of rows per line repeated by the lines after it
-        line_rows: dict[str, int] = {}
-        prev = ""                         # the last line sliced, "" if it ends in a lone "\r"
+        seen: dict[int, int] = {}         # each row parsed, to share one int per class
+        line = ""                         # the last line sliced, its "\n" included
         for u in range(n):
-            if prev and text.startswith(prev, o):
-                o += len(prev)            # row u extends the current run
-            elif o == end:
-                _count_rows(text, o, u, n)    # raises: the rows ran out
-            else:
-                stop = _line_end(text, o)[1]
-                raw = text[o:stop]
-                row = line_rows.get(raw)
-                if row is None:
-                    try:
-                        row = line_rows[raw] = _parse_row(raw.strip(), n, 2 + u)
-                    except FormatError:
-                        _count_rows(text, o, u, n)    # a short file is reported first
-                        raise
-                # "x\r" must not match the "x\r" of "x\r\n"
-                prev = "" if raw[-1] == "\r" else raw
-                o = stop
-                heads.append(row)
-                starts.append(u)
-        lineno = 1 + n
-        while o < end:
-            lineno += 1
-            cut, stop = _line_end(text, o)
-            if text[o:cut].strip():
-                raise FormatError(lineno, f"unexpected text after the {n} adjacency rows")
+            if line and text.startswith(line, o):
+                o += len(line)            # row u extends the current run
+                continue
+            if o == end:
+                _count_rows(text, n)      # raises: the rows ran out
+            stop = text.find("\n", o) + 1 or end
+            line = text[o:stop]
+            try:
+                row = _parse_row(line.strip(), n, 2 + u)
+            except FormatError:
+                _count_rows(text, n)      # a short file is reported first
+                raise
+            heads.append(seen.setdefault(row, row))
+            starts.append(u)
             o = stop
+        for lineno, rest in enumerate(text[o:].split("\n"), start=2 + n):
+            if rest.strip():
+                raise FormatError(lineno, f"unexpected text after the {n} adjacency rows")
         return cls._from_runs(n, heads, map(sub, [*starts[1:], n], starts))
 
     def to_edge_list(self) -> str:
@@ -251,7 +238,7 @@ class Digraph:
 
     @classmethod
     def from_edge_list(cls, text: str) -> "Digraph":
-        """Parse 'u v' lines; the vertex count is max index + 1.
+        """Parse 'u v' lines, each ended by "\n"; the vertex count is max index + 1.
 
         An index at or above MAX_VERIFY_ORDER is refused at its line,
         before any row is allocated.  A loop, or an arc that an earlier
@@ -259,7 +246,7 @@ class Digraph:
         """
         edges: dict[tuple[int, int], int] = {}    # arc -> its line
         top = -1
-        for i, raw in enumerate(text.splitlines(), start=1):
+        for i, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -294,38 +281,11 @@ def _format_row(row: int, n: int) -> str:
     return format(row, f"0{n}b")[::-1]
 
 
-def _line_end(text: str, o: int) -> tuple[int, int]:
-    """(cut, stop) of the line at o: text[o:cut] is the line, text[o:stop] adds its separator.
-
-    The separators are those of str.splitlines.  The one that ended the
-    line before is searched first, the others only up to what it found,
-    so a file that keeps to one separator is walked by finds that stop
-    within the line, and the finds of a whole walk cover the text a
-    bounded number of times.  ASCII text (str.isascii is O(1)) can hold
-    only the ASCII separators, so the others are not searched there.
-    """
-    end = len(text)
-    first = text[o - 1] if o else "\n"
-    cut = text.find(first, o)
-    if cut < 0:
-        cut = end
-    for sep in _ASCII_SEPARATORS if text.isascii() else _LINE_SEPARATORS:
-        if sep != first:
-            i = text.find(sep, o, cut)
-            if i >= 0:
-                cut = i
-    if cut == end:
-        return end, end
-    return cut, cut + (2 if text.startswith("\r\n", cut) else 1)
-
-
-def _count_rows(text: str, o: int, u: int, n: int) -> None:
-    """FormatError if the text from o, where row u starts, holds fewer than n - u rows."""
-    while u < n and o < len(text):
-        o = _line_end(text, o)[1]
-        u += 1
-    if u < n:
-        raise FormatError(1 + u, f"expected {n} adjacency rows, got {u}")
+def _count_rows(text: str, n: int) -> None:
+    """FormatError if the text holds fewer than n lines after its first."""
+    lines = text.count("\n") + (not text.endswith("\n"))
+    if lines <= n:
+        raise FormatError(lines, f"expected {n} adjacency rows, got {lines - 1}")
 
 
 def _parse_row(line: str, n: int, lineno: int) -> int:

@@ -12,6 +12,10 @@ them equal multiplicities (v-1)/2.  Then trace A = 0 forces 2k = v-1 and
 lambda = mu-1, and trace A^2 = tv forces t = k(k+1-2mu), a multiple of
 k: the conference graphs at t = k and the doubly regular tournaments at
 t = 0.  feasibility accepts such a tuple without an integer spectrum.
+It also checks two more of Duval's conditions: for 0 < k < v-1 the
+complement J - I - A is a DSRG, so its tuple must pass the basic
+identities, and for 0 < t < k lambda, mu and mu - lambda are bounded by
+t and k - t.
 Everything here is computed exactly in Python integers; there is no
 floating point anywhere.
 """
@@ -178,4 +182,33 @@ def feasibility(v: int, k: int, t: int, lam: int, mu: int) -> FeasibilityReport:
         checks.append(FeasibilityCheck("integer_spectrum", conjugate, detail))
     checks += [FeasibilityCheck(name, holds, detail())
                for name, holds, detail in _identities(v, k, t, lam, mu)]
+    checks += [_complement(v, k, t, lam, mu), _duval_bounds(k, t, lam, mu)]
     return FeasibilityReport((v, k, t, lam, mu), tuple(checks), spec)
+
+
+def _complement(v: int, k: int, t: int, lam: int, mu: int) -> FeasibilityCheck:
+    """For 0 < k < v-1, J - I - A is a DSRG (v, v-k-1, v-2k+t-1, v-2k+mu-2,
+    v-2k+lambda) (Duval 1988), so that tuple must pass the basic identities."""
+    if not 0 < k < v - 1:
+        return FeasibilityCheck("complement", True, f"not checked: need 0 < k={k} < v-1={v - 1}")
+    c = (v, v - k - 1, v - 2 * k + t - 1, v - 2 * k + mu - 2, v - 2 * k + lam)
+    for name, holds, detail in _identities(*c):
+        if not holds:
+            return FeasibilityCheck("complement", False, f"complement {c}: {name} fails: {detail()}")
+    return FeasibilityCheck("complement", True, f"complement {c}")
+
+
+def _duval_bounds(k: int, t: int, lam: int, mu: int) -> FeasibilityCheck:
+    """For 0 < t < k: 0 <= lambda < t, 0 < mu <= t and
+    -2(k-t-1) <= mu-lambda <= 2(k-t) (Duval 1988)."""
+    if not 0 < t < k:
+        return FeasibilityCheck("duval_bounds", True, f"not checked: need 0 < t={t} < k={k}")
+    for holds, detail in ((0 <= lam < t, f"need 0 <= lambda={lam} < t={t}"),
+                          (0 < mu <= t, f"need 0 < mu={mu} <= t={t}"),
+                          (-2 * (k - t - 1) <= mu - lam <= 2 * (k - t),
+                           f"need -2(k-t-1)={-2 * (k - t - 1)} <= mu-lambda={mu - lam} "
+                           f"<= 2(k-t)={2 * (k - t)}")):
+        if not holds:
+            return FeasibilityCheck("duval_bounds", False, detail)
+    return FeasibilityCheck("duval_bounds", True, "0 <= lambda < t, 0 < mu <= t, "
+                            "-2(k-t-1) <= mu-lambda <= 2(k-t)")

@@ -1009,7 +1009,10 @@ def reference_to_dgr(d: Digraph) -> str:
 
 
 def reference_from_dgr(text: str) -> Digraph:
-    lines = text.splitlines()
+    # a line ends at "\n"; the piece after a final "\n" is no line
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     if not lines:
         raise FormatError(1, "empty file")
     try:

@@ -3,7 +3,9 @@
     python3.10 tests/smoke_py310.py
 
 Builds and verifies Transversal(4) and Gdd(2, 3, 2), round-trips both
-through dgr text, checks the duality mapping of the bundled 36-vertex
+through dgr text, parses the CRLF variant of the second to its rows,
+refuses its form-feed-separated variant at line 1 like oracles.py's
+reference_from_dgr, checks the duality mapping of the bundled 36-vertex
 fixture (forward graph, transposed backward graph, dual structure),
 finds and checks an isomorphism from gdd(2,3) to a relabelled copy
 and one between the Duval multiples ap-pencils(3,3) x 9 and
@@ -15,7 +17,7 @@ differences) and rejects a swap mutant of it like that reference,
 counts the kernels of transversal(7)'s proof (one row summed fresh, 48
 reached by differences that move 2 or 14 counts), checks that
 feasibility accepts exactly the tuples of oracles.py's small_digraphs
-at v <= 4,
+at v <= 4 and refutes (8, 5, 4, 3, 3) by its complement,
 subtracts one plane stack from another with a borrow that runs to the
 top plane,
 checks the row-class index of the Duval multiple gdd(2,3) x 3 against
@@ -55,8 +57,8 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 import dsrg.digraph  # noqa: E402
-from dsrg import (ISOMORPHIC, ApPencils, Digraph, DsrgError, DsrgParams, Gdd,  # noqa: E402
-                  IncidenceStructure, Partition, Transversal, apply_mapping, are_isomorphic,
+from dsrg import (ISOMORPHIC, ApPencils, Digraph, DsrgError, DsrgParams, FormatError,  # noqa: E402
+                  Gdd, IncidenceStructure, Partition, Transversal, apply_mapping, are_isomorphic,
                   build_affine_plane, build_digraph, build_gdd, build_hyperplane_design,
                   bundled_iso_fixture, canonical_form, duval_multiple, expected_params,
                   feasibility, from_json, make_field, restrict_parallel_classes, to_json,
@@ -65,7 +67,7 @@ from dsrg.cli import catalog_rows, render_table  # noqa: E402
 from dsrg.families import catalog_instances  # noqa: E402
 from dsrg.planes import _sub_planes  # noqa: E402
 from oracles import (brute_row_classes, reference_canonical_form,  # noqa: E402
-                     reference_catalog_instances, reference_mul_inv_tables, reference_verify_2design, reference_verify_dsrg,
+                     reference_catalog_instances, reference_from_dgr, reference_mul_inv_tables, reference_verify_2design, reference_verify_dsrg,
                      reference_verify_gdd, reference_verify_pg, small_digraphs)
 
 # all pairs of 6 points, resolved by a one-factorization of K6
@@ -136,6 +138,16 @@ def checks():
         back = Digraph.from_dgr(text)
         yield f"{spec.name} {spec.describe()} dgr round trip", (back.rows == d.rows
                                                                 and back.to_dgr() == text)
+    yield "a CRLF dgr text parses to the rows of its LF text", (
+        Digraph.from_dgr(text.replace("\n", "\r\n")).rows == d.rows)
+    feed = text.replace("\n", "\f")
+    got = _outcome(Digraph.from_dgr, feed)
+    yield "a form-feed-separated dgr text is refused at line 1 like the reference", (
+        got[0] is FormatError and got[1] == {"line": 1}
+        and got == _outcome(reference_from_dgr, feed))
+    failed = feasibility(8, 5, 4, 3, 3).first_failure()
+    yield "feasibility(8, 5, 4, 3, 3) fails complement", (
+        failed is not None and failed.name == "complement")
     yield "36-vertex fixture duality mapping verifies", verify_mapping(*bundled_iso_fixture())
     gdd = build_digraph(Gdd(2, 3))
     perm = list(range(gdd.n))

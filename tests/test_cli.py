@@ -349,7 +349,7 @@ def test_verify_missing_file(tmp_path, capsys):
 
 def _first_line_format(text):
     """The loader's first rule, which split the whole file into lines."""
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if line.strip():
             return "dgr" if len(line.split()) == 1 else "edges"
     return None
@@ -384,21 +384,31 @@ def test_load_format_matches_the_first_line_rule(tmp_path, monkeypatch):
         assert _loaded_format(monkeypatch, path) == _first_line_format(path.read_text()), text
 
 
-@pytest.mark.parametrize("sep", ["\n", "\r\n", "\x0c", "\u2028"])
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0c", "\u2028"])
 def test_verify_dgr_and_edge_list_with_any_line_separator(tmp_path, capsys, sep):
+    """read_text turns "\r\n" and "\r" into "\n", which ends a line; any other
+    line boundary stays inside a line, so the whole file is line 1 of an
+    edge list, refused there."""
     d = build_antiflag_forward(build_gdd(2, 3))
     lead = sep + " \t" + sep + "\x0b" + sep
+    ends_lines = sep in ("\n", "\r\n", "\r")
     # dgr/1 needs n on line 1; an edge list may start with blank lines
     for name, text in (("g.dgr", d.to_dgr()), ("g.txt", lead + d.to_edge_list())):
         path = tmp_path / name
         path.write_bytes(text.replace("\n", sep).encode())
         code, stdout, stderr = run(capsys, "verify", str(path))
-        assert (code, stderr) == (0, "")
-        assert "(36, 12, 5, 2, 5)" in stdout
+        if ends_lines:
+            assert (code, stderr) == (0, "")
+            assert "(36, 12, 5, 2, 5)" in stdout
+        else:
+            assert code == 1 and stderr.startswith("error: line 1: expected 'u v', got ")
     path = tmp_path / "lead.dgr"
     path.write_bytes((lead + d.to_dgr().replace("\n", sep)).encode())
     code, _, stderr = run(capsys, "verify", str(path))
-    assert (code, stderr) == (1, "error: line 1: expected a vertex count, got ''\n")
+    if ends_lines:
+        assert (code, stderr) == (1, "error: line 1: expected a vertex count, got ''\n")
+    else:
+        assert code == 1 and stderr.startswith("error: line 1: expected 'u v', got ")
 
 
 @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n", "\r\n\x0c\u2028 \u3000"])
@@ -630,7 +640,8 @@ def test_spectrum_cli_accepts_exactly_the_feasible_tuples(capsys):
             waived.add(raw)
         assert (code, stdout) == (0 if report.ok else 1, line + "\n"), raw
         accepted += code == 0
-    # 50 with an integer spectrum; the rest have conjugate eigenvalues with
-    # 2k = v-1, lambda = mu-1 and t = k(k+1-2mu): the 3-cycle, C5 and QR(7)
-    assert accepted == 53
+    # 49 with an integer spectrum; the rest have conjugate eigenvalues with
+    # 2k = v-1, lambda = mu-1 and t = k(k+1-2mu): the 3-cycle, C5 and QR(7).
+    # (8, 5, 4, 3, 3) has an integer spectrum, but its complement has lambda = -1
+    assert accepted == 52
     assert waived == {(3, 1, 0, 0, 1), (5, 2, 2, 0, 1), (7, 3, 0, 1, 2)}

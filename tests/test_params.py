@@ -3,7 +3,8 @@ from itertools import product
 import pytest
 
 from dsrg import (Digraph, DsrgError, DsrgParams, FeasibilityCheck, NotFeasibleError, Spectrum,
-                  feasibility, spectrum, verify_dsrg)
+                  build_digraph, expected_params, feasibility, spectrum, verify_dsrg)
+from dsrg.families import catalog_instances
 from oracles import small_digraphs
 
 # the integer_spectrum detail of a tuple accepted without an integer spectrum
@@ -110,7 +111,8 @@ def test_feasibility_reports_identity_failures():
     assert report.spectrum is not None
     assert not report.ok
     names = {c.name for c in report.checks if not c.passed}
-    assert names == {"degree_identity"}
+    # the complement's degree identity fails by the same difference
+    assert names == {"degree_identity", "complement"}
 
 
 def test_feasibility_negative_discriminant():
@@ -121,19 +123,20 @@ def test_feasibility_negative_discriminant():
     assert report.checks[0].detail == f"{CONJUGATE}: delta_not_positive: delta^2=-3"
     # t = 0 alone is not enough: no digraph has these parameters
     report = feasibility(4, 2, 0, 1, 2)
-    assert [c.name for c in report.checks if not c.passed] == ["integer_spectrum"]
+    assert [c.name for c in report.checks if not c.passed] == ["integer_spectrum", "complement"]
     assert report.first_failure().detail == "delta_not_positive: delta^2=-7"
     # 0 < t < k: every identity holds, but delta^2 < 0 refutes the tuple
     report = feasibility(5, 3, 1, 2, 2)
     bad = [c for c in report.checks if not c.passed]
-    assert len(bad) == 1 and bad[0].name == "integer_spectrum"
+    assert [c.name for c in bad] == ["integer_spectrum", "complement", "duval_bounds"]
     assert bad[0].detail == "delta_not_positive: delta^2=-4"
 
 
 def test_feasibility_zero_discriminant_is_not_positive():
     # 0 is a square, but delta = 0 gives no two distinct eigenvalues
     report = feasibility(4, 2, 1, 1, 1)
-    assert [c.name for c in report.checks if not c.passed] == ["integer_spectrum"]
+    assert [c.name for c in report.checks if not c.passed] == [
+        "integer_spectrum", "complement", "duval_bounds"]
     assert report.first_failure().detail == "delta_not_positive: delta^2=0"
     with pytest.raises(NotFeasibleError) as err:
         spectrum(DsrgParams(4, 2, 1, 1, 1))
@@ -180,3 +183,46 @@ def test_feasibility_accepts_exactly_the_tuples_that_occur():
     accepted = {(v, k, t, lam, mu) for v in range(3, 6) for k in range(1, v - 1)
                 for t, lam, mu in product(range(v), repeat=3) if feasibility(v, k, t, lam, mu).ok}
     assert accepted == occur
+
+
+def _complement_tuple(v, k, t, lam, mu):
+    return (v, v - k - 1, v - 2 * k + t - 1, v - 2 * k + mu - 2, v - 2 * k + lam)
+
+
+def test_feasibility_refutes_by_the_complement_and_duvals_bounds():
+    # an integer spectrum and every identity, but the complement has lambda = -1
+    report = feasibility(8, 5, 4, 3, 3)
+    assert [c for c in report.checks if not c.passed] == [FeasibilityCheck(
+        "complement", False, "complement (8, 2, 1, -1, 1): nonnegative fails: entries (8, 2, 1, -1, 1)")]
+    # everything else holds, but mu - lambda = 3 > 2(k-t) = 2, and -4 < -2(k-t-1) = -2
+    report = feasibility(25, 11, 10, 3, 6)
+    assert [c for c in report.checks if not c.passed] == [FeasibilityCheck(
+        "duval_bounds", False, "need -2(k-t-1)=0 <= mu-lambda=3 <= 2(k-t)=2")]
+    report = feasibility(27, 8, 6, 5, 1)
+    assert [c for c in report.checks if not c.passed] == [FeasibilityCheck(
+        "duval_bounds", False, "need -2(k-t-1)=-2 <= mu-lambda=-4 <= 2(k-t)=4")]
+    # neither applies at k = v-1 or t in {0, k}
+    checks = {c.name: c for c in feasibility(3, 1, 0, 0, 1).checks}
+    assert checks["complement"].passed and checks["duval_bounds"].passed
+    assert checks["duval_bounds"].detail == "not checked: need 0 < t=0 < k=1"
+
+
+def test_catalog_tuples_and_their_complements_are_feasible():
+    """Every catalog tuple to order 4096, multiples included (620 rows), and its
+    complement pass every check; the complement of each built catalog-500
+    graph verifies with the complement tuple."""
+    tuples = set()
+    for spec, formula_only in catalog_instances(4096):
+        p = expected_params(spec)
+        # the catalog's multiples: m <= 13, m * v <= 4096, and only where t = mu
+        ms = range(1, min(13, 4096 // p.v) + 1) if p.t == p.mu else [1]
+        tuples.update(p.scaled(m).tuple() for m in ms)
+        if not formula_only and p.v <= 500:
+            d = build_digraph(spec)
+            full = (1 << d.n) - 1
+            rows = tuple(full ^ row ^ (1 << u) for u, row in enumerate(d.rows))
+            assert verify_dsrg(Digraph(d.n, rows)).tuple() == _complement_tuple(*p.tuple()), spec
+    assert len(tuples) == 465
+    for p in tuples:
+        assert feasibility(*p).ok, p
+        assert feasibility(*_complement_tuple(*p)).ok, p

@@ -399,6 +399,30 @@ def test_small_digraphs_like_the_reference(threshold, monkeypatch):
     assert seen == {"DsrgParams": 5, "NonConstantError": 60, "NotRegularError": 1801}
 
 
+def test_small_digraphs_of_order_6_reach_the_difference_kernel(differences_everywhere,
+                                                                monkeypatch):
+    """The v = 6 graphs of small_digraphs that take the by-class path
+    (D <= k), with the difference tried at every class.  Of the four
+    that are DSRGs, the three labellings of K_{2,2,2} reach classes 1 and
+    2 by differences (K_{3,3} sums its second class fresh), so a
+    difference taken from a stale row is caught here."""
+    differences = []
+    kernel = dsrg.digraph._square_row_by_difference
+
+    def counted(*args):
+        differences.append(args)
+        return kernel(*args)
+    monkeypatch.setattr(dsrg.digraph, "_square_row_by_difference", counted)
+    seen = Counter()
+    for d in small_digraphs(6):
+        if len(d.distinct) <= d.rows[0].bit_count():
+            got = _outcome(verify_dsrg, d)
+            _same_as_reference(d, got, d.rows)
+            seen[type(got).__name__] += 1
+    assert seen == {"DsrgParams": 4, "NotRegularError": 564}
+    assert len(differences) == 6
+
+
 def _same_block_swap(d, rng):
     """a->b, c->e become a->e, c->b, for anti-flags a, c of one block in
     the second half.  A vertex points at a iff it points at c, so only a
