@@ -13,9 +13,10 @@ built with one step per run: one dict lookup and one mask.  The
 builders that lay their rows out in runs (the forward-rule wiring, the
 multiple and from_dgr) pass them to Digraph._from_runs, with no
 per-vertex search; only rows given as a tuple, Digraph(n, rows), are
-searched for runs, in one C-level pass.  Row checks, columns(), to_dgr,
-the multiple, the verifier and iso work once per class: the verifier
-accepts a graph in one step per class, not per vertex.
+searched for runs, of one row object each, in one C-level pass, and
+Digraph._index checks both paths' input per run and per class.  columns(),
+to_dgr, the multiple, the verifier and iso work once per class: the
+verifier accepts a graph in one step per class, not per vertex.
 
 The anti-flag builders take an incidence structure, number its
 non-incident (point, block) pairs in lexicographic order, and wire
@@ -46,7 +47,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain, compress, count, repeat
-from operator import itemgetter, mul, ne, sub
+from operator import is_not, itemgetter, mul, ne, sub
 from typing import Literal
 
 from .errors import (
@@ -85,9 +86,10 @@ class Digraph:
     """Immutable loopless digraph; rows[u] bit v == edge u -> v.
 
     The row-class index (distinct, row_class, members) is built per run
-    of equal consecutive rows, not per vertex; a class may gather runs
-    that are not adjacent.  Digraph(n, rows) finds the runs;
-    Digraph._from_runs takes them from a builder.
+    of equal consecutive rows, not per vertex; a class gathers the equal
+    runs, adjacent or not.  Digraph(n, rows) finds the runs of one row
+    object; Digraph._from_runs takes them from a builder.  n must be an
+    int and every row an int; _index checks both paths alike.
     """
 
     # _from_runs skips __init__ and sets n, rows and labels itself: an init
@@ -102,15 +104,9 @@ class Digraph:
     def __post_init__(self):
         rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
-        n = self.n
-        if len(rows) != n:
-            raise ValueError(f"expected {n} rows, got {len(rows)}")
-        if not {int}.issuperset(map(type, rows)):
-            _check_rows(rows, n)
-        # True at each vertex whose row differs from the row before: a run start
-        new_run = list(map(ne, rows, (None, *rows)))
-        bounds = [*compress(count(), new_run), n]     # the run starts, then n
-        self._index(compress(rows, new_run), bounds)
+        # a run start: a row that is not the same object as the row before
+        new_run = list(map(is_not, rows, (object(), *rows)))
+        self._index(list(compress(rows, new_run)), [*compress(count(), new_run), len(rows)])
 
     @classmethod
     def _from_runs(cls, n: int, heads: Iterable[int], lengths: Iterable[int],
@@ -120,29 +116,33 @@ class Digraph:
         For builders that lay their rows out in runs: the index is built
         from the given runs, with no search for equal rows.  Runs of
         length 0 are dropped; equal heads, adjacent or not, share a class.
-        The checks and their errors are those of Digraph(n, rows).
+        The runs are checked by _index, as Digraph(n, rows) checks its
+        own, before the n rows are laid out.
         """
         heads, lengths = list(heads), list(lengths)
         if 0 in lengths:
             heads, lengths = list(compress(heads, lengths)), list(filter(None, lengths))
-        bounds = [*accumulate(lengths, initial=0)]
-        if bounds[-1] != n:
-            raise ValueError(f"expected {n} rows, got {bounds[-1]}")
         d = object.__new__(cls)
         object.__setattr__(d, "n", n)
-        object.__setattr__(d, "rows", tuple(chain.from_iterable(map(mul, zip(heads), lengths))))
         object.__setattr__(d, "labels", labels)
-        if not {int}.issuperset(map(type, heads)):
-            _check_rows(d.rows, n)
-        d._index(heads, bounds)
+        d._index(heads, [*accumulate(lengths, initial=0)])
+        object.__setattr__(d, "rows", tuple(chain.from_iterable(map(mul, zip(heads), lengths))))
         return d
 
-    def _index(self, heads: Iterable[int], bounds: list[int]) -> None:
-        """Set distinct, row_class and members from the runs of equal rows,
-        one step per run: run i is heads[i] at vertices bounds[i] ..
-        bounds[i + 1] - 1.  Then check the rows per class and the label
-        count."""
+    def _index(self, heads: list[int], bounds: list[int]) -> None:
+        """Check the runs, then set distinct, row_class and members, one step
+        per run: run i is heads[i] at vertices bounds[i] .. bounds[i + 1] - 1.
+        The one check of a Digraph's input, in order: n is an int (not a
+        bool), the runs cover n rows, each head is an int (isinstance),
+        then range and loop per class (_check_classes) and the labels."""
         n = self.n
+        if type(n) is not int:
+            raise TypeError(f"vertex count {n!r} is not an int")
+        if bounds[-1] != n:
+            raise ValueError(f"expected {n} rows, got {bounds[-1]}")
+        if not all(map(isinstance, heads, repeat(int))):
+            u, row = next((u, row) for u, row in zip(bounds, heads) if not isinstance(row, int))
+            raise TypeError(f"row {u} is {row!r}, not an int")
         lengths = list(map(sub, bounds[1:], bounds))
         ids: dict[int, int] = {}
         run_class = [ids.setdefault(row, len(ids)) for row in heads]
@@ -298,20 +298,12 @@ def _parse_row(line: str, n: int, lineno: int) -> int:
     return int(line[::-1], 2)
 
 
-def _check_rows(rows: tuple[int, ...], n: int) -> None:
-    """_check_classes vertex by vertex, for rows that are not all ints: a
-    row-keyed dict would put 2.0 in the class of 2."""
-    for u, row in enumerate(rows):
-        _check_classes((row,), (1 << u,), n)
-
-
 def _check_classes(reps: Iterable[int], members: Iterable[int], n: int) -> None:
     """ValueError naming the first vertex with a bit outside 0..n-1 (checked
     first) or a loop, where reps[c] is the row of the vertices in members[c]."""
     bad, message = n, ""
     for row, mask in zip(reps, members):
-        # int.bit_length, not row.bit_length: a non-int row raises TypeError
-        if row < 0 or int.bit_length(row) > n:
+        if row < 0 or row.bit_length() > n:
             if (first := _low_bit(mask)) < bad:
                 bad, message = first, f"row {first} has bits outside 0..{n - 1}"
         elif row & mask and (loop := _low_bit(row & mask)) < bad:

@@ -46,7 +46,7 @@ from .incidence import (
     build_partition_structure,
     restrict_parallel_classes,
 )
-from .params import DsrgParams
+from .params import DsrgParams, _check_ints
 
 
 FLAG_NAMES = {"lam": "lambda"}   # spec field -> its describe key and CLI flag
@@ -54,12 +54,15 @@ FLAG_NAMES = {"lam": "lambda"}   # spec field -> its describe key and CLI flag
 
 class Family:
     """Base of the family specs: frozen dataclasses of int fields, checked
-    on construction against the least values `minima` lists in field order."""
+    on construction to be ints (TypeError naming the first that is not,
+    a bool or float included), then against the least values `minima`
+    lists in field order."""
 
     name: ClassVar[str]
     minima: ClassVar[dict[str, int]] = {}
 
     def __post_init__(self):
+        _check_ints(vars(self).items())
         if any(getattr(self, f) < lo for f, lo in self.minima.items()):
             bounds = ", ".join(f"{f} >= {lo}" for f, lo in self.minima.items())
             raise ValueError(f"need {bounds}, got {self}")
@@ -91,6 +94,7 @@ class PgAntiflag(Family):
     name: ClassVar[str] = "pg-antiflag"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kappa < 2 or self.rho < 2:
             raise ValueError(f"need kappa, rho >= 2, got {self}")
         if not 1 <= self.tau <= min(self.kappa, self.rho):
@@ -164,6 +168,7 @@ class TwoDesignBack(Family):
     name: ClassVar[str] = "2design-back"
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.v > self.k >= 2:
             raise ValueError(f"need v > k >= 2, got {self}")
         try:

@@ -17,16 +17,33 @@ complement J - I - A is a DSRG, so its tuple must pass the basic
 identities, and for 0 < t < k lambda, mu and mu - lambda are bounded by
 t and k - t.
 Everything here is computed exactly in Python integers; there is no
-floating point anywhere.
+floating point anywhere: DsrgParams and feasibility refuse an entry that
+is not an int (a float such as 36.0, or a bool) with a TypeError, and
+feasibility refuses an entry of absolute value MAX_ENTRY or more with
+TooLargeError, before any detail is formatted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
-from .errors import NotFeasibleError
+from .errors import NotFeasibleError, TooLargeError
+
+# feasibility refuses an entry this large or larger: its details stay far
+# below Python's 4300-digit limit on int-to-str conversion
+MAX_ENTRY = 10 ** 1000
+
+_NAMES = ("v", "k", "t", "lambda", "mu")
+
+
+def _check_ints(named: Iterable[tuple[str, object]]) -> None:
+    """TypeError naming the first (name, value) whose value is not an int;
+    a bool is not one."""
+    for name, value in named:
+        if type(value) is not int:
+            raise TypeError(f"{name} = {value!r} is not an int")
 
 
 def _identities(v: int, k: int, t: int, lam: int,
@@ -55,6 +72,7 @@ class DsrgParams:
     mu: int
 
     def __post_init__(self):
+        _check_ints(zip(_NAMES, self.tuple()))
         for name, holds, detail in _identities(*self.tuple()):
             if not holds:
                 raise ValueError(f"{name} fails: {detail()}")
@@ -165,7 +183,14 @@ def feasibility(v: int, k: int, t: int, lam: int, mu: int) -> FeasibilityReport:
     integer_spectrum passes on an integer spectrum, and on a delta^2
     that is no positive square when 2k = v-1, lambda = mu-1 and
     t = k(k+1-2mu); its detail then says so, and spectrum is None.
+    An entry that is not an int is a TypeError, and one of absolute value
+    MAX_ENTRY or more a TooLargeError, both naming the first such entry.
     """
+    _check_ints(zip(_NAMES, (v, k, t, lam, mu)))
+    for name, x in zip(_NAMES, (v, k, t, lam, mu)):
+        if abs(x) >= MAX_ENTRY:
+            raise TooLargeError(f"{name} has {x.bit_length()} bits; entries must be "
+                                f"below 10**1000 in absolute value")
     checks: list[FeasibilityCheck] = []
     spec: Spectrum | None = None
     try:

@@ -36,7 +36,10 @@ reference_verify_pg and reference_verify_2design, refuses a
 NaN point as outside the point range, round-trips the affine plane of
 order 17 (289 points, with parallel classes) through JSON byte for
 byte, checks catalog_instances(500) against oracles.py's written-out
-reference_catalog_instances, and compares the SHA-256s of the
+reference_catalog_instances, refuses a float row alike through
+Digraph(n, rows) and Digraph._from_runs, a bool vertex count, a float
+DsrgParams entry and a feasibility entry of 5001 digits (TooLargeError),
+and compares the SHA-256s of the
 catalog_rows(500) table, of the
 canonical forms of partition(1,4) and partition(2,3), and of the to_json of the
 affine plane of order 64 and the hyperplane designs AG(5,4) and
@@ -58,7 +61,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 import dsrg.digraph  # noqa: E402
 from dsrg import (ISOMORPHIC, ApPencils, Digraph, DsrgError, DsrgParams, FormatError,  # noqa: E402
-                  Gdd, IncidenceStructure, Partition, Transversal, apply_mapping, are_isomorphic,
+                  Gdd, IncidenceStructure, Partition, TooLargeError, Transversal, apply_mapping,
+                  are_isomorphic,
                   build_affine_plane, build_digraph, build_gdd, build_hyperplane_design,
                   bundled_iso_fixture, canonical_form, duval_multiple, expected_params,
                   feasibility, from_json, make_field, restrict_parallel_classes, to_json,
@@ -91,6 +95,15 @@ def _outcome(verify, s):
         return verify(s)
     except DsrgError as exc:
         return type(exc), vars(exc), str(exc)
+
+
+def _refusal(build):
+    """The class and message of the exception build() raises, or None."""
+    try:
+        build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def _swap_mutant(d):
@@ -238,6 +251,17 @@ def checks():
             hashlib.sha256(text.encode()).hexdigest() == golden["structures"][key])
     yield "catalog_instances(500) equals the written-out grid", (
         catalog_instances(500) == reference_catalog_instances(500))
+    float_row = (TypeError, "row 1 is 2.0, not an int")
+    yield "a float row is refused alike by Digraph(n, rows) and Digraph._from_runs", (
+        _refusal(lambda: Digraph(3, (2, 2.0, 0))) == float_row
+        == _refusal(lambda: Digraph._from_runs(3, (2, 2.0, 0), (1, 1, 1))))
+    yield "Digraph(True, (0,)) is refused: a bool is no vertex count", (
+        _refusal(lambda: Digraph(True, (0,))) == (TypeError, "vertex count True is not an int"))
+    yield "DsrgParams(36.0, 12, 5, 2, 5) is refused", (
+        _refusal(lambda: DsrgParams(36.0, 12, 5, 2, 5)) == (TypeError, "v = 36.0 is not an int"))
+    yield "feasibility(10**5000, 3, 1, 0, 0) raises TooLargeError", (
+        _refusal(lambda: feasibility(10 ** 5000, 3, 1, 0, 0))
+        == (TooLargeError, "v has 16610 bits; entries must be below 10**1000 in absolute value"))
     table = render_table(catalog_rows(max_order=500))
     yield "catalog 500 table digest", (
         hashlib.sha256(table.encode()).hexdigest() == golden["catalog"]["500"]["table"])

@@ -566,6 +566,28 @@ def test_from_runs_refuses_lengths_that_miss_n():
         Digraph._from_runs(2, (2, 1), (1, 1), labels=((0, 0),))
 
 
+def test_a_vertex_count_that_is_not_an_int_is_refused():
+    """A bool or float n is a TypeError on both paths, before the rows."""
+    for build in (lambda: Digraph(True, (0,)), lambda: Digraph(2.0, (2, 1)),
+                  lambda: Digraph._from_runs(True, (0,), (1,)),
+                  lambda: Digraph._from_runs(2.0, (2, 1), (1, 1))):
+        with pytest.raises(TypeError, match=r"^vertex count (True|2\.0) is not an int$"):
+            build()
+
+
+def test_a_row_that_is_not_an_int_is_named_on_both_paths():
+    """A non-int row equal to the int before it starts its own run, so it
+    is named, and before any range or loop error of a later row."""
+    for build in (lambda: Digraph(3, (2, 2.0, 0)),
+                  lambda: Digraph._from_runs(3, (2, 2.0, 0), (1, 1, 1))):
+        with pytest.raises(TypeError, match=r"^row 1 is 2\.0, not an int$"):
+            build()
+    for build in (lambda: Digraph(4, (16, "1", "1", "1")),
+                  lambda: Digraph._from_runs(4, (16, "1"), (1, 3))):
+        with pytest.raises(TypeError, match=r"^row 1 is '1', not an int$"):
+            build()
+
+
 def _spread_rows(k):
     """3k rows: two classes of k runs each, between k distinct rows."""
     return [row for i in range(k) for row in (0, 1, 2 << (3 * i))]

@@ -156,6 +156,19 @@ def test_family_hypotheses_enforced():
         TwoDesignBack(4, 4, 3, 3, 2)    # b + lambda = 2r
 
 
+@pytest.mark.parametrize("cls,args,message", [
+    (Gdd, (2.0, 3), "l = 2.0 is not an int"),
+    (Gdd, (2, 3, True), "m = True is not an int"),
+    (PgAntiflag, (2.0, 2, 1), "kappa = 2.0 is not an int"),
+    (TwoDesignBack, (7.0, 7, 3, 3, 1), "v = 7.0 is not an int"),
+    (TwoDesignBackLoopy, (7, 7, 3, 3, 1.0), "lam = 1.0 is not an int"),
+])
+def test_family_fields_must_be_ints(cls, args, message):
+    with pytest.raises(TypeError) as err:
+        cls(*args)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # construction agrees with the closed form
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ from itertools import product
 import pytest
 
 from dsrg import (Digraph, DsrgError, DsrgParams, FeasibilityCheck, NotFeasibleError, Spectrum,
-                  build_digraph, expected_params, feasibility, spectrum, verify_dsrg)
+                  TooLargeError, build_digraph, expected_params, feasibility, spectrum,
+                  verify_dsrg)
+from dsrg.params import MAX_ENTRY
 from dsrg.families import catalog_instances
 from oracles import small_digraphs
 
@@ -28,6 +30,34 @@ def test_invalid_tuples_rejected():
         DsrgParams(4, 4, 3, 1, 3)      # k = v
     with pytest.raises(ValueError):
         DsrgParams(8, 4, 3, -1, 3)
+
+
+def test_entries_that_are_not_ints_are_refused():
+    """No float reaches the arithmetic: the first entry that is not an int
+    (a float or a bool) is named."""
+    with pytest.raises(TypeError, match=r"^v = 36\.0 is not an int$"):
+        DsrgParams(36.0, 12, 5, 2, 5)
+    with pytest.raises(TypeError, match=r"^mu = True is not an int$"):
+        DsrgParams(3, 1, 0, 0, True)
+    with pytest.raises(TypeError, match=r"^lambda = 2\.0 is not an int$"):
+        feasibility(36, 12, 5, 2.0, 5)
+    with pytest.raises(TypeError, match=r"^k = '12' is not an int$"):
+        feasibility(36, "12", 5, 2, 5)
+
+
+def test_feasibility_refuses_entries_at_the_bound():
+    """Below MAX_ENTRY a report comes back, however its checks go; at or
+    above it, TooLargeError names the entry's bit length."""
+    for tup in [(MAX_ENTRY - 1, 3, 1, 0, 0), (10, 3, 1, 0, 1 - MAX_ENTRY),
+                (MAX_ENTRY - 1,) * 5, (36, 12, 5, 2, 5)]:
+        assert feasibility(*tup).params == tup
+    assert not feasibility(MAX_ENTRY - 1, 3, 1, 0, 0).ok
+    for tup, name, bits in [((MAX_ENTRY, 3, 1, 0, 0), "v", 3322),
+                            ((10 ** 5000, 3, 1, 0, 0), "v", 16610),
+                            ((10, 3, 1, 0, -MAX_ENTRY), "mu", 3322),
+                            ((10 ** 2200,) * 5, "v", 7309)]:
+        with pytest.raises(TooLargeError, match=rf"^{name} has {bits} bits; "):
+            feasibility(*tup)
 
 
 def test_scaled():
