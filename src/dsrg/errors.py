@@ -110,8 +110,9 @@ class NotFeasibleError(DsrgError):
     """Parameter tuple admits no integer spectrum.
 
     reason is one of: delta_not_positive (delta^2 <= 0),
-    delta_not_integer, halves_not_integer, multiplicity_not_integer,
-    multiplicity_negative.
+    delta_not_integer, multiplicity_not_integer, multiplicity_negative.
+    The halves (lambda-mu +- delta)/2 are always integers, since delta^2
+    = (mu-lambda)^2 + 4(t-mu) makes delta = lambda-mu (mod 2).
     """
 
     def __init__(self, reason: str, message: str):

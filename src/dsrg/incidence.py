@@ -28,20 +28,25 @@ class with class 0's own point set, so on builder output each lookup
 is an identity hit.
 
 The verifiers hold a point's blocks as an int bitmask.  verify_pg works
-per line, not per pair: axiom 2 ORs the masks of a line's points into
-the lines met once and twice, and axiom 3, once axiom 2 holds, is one
-bit-sliced sum (dsrg.planes) per line of the collinearity masks of its
-points, which counts the transversals of every anti-flag on that line.
-verify_2design counts pairs as popcounts of two point masks (lambda)
-and reads the intersection size of non-parallel blocks from Bose's
-counting identity, with no block pairs at all.  Each docstring argues
-its identity.  A failure and its witness are those of the plain pair
-loops: verify_pg's axiom 2 runs the pair scan, in the order in which a
-pair count would first meet the pairs, once the per-line test has found
-that a pair fails, and its axiom 3 names the failing anti-flag that
-comes first in anti_flags order.  verify_gdd walks the pairs of each
-block in block order for the same-group check and counts cross-group
-pairs as popcounts of the same masks.
+per point and per line, not per pair: it ORs each point's lines into
+coll(p), the points collinear with p.  Axiom 2 holds exactly when every
+|coll(p)| is 1 + rho(kappa - 1), one popcount per point, and axiom 3,
+once axiom 2 holds, is one bit-sliced sum (dsrg.planes) per line of the
+collinearity masks of its points, which counts the transversals of
+every anti-flag on that line.  verify_2design counts pairs as popcounts
+of two point masks (lambda) and reads the intersection size of
+non-parallel blocks from Bose's counting identity, with no block pairs
+at all.  Each docstring argues its identity, and proves the conditions
+that the checks before them already imply: past verify_pg's axiom 2,
+that point 0 is off some line (so the first anti-flag is (0, N)) and
+tau >= 1; past verify_2design's pair counts, that lambda >= 1.  A
+failure and its witness are those of the plain pair loops: verify_pg's
+axiom 2 runs the pair scan, in the order in which a pair count would
+first meet the pairs, once the count has found that a pair fails, and
+its axiom 3 names the failing anti-flag that comes first in anti_flags
+order.  verify_gdd walks the pairs of each block in block order for the
+same-group check and counts cross-group pairs as popcounts of the same
+masks.
 
 Validation runs on every structure, builder output included; the
 docstring of IncidenceStructure._validate argues its acceptance test.
@@ -471,20 +476,31 @@ def verify_pg(s: IncidenceStructure) -> PgParams:
     every anti-flag sees a constant number tau >= 1 of transversal lines.
     Raises NotPartialGeometryError naming the first violated axiom.
 
-    Both pair axioms are checked line by line.  Axiom 2: a line's points
-    meet another line twice exactly when two of them share two lines, so
-    one scan of each line's point masks finds whether any pair fails, and
-    only then does the pair scan run, to name the first pair in pair
-    order.  Axiom 3: once axiom 2 holds, a line M through a point p off
-    a line L meets L in at most one point (two would make M = L, which
-    misses p), and two lines through p cannot meet L in the same point q
-    (they would share p and q).  So the lines through p that meet L are
-    the lines from p to the points of L collinear with p, one per point:
-    crossing(p, L) = |L & coll(p)|, where coll(p) is the set of points
-    collinear with p.  For each line L, the bit-sliced sum of coll(q)
-    over the points q of L holds crossing(p, L) at every p off L.  tau
-    is read at the first anti-flag, and the witness is the least failing
-    (p, L), the anti-flag that comes first in anti_flags order.
+    Both pair axioms are read from coll(p), the set of points collinear
+    with p (p included).  Axiom 2: the rho lines through p hold rho(kappa
+    - 1) points other than p, counted with multiplicity, so the sum over
+    q != p of lambda(p, q), the number of lines through p and q, is
+    rho(kappa - 1), while |coll(p)| - 1 counts the q with lambda(p, q) >=
+    1.  So |coll(p)| = 1 + rho(kappa - 1) at every p exactly when no two
+    points share two lines, and only when the count fails does the pair
+    scan run, to name the first pair in pair order.  Axiom 3: once axiom
+    2 holds, a line M through a point p off a line L meets L in at most
+    one point (two would make M = L, which misses p), and two lines
+    through p cannot meet L in the same point q (they would share p and
+    q).  So the lines through p that meet L are the lines from p to the
+    points of L collinear with p, one per point: crossing(p, L) = |L &
+    coll(p)|.  For each line L, the bit-sliced sum of coll(q) over the
+    points q of L holds crossing(p, L) at every p off L.  tau is read at
+    the first anti-flag, and the witness is the least failing (p, L), the
+    anti-flag that comes first in anti_flags order.
+
+    Past axiom 2, the first anti-flag is (0, N) for the least line N off
+    point 0, and tau >= 1, so neither needs a check.  Point 0 lies on a
+    line M, which holds a second point p, and p lies on a second line N;
+    N misses 0, since 0 and p would share M and N otherwise.  The
+    anti-flag (0, N) sees M, which meets N at p; so if the first
+    anti-flag saw no transversal line, (0, N) would fail axiom 3 against
+    it.
     """
     if not s.blocks:
         raise NotPartialGeometryError(1, None, "no lines")
@@ -496,28 +512,19 @@ def verify_pg(s: IncidenceStructure) -> PgParams:
     rho = _uniform(list(map(int.bit_count, on)), axiom_1, "point degrees differ: {} != {}")
     if rho < 2:
         raise NotPartialGeometryError(1, 0, f"point degree {rho} < 2")
-    for i, b in enumerate(s.blocks):
-        once = twice = 0   # the lines met at one point of b, and at two
-        for p in b:
-            lines = on[p]
-            twice |= once & lines
-            once |= lines
-        if twice != 1 << i:
-            # the pairs in the order they first occur on a line
-            for x, y in chain.from_iterable(map(combinations, s.blocks, repeat(2))):
-                c = (on[x] & on[y]).bit_count()
-                if c > 1:
-                    raise NotPartialGeometryError(2, (x, y), f"points share {c} lines")
-    every = (1 << len(s.blocks)) - 1
-    first = next((p for p, lines in enumerate(on) if lines != every), None)
-    if first is None:
-        raise NotPartialGeometryError(3, None, "no anti-flag exists")
     points = [sum(map((1).__lshift__, b)) for b in s.blocks]
     coll = [0] * s.num_points
     for b, line in zip(s.blocks, points):
         for p in b:
             coll[p] |= line
-    tau = (coll[first] & points[_low_bit(~on[first])]).bit_count()
+    reach = 1 + rho * (kappa - 1)
+    if any(c.bit_count() != reach for c in coll):
+        # the pairs in the order they first occur on a line
+        for x, y in chain.from_iterable(map(combinations, s.blocks, repeat(2))):
+            c = (on[x] & on[y]).bit_count()
+            if c > 1:
+                raise NotPartialGeometryError(2, (x, y), f"points share {c} lines")
+    tau = (coll[0] & points[_low_bit(~on[0])]).bit_count()
     want = _value_planes([(tau, (1 << s.num_points) - 1)], tau.bit_length())
     witness = None
     for i, (b, line) in enumerate(zip(s.blocks, points)):
@@ -529,8 +536,6 @@ def verify_pg(s: IncidenceStructure) -> PgParams:
         p, i, sums = witness
         raise NotPartialGeometryError(
             3, (p, i), f"anti-flag sees {_count(sums, p)} lines, expected {tau}")
-    if tau < 1:
-        raise NotPartialGeometryError(3, None, "anti-flags see 0 transversal lines")
     return PgParams(kappa, rho, tau)
 
 
@@ -587,6 +592,10 @@ def verify_2design(s: IncidenceStructure) -> DesignParams:
     same for every block.  By Cauchy-Schwarz, N * sum x^2 >= (sum x)^2,
     with equality iff every x is the mean, so the meets all have one
     size m = sum x / N exactly when equality holds (and N > 0).
+
+    lambda, read from the pair (0, 1), is at least 1 once every pair
+    count equals it: a block exists and holds k >= 2 points, so some
+    pair lies in a block, and a lambda of 0 would fail at that pair.
     """
     if s.num_points < 2:
         raise NotTwoDesignError(None, "need at least 2 points")
@@ -605,8 +614,6 @@ def verify_2design(s: IncidenceStructure) -> DesignParams:
             b, c = next((b, c) for b, c in enumerate(counts, a + 1) if c != lam)
             raise NotTwoDesignError(
                 (a, b), f"pair occurs in {c} blocks, expected {lam}")
-    if not lam:
-        raise NotTwoDesignError(None, "pairs occur in 0 blocks")
 
     s_count = None
     m_int = None

@@ -20,7 +20,9 @@ Everything here is computed exactly in Python integers; there is no
 floating point anywhere: DsrgParams and feasibility refuse an entry that
 is not an int (a float such as 36.0, or a bool) with a TypeError, and
 feasibility refuses an entry of absolute value MAX_ENTRY or more with
-TooLargeError, before any detail is formatted.
+TooLargeError, before any detail is formatted.  DsrgParams, which has no
+such bound, writes an int too long for str by its bit length, in its
+identity details, in str() and in the messages of spectrum.
 """
 
 from __future__ import annotations
@@ -46,19 +48,36 @@ def _check_ints(named: Iterable[tuple[str, object]]) -> None:
             raise TypeError(f"{name} = {value!r} is not an int")
 
 
+def _decimal(x: int) -> str:
+    """str(x), or, for an int too long for the interpreter's limit on
+    int-to-str conversion, its bit length: '<14618-bit int>'."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit int>"
+
+
+def _entries(values: Iterable[int]) -> str:
+    """The tuple of values, written as a tuple of _decimal strings."""
+    return f"({', '.join(map(_decimal, values))})"
+
+
 def _identities(v: int, k: int, t: int, lam: int,
                 mu: int) -> list[tuple[str, bool, Callable[[], str]]]:
     """(name, holds, detail) of each basic identity of a DSRG tuple, in check order.
 
     detail() formats the message; it is called only when it is shown, so
     a tuple of huge integers costs no decimal conversion when it holds.
+    An int too long to convert is written by its bit length (_decimal).
     """
     lhs, rhs = k * (k + mu - lam), t + (v - 1) * mu
-    return [("nonnegative", min(v, k, t, lam, mu) >= 0, lambda: f"entries {(v, k, t, lam, mu)}"),
-            ("degree_bounds", 0 <= t <= k < v, lambda: f"need 0 <= t={t} <= k={k} < v={v}"),
-            ("lambda_below_k", lam < k, lambda: f"need lambda={lam} < k={k}"),
+    return [("nonnegative", min(v, k, t, lam, mu) >= 0,
+             lambda: f"entries {_entries((v, k, t, lam, mu))}"),
+            ("degree_bounds", 0 <= t <= k < v,
+             lambda: f"need 0 <= t={_decimal(t)} <= k={_decimal(k)} < v={_decimal(v)}"),
+            ("lambda_below_k", lam < k, lambda: f"need lambda={_decimal(lam)} < k={_decimal(k)}"),
             ("degree_identity", lhs == rhs,
-             lambda: f"k(k+mu-lambda)={lhs} vs t+(v-1)mu={rhs}")]
+             lambda: f"k(k+mu-lambda)={_decimal(lhs)} vs t+(v-1)mu={_decimal(rhs)}")]
 
 
 @dataclass(frozen=True)
@@ -85,7 +104,7 @@ class DsrgParams:
         return DsrgParams(m * self.v, m * self.k, m * self.t, m * self.lam, m * self.mu)
 
     def __str__(self) -> str:
-        return f"({self.v}, {self.k}, {self.t}, {self.lam}, {self.mu})"
+        return _entries(self.tuple())
 
 
 @dataclass(frozen=True)
@@ -114,24 +133,21 @@ class Spectrum:
 def _raw_spectrum(v: int, k: int, t: int, lam: int, mu: int) -> Spectrum:
     disc = (mu - lam) ** 2 + 4 * (t - mu)
     if disc <= 0:
-        raise NotFeasibleError("delta_not_positive", f"delta^2={disc}")
+        raise NotFeasibleError("delta_not_positive", f"delta^2={_decimal(disc)}")
     delta = math.isqrt(disc)
     if delta * delta != disc:
-        raise NotFeasibleError("delta_not_integer", f"delta^2={disc}")
-    if (lam - mu + delta) % 2:
-        raise NotFeasibleError("halves_not_integer",
-                               f"(lambda-mu+delta)/2 = {(lam - mu + delta)}/2 is not integral")
+        raise NotFeasibleError("delta_not_integer", f"delta^2={_decimal(disc)}")
     theta1 = (lam - mu + delta) // 2
     theta2 = (lam - mu - delta) // 2
-    for num, sign in ((k + theta2 * (v - 1), -1), (k + theta1 * (v - 1), 1)):
-        if num % delta:
-            raise NotFeasibleError("multiplicity_not_integer",
-                                   f"multiplicity {sign * num}/{delta} is not integral")
-    m1 = -(k + theta2 * (v - 1)) // delta
-    m2 = (k + theta1 * (v - 1)) // delta
+    num = -(k + theta2 * (v - 1))
+    m1, rem = divmod(num, delta)
+    if rem:
+        raise NotFeasibleError("multiplicity_not_integer",
+                               f"multiplicity {_decimal(num)}/{_decimal(delta)} is not integral")
+    m2 = v - 1 - m1
     if m1 < 0 or m2 < 0:
         raise NotFeasibleError("multiplicity_negative",
-                               f"multiplicities ({m1}, {m2}) must be nonnegative")
+                               f"multiplicities {_entries((m1, m2))} must be nonnegative")
     return Spectrum(k, theta1, theta2, delta, 1, m1, m2)
 
 
@@ -139,12 +155,15 @@ def spectrum(p: DsrgParams) -> Spectrum:
     """Exact integer spectrum of a DSRG parameter tuple.
 
     Raises NotFeasibleError with reason delta_not_positive,
-    delta_not_integer, halves_not_integer, multiplicity_not_integer or
-    multiplicity_negative when no integer spectrum exists.
+    delta_not_integer, multiplicity_not_integer or multiplicity_negative
+    when no integer spectrum exists.  The halves need no check:
+    delta^2 = (mu-lambda)^2 + 4(t-mu) makes delta = lambda-mu (mod 2), so
+    theta1, theta2 = (lambda-mu +- delta)/2 are integers.  Nor does m2,
+    once m1 = -(k + theta2(v-1))/delta is integral: m2 = (k +
+    theta1(v-1))/delta, so m1 + m2 = (theta1-theta2)(v-1)/delta = v-1,
+    and m2 = v-1-m1 is integral too; the multiplicities sum to v.
     """
-    s = _raw_spectrum(p.v, p.k, p.t, p.lam, p.mu)
-    assert s.m0 + s.m1 + s.m2 == p.v
-    return s
+    return _raw_spectrum(*p.tuple())
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,10 @@ reference_mul_inv_tables, rejects two group-divisible mutants of
 gdd(2,3) like oracles.py's pair-dict reference_verify_gdd, checks
 verify_pg on AG(2,5) and its two-class restriction and verify_2design on
 AG(3,3) and the one-factorization of K6 against oracles.py's pair-by-pair
-reference_verify_pg and reference_verify_2design, refuses a
+reference_verify_pg and reference_verify_2design, and so on every
+structure on at most 3 points (structuregen.py's block_lists), rejects
+the four triples of 4 points, whose pairs each lie on two lines, at
+axiom 2 with the reference's witness, refuses a
 NaN point as outside the point range, round-trips the affine plane of
 order 17 (289 points, with parallel classes) through JSON byte for
 byte, checks catalog_instances(500) against oracles.py's written-out
@@ -73,6 +76,7 @@ from dsrg.planes import _sub_planes  # noqa: E402
 from oracles import (brute_row_classes, reference_canonical_form,  # noqa: E402
                      reference_catalog_instances, reference_from_dgr, reference_mul_inv_tables, reference_verify_2design, reference_verify_dsrg,
                      reference_verify_gdd, reference_verify_pg, small_digraphs)
+from structuregen import block_lists  # noqa: E402
 
 # all pairs of 6 points, resolved by a one-factorization of K6
 K6_PAIRS = IncidenceStructure(6, (
@@ -236,6 +240,15 @@ def checks():
     for name, s in (("AG(3,3)", build_hyperplane_design(3, 3)), ("K6 pairs", K6_PAIRS)):
         yield f"verify_2design {name} equals the reference", (
             _outcome(verify_2design, s) == _outcome(reference_verify_2design, s))
+    small = [IncidenceStructure(v, blocks) for v in (1, 2, 3) for blocks in block_lists(v)]
+    pairs = ((verify_pg, reference_verify_pg), (verify_2design, reference_verify_2design))
+    yield "verify_pg, verify_2design equal the references on the 135 structures on <= 3 points", (
+        len(small) == 135 and all(_outcome(verify, s) == _outcome(reference, s)
+                                  for s in small for verify, reference in pairs))
+    triples = IncidenceStructure(4, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+    got = _outcome(verify_pg, triples)
+    yield "verify_pg rejects the four triples of 4 points at axiom 2 like the reference", (
+        got == _outcome(reference_verify_pg, triples) and got[1] == {"axiom": 2, "witness": (0, 1)})
     text = to_json(build_affine_plane(17))
     yield "plane-17 (289 points, classed) JSON round trip", to_json(from_json(text)) == text
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())

@@ -1,15 +1,20 @@
-"""Seeded generator of small incidence structures for the property suite.
+"""Small incidence structures for the property suite.
 
-Starts from the bundled constructions, then perturbs: dropping, adding
-or rewriting blocks, reshuffling the group partition, or truncating to
-a random block subset.  Perturbed structures drop their parallel
-classes (the partition property rarely survives).  Everything is driven
-by one seeded RNG, so the sampled sequence is reproducible.
+random_structures starts from the bundled constructions, then perturbs:
+dropping, adding or rewriting blocks, reshuffling the group partition,
+or truncating to a random block subset.  Perturbed structures drop their
+parallel classes (the partition property rarely survives).  Everything
+is driven by one seeded RNG, so the sampled sequence is reproducible.
+
+block_lists enumerates every structure on v points, and equal_partitions
+every partition of v points into groups of one size, so that a verifier
+can be checked on all the small inputs there are.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from dsrg import (
     IncidenceStructure,
@@ -92,3 +97,32 @@ def random_structures(count: int, seed: int) -> list[IncidenceStructure]:
             s = mutated
         out.append(s)
     return out
+
+
+def block_lists(v: int, k: int | None = None):
+    """Every non-empty list of distinct non-empty blocks on the points
+    0..v-1, 2^(2^v - 1) - 1 of them, or, given k, of distinct k-point
+    blocks.  The blocks run in subset order: the sorted tuple of the set
+    bits of m, for m = 1, 2, ..., 2^v - 1."""
+    subsets = [tuple(p for p in range(v) if m >> p & 1) for m in range(1, 1 << v)]
+    if k is not None:
+        subsets = [b for b in subsets if len(b) == k]
+    for chosen in range(1, 1 << len(subsets)):
+        yield tuple(b for j, b in enumerate(subsets) if chosen >> j & 1)
+
+
+def equal_partitions(v: int):
+    """Every partition of the points 0..v-1 into groups of one size, each
+    group increasing and the groups in the order of their least points."""
+    def split(points: tuple[int, ...], size: int):
+        if not points:
+            yield ()
+            return
+        head, rest = points[0], points[1:]
+        for others in combinations(rest, size - 1):
+            left = tuple(p for p in rest if p not in others)
+            for tail in split(left, size):
+                yield ((head, *others), *tail)
+    for size in range(1, v + 1):
+        if v % size == 0:
+            yield from split(tuple(range(v)), size)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -126,6 +127,24 @@ def test_build_missing_flag_is_a_usage_error(capsys):
     assert err.value.code == 2
 
 
+def test_build_spec_refused_by_its_family_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["build", "--family", "gdd", "--l", "1", "--q", "3"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "dsrg: error: need l >= 2, q >= 2, m >= 1, got Gdd(l=1, q=3, m=1)\n")
+
+
+def test_build_edges_out_writes_the_edge_list(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    code, stdout, _ = run(capsys, "build", "--family", "gdd", "--l", "2", "--q", "2",
+                          "--edges-out", str(out))
+    assert (code, stdout) == (0, "(8, 4, 3, 1, 3) verified\n")
+    d = build_digraph(Gdd(2, 2))
+    assert out.read_text() == d.to_edge_list()
+    assert Digraph.from_edge_list(out.read_text()).rows == d.rows
+
+
 def test_build_refuses_a_graph_above_the_verification_cap_before_wiring(capsys, monkeypatch):
     # gdd(2,100) has 1,980,000 anti-flags; wiring them ran for minutes
     def no_wiring(structure):
@@ -182,6 +201,14 @@ def test_negative_budget_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["iso", "a.dgr", "b.dgr", "--budget", "-5"])
     assert err.value.code == 2
+
+
+def test_budget_flag_that_is_no_integer_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["iso", "a.dgr", "b.dgr", "--budget", "abc"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --budget: expected an integer, got 'abc'\n")
 
 
 def test_no_budget_is_read_from_the_environment_or_a_block_budget_flag(tmp_path, capsys,
@@ -617,16 +644,19 @@ def test_spectrum_cli_checks_the_dsrg_identities(capsys):
         "infeasible: degree_identity fails: k(k+mu-lambda)=9 vs t+(v-1)mu=1"
 
 
-def test_spectrum_cli_accepts_exactly_the_feasible_tuples(capsys):
-    # every tuple with v <= 8 inside the degree bounds, then seeded ones outside
+def _spectrum_grid():
+    """Every tuple with v <= 8 inside the degree bounds, then seeded ones outside."""
     grid = [(v, k, t, lam, mu) for v in range(1, 9)
             for k, t, lam, mu in itertools.product(range(v), repeat=4)
             if t <= k and lam < k and mu <= k]
     rng = random.Random(3)
-    grid += [tuple(rng.randrange(-1, 9) for _ in range(5)) for _ in range(100)]
+    return grid + [tuple(rng.randrange(-1, 9) for _ in range(5)) for _ in range(100)]
+
+
+def test_spectrum_cli_accepts_exactly_the_feasible_tuples(capsys):
     parser = build_parser()   # built once: main would build it per tuple
     accepted, waived = 0, set()
-    for raw in grid:
+    for raw in _spectrum_grid():
         code = cli.cmd_spectrum(parser.parse_args(["spectrum", *map(str, raw)]), parser)
         stdout = capsys.readouterr().out
         report = feasibility(*raw)
@@ -645,3 +675,20 @@ def test_spectrum_cli_accepts_exactly_the_feasible_tuples(capsys):
     # (8, 5, 4, 3, 3) has an integer spectrum, but its complement has lambda = -1
     assert accepted == 52
     assert waived == {(3, 1, 0, 0, 1), (5, 2, 2, 0, 1), (7, 3, 0, 1, 2)}
+
+
+def test_the_halves_are_integers_wherever_delta_is():
+    """delta^2 = (mu-lambda)^2 + 4(t-mu) makes delta = lambda-mu (mod 2), so
+    the spectrum needs no check that lambda-mu+delta is even; and the
+    numerators of m1 and m2 sum to delta(v-1), so one divisibility check
+    decides both."""
+    squares = 0
+    for v, k, t, lam, mu in _spectrum_grid():
+        disc = (mu - lam) ** 2 + 4 * (t - mu)
+        delta = math.isqrt(disc) if disc >= 0 else None
+        if delta is not None and delta * delta == disc:
+            assert (lam - mu + delta) % 2 == 0, (v, k, t, lam, mu)
+            theta1, theta2 = (lam - mu + delta) // 2, (lam - mu - delta) // 2
+            assert -(k + theta2 * (v - 1)) + (k + theta1 * (v - 1)) == delta * (v - 1)
+            squares += 1
+    assert squares == 897

@@ -644,6 +644,15 @@ def test_edge_list_refuses_a_loop_and_a_repeated_arc_at_their_lines():
     assert Digraph.from_edge_list("0 1\n1 0\n").rows == (2, 1)
 
 
+def test_edge_list_refuses_a_token_that_is_no_integer_and_a_negative_index():
+    for text, message in (("0 x\n", "line 1: expected integers, got '0 x'"),
+                          ("0 1\n1.0 0\n", "line 2: expected integers, got '1.0 0'"),
+                          ("0 1\n-1 0\n", "line 2: vertex indices must be nonnegative")):
+        with pytest.raises(FormatError) as err:
+            Digraph.from_edge_list(text)
+        assert str(err.value) == message, text
+
+
 def test_edge_list_refuses_an_index_at_the_cap_at_its_line():
     """The index is refused at its line, before any row is allocated.
 
@@ -756,6 +765,11 @@ def test_verify_complete_graph_is_degenerate():
 def test_verify_empty_graph_is_degenerate():
     with pytest.raises(DegenerateError):
         verify_dsrg(Digraph(3, (0, 0, 0)))
+
+
+def test_verify_needs_two_vertices():
+    with pytest.raises(ValueError, match="^need at least 2 vertices$"):
+        verify_dsrg(Digraph(1, (0,)))
 
 
 def test_verify_directed_3_cycle():

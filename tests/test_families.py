@@ -254,6 +254,8 @@ def test_unbuildable_families():
         build_digraph(ApPencils(2, 4))      # the order-2 plane has 3 pencils
     with pytest.raises(UnbuildableError):
         build_digraph(AffineResolvable(3, 2, 2))   # 3 is not a power of 2
+    with pytest.raises(UnbuildableError, match="^design has 7 parallel classes, asked for 8$"):
+        build_digraph(AffineResolvable(2, 2, 8))   # AG(3,2) has 7
     with pytest.raises(UnbuildableError):
         build_digraph(TwoDesignBack(9, 12, 3, 4, 1))
     with pytest.raises(NotPrimePowerError):

@@ -73,6 +73,11 @@ def test_identities_and_inverses(q):
             assert f.mul(a, f.inv(a)) == 1
 
 
+def test_zero_has_no_inverse():
+    with pytest.raises(ZeroDivisionError, match="^0 has no multiplicative inverse$"):
+        make_field(5).inv(0)
+
+
 @pytest.mark.parametrize("q", SMALL_ORDERS)
 def test_commutativity(q):
     f = make_field(q)

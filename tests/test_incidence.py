@@ -31,6 +31,7 @@ from dsrg import (
     verify_pg,
 )
 from dsrg import incidence
+from dsrg.incidence import DesignParams
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +357,29 @@ def test_verify_2design():
     assert (d.s, d.m_int) == (2, 2)
     with pytest.raises(NotTwoDesignError):
         verify_2design(build_gdd(2, 2))  # same-group pairs uncovered
+
+
+@pytest.mark.parametrize("verify,s,error,message", [
+    (verify_pg, IncidenceStructure(3, ()), NotPartialGeometryError,
+     "axiom 1 fails: no lines (witness None)"),
+    (verify_2design, IncidenceStructure(1, ((0,),)), NotTwoDesignError,
+     "need at least 2 points (witness None)"),
+    (verify_2design, IncidenceStructure(3, ()), NotTwoDesignError, "no blocks (witness None)"),
+    (verify_gdd, IncidenceStructure(2, ((0,), (1,)), groups=((0, 1),)), NotGroupDivisibleError,
+     "no cross-group pair exists (witness None)"),
+], ids=["pg-no-lines", "2design-one-point", "2design-no-blocks", "gdd-one-group"])
+def test_verifiers_refuse_degenerate_structures(verify, s, error, message):
+    with pytest.raises(error) as err:
+        verify(s)
+    assert str(err.value) == message
+
+
+def test_design_params_check_the_block_count_and_affine_identities():
+    assert DesignParams(9, 12, 3, 4, 1, s=3, m_int=1).m_int == 1
+    with pytest.raises(ValueError, match=r"^block-count identity fails for 2-\(9,11,3,4,1\)$"):
+        DesignParams(9, 11, 3, 4, 1)
+    with pytest.raises(ValueError, match=r"^affine identities fail: v=9, k=3, s=3, m=2$"):
+        DesignParams(9, 12, 3, 4, 1, s=3, m_int=2)
 
 
 def test_anti_flags():

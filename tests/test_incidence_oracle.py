@@ -8,10 +8,12 @@ each level of the shared kernel _graph_blocks equals its blocks computed
 point by point from the field tables;
 validation and the pg / 2-design / gdd verifiers must give the same result,
 or the same error class, message, axiom and witness, on the
-structuregen sample and on seeded mutants.  Hand-made structures pin
-the witnesses of verify_pg's per-line scans where the first line that
-fails, or the lowest line met twice, does not hold them, and
-verify_2design's intersection identity at its edge cases.
+structuregen sample, on seeded mutants and on every structure on at
+most 4 points (the gdd verifier under every partition into equal
+groups).  Hand-made structures pin the witnesses of verify_pg's axiom 2
+and 3 scans where the first line that fails, or the lowest line met
+twice, does not hold them, and verify_2design's intersection identity
+at its edge cases.
 Validation's set-based acceptance test (_fast_accepts) must accept no
 structure that the reference rejects, and must accept every builder
 output that carries parallel classes without the block loop.
@@ -51,7 +53,7 @@ from oracles import (
     reference_verify_gdd,
     reference_verify_pg,
 )
-from structuregen import random_structures
+from structuregen import block_lists, equal_partitions, random_structures
 
 
 PRIME_POWERS = [q for q in range(2, 65) if is_prime_power(q)]
@@ -710,3 +712,49 @@ def test_a_classed_structure_that_fails_lambda_raises_before_the_identity():
     got = outcome(verify_2design, s)
     assert got == outcome(reference_verify_2design, s)
     assert got[0] is NotTwoDesignError and got[1].startswith("pair occurs in")
+
+
+# ---------------------------------------------------------------------------
+# every structure on at most 4 points
+# ---------------------------------------------------------------------------
+
+# every structure on 1-4 points; then, to reach axioms 2 and 3, every
+# structure of 2- or 3-point blocks on 5 points and of 2-point blocks on 6
+SMALL = [(v, blocks) for v in range(1, 5) for blocks in block_lists(v)]
+UNIFORM = [(v, blocks) for v, k in ((5, 2), (5, 3), (6, 2)) for blocks in block_lists(v, k)]
+
+
+@pytest.mark.parametrize(
+    "verify,reference",
+    [(verify_pg, reference_verify_pg), (verify_2design, reference_verify_2design)],
+    ids=["verify_pg", "verify_2design"])
+def test_verifiers_match_reference_on_every_small_structure(verify, reference):
+    """The branches verify_pg and verify_2design leave to their docstrings'
+    proofs (no anti-flag, tau = 0, lambda = 0) cannot change an outcome."""
+    assert len(SMALL) == 32902
+    for v, blocks in SMALL + UNIFORM:
+        s = IncidenceStructure(v, blocks)
+        assert outcome(verify, s) == outcome(reference, s), s
+
+
+def test_the_uniform_structures_reach_every_pg_axiom():
+    got = {outcome(verify_pg, IncidenceStructure(v, blocks)) for v, blocks in UNIFORM}
+    assert {kind[2] if kind[0] != "ok" else "ok" for kind in got} == {"ok", 1, 2, 3}
+
+
+# each partition with its groups in the order of their least points, and
+# reversed, so that the group of point 0 comes last
+GROUPINGS = [(v, groups) for v in range(1, 5) for p in equal_partitions(v)
+             for groups in dict.fromkeys((p, p[::-1]))]
+
+
+@pytest.mark.parametrize("v,groups", GROUPINGS, ids=[str(g) for _, g in GROUPINGS])
+def test_verify_gdd_matches_reference_on_every_small_structure(v, groups):
+    for blocks in block_lists(v):
+        s = IncidenceStructure(v, blocks, groups=groups)
+        assert outcome(verify_gdd, s) == outcome(reference_verify_gdd, s), s
+
+
+def test_groupings_cover_every_partition_and_a_first_group_without_0():
+    assert len(GROUPINGS) == 1 + 3 + 3 + 9
+    assert (4, ((1, 2), (0, 3))) in GROUPINGS

@@ -17,6 +17,7 @@ from dsrg import (
     IsoResult,
     ISOMORPHIC,
     NOT_ISOMORPHIC,
+    OutOfBudgetError,
     SizeMismatchError,
     apply_mapping,
     are_isomorphic,
@@ -184,6 +185,11 @@ def test_budget_exceeded_is_reported():
     result = are_isomorphic(d1, d2, budget=1)
     assert result.status == BUDGET_EXCEEDED
     assert result.mapping is None
+
+
+def test_canonical_form_out_of_budget_raises():
+    with pytest.raises(OutOfBudgetError, match="^canonical labeling exceeded 0 nodes$"):
+        canonical_form(build_antiflag_forward(build_gdd(2, 2)), budget=0)
 
 
 def test_different_sizes():

@@ -6,7 +6,7 @@ from dsrg import (Digraph, DsrgError, DsrgParams, FeasibilityCheck, NotFeasibleE
                   TooLargeError, build_digraph, expected_params, feasibility, spectrum,
                   verify_dsrg)
 from dsrg.params import MAX_ENTRY
-from dsrg.families import catalog_instances
+from dsrg.families import Gdd, catalog_instances
 from oracles import small_digraphs
 
 # the integer_spectrum detail of a tuple accepted without an integer spectrum
@@ -58,6 +58,28 @@ def test_feasibility_refuses_entries_at_the_bound():
                             ((10 ** 2200,) * 5, "v", 7309)]:
         with pytest.raises(TooLargeError, match=rf"^{name} has {bits} bits; "):
             feasibility(*tup)
+
+
+def test_an_int_too_long_for_str_is_written_by_its_bit_length():
+    """The identity details and str() name such an int by its bit length;
+    feasibility, whose entries stay below MAX_ENTRY, writes every digit."""
+    big = 10 ** 2200
+    with pytest.raises(ValueError) as err:
+        DsrgParams(2 * big + 1, big, 0, big - 1, big)
+    assert str(err.value) == ("degree_identity fails: "
+                              "k(k+mu-lambda)=<14617-bit int> vs t+(v-1)mu=<14618-bit int>")
+    with pytest.raises(ValueError) as err:
+        DsrgParams(-(10 ** 5000), 3, 1, 0, 0)
+    assert str(err.value) == "nonnegative fails: entries (-<16610-bit int>, 3, 1, 0, 0)"
+    assert str(expected_params(Gdd(10000, 3))) == (
+        "(<15864-bit int>, <15863-bit int>, <15861-bit int>, <15861-bit int>, <15861-bit int>)")
+    # a conference-graph tuple: delta^2 = 2k + 1 is no square
+    k = 10 ** 4400
+    with pytest.raises(NotFeasibleError, match=r"^delta\^2=<14618-bit int>$"):
+        spectrum(DsrgParams(2 * k + 1, k, k, k // 2 - 1, k // 2))
+    x = MAX_ENTRY - 1
+    assert FeasibilityCheck("degree_bounds", False, f"need 0 <= t={x} <= k={x} < v={x}") \
+        in feasibility(x, x, x, x, x).checks
 
 
 def test_scaled():
