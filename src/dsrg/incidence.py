@@ -27,26 +27,28 @@ the same object is found by identity.  The class test compares every
 class with class 0's own point set, so on builder output each lookup
 is an identity hit.
 
-The verifiers hold a point's blocks as an int bitmask.  verify_pg works
-per point and per line, not per pair: it ORs each point's lines into
-coll(p), the points collinear with p.  Axiom 2 holds exactly when every
-|coll(p)| is 1 + rho(kappa - 1), one popcount per point, and axiom 3,
-once axiom 2 holds, is one bit-sliced sum (dsrg.planes) per line of the
-collinearity masks of its points, which counts the transversals of
-every anti-flag on that line.  verify_2design counts pairs as popcounts
-of two point masks (lambda) and reads the intersection size of
-non-parallel blocks from Bose's counting identity, with no block pairs
-at all.  Each docstring argues its identity, and proves the conditions
-that the checks before them already imply: past verify_pg's axiom 2,
-that point 0 is off some line (so the first anti-flag is (0, N)) and
-tau >= 1; past verify_2design's pair counts, that lambda >= 1.  A
-failure and its witness are those of the plain pair loops: verify_pg's
-axiom 2 runs the pair scan, in the order in which a pair count would
-first meet the pairs, once the count has found that a pair fails, and
-its axiom 3 names the failing anti-flag that comes first in anti_flags
-order.  verify_gdd walks the pairs of each block in block order for the
-same-group check and counts cross-group pairs as popcounts of the same
-masks.
+verify_pg works per point and per line, not per pair, on counts held in
+w-bit lanes of one int, w = max(kappa, rho).bit_length(): per point,
+one sum() of the lanes of its lines counts the lines through it and
+each other point, so axiom 2 is one AND per point, and that row is then
+coll(p), the points collinear with p.  Axiom 3 is one sum() per line of
+the rows of its points, which counts the transversals of every
+anti-flag on that line, and one int compare; the verify_pg docstring
+gives the lane rule and its measured cost.  The other verifiers hold a
+point's blocks as an int bitmask: verify_2design counts pairs as
+popcounts of two point masks (lambda) and reads the intersection size
+of non-parallel blocks from Bose's counting identity, with no block
+pairs at all.  Each docstring argues its identity, and proves the
+conditions that the checks before them already imply: past verify_pg's
+axiom 2, that point 0 is off some line (so the first anti-flag is (0,
+N)) and tau >= 1; past verify_2design's pair counts, that lambda >= 1.
+A failure and its witness are those of the plain pair loops:
+verify_pg's axiom 2 runs the pair scan, in the order in which a pair
+count would first meet the pairs, once the count has found that a pair
+fails, and its axiom 3 names the failing anti-flag that comes first in
+anti_flags order.  verify_gdd walks the pairs of each block in block
+order for the same-group check and counts cross-group pairs as
+popcounts of the same masks.
 
 Validation runs on every structure, builder output included; the
 docstring of IncidenceStructure._validate argues its acceptance test.
@@ -75,7 +77,7 @@ from .errors import (
     TooLargeError,
 )
 from .ffield import make_field
-from .planes import _count, _differ, _low_bit, _value_planes, _weighted_sum
+from .planes import _low_bit
 
 DEFAULT_BLOCK_BUDGET = 10 ** 6
 # points and point-block incidences a hyperplane design may hold; (8, 4)
@@ -179,12 +181,15 @@ class IncidenceStructure:
         raise TypeError, which the test reads as False.  With n points in n
         block slots, the blocks of a class are disjoint and repeat no point,
         so each block lies in range and, being sorted, is strictly
-        increasing, and each class covers 0..n-1 once.  A structure without
-        classes, or one the test does not accept, is scanned block by block
-        (_check_blocks), then class by class with the same set differences
-        (_check_classes), so the first failure is named: past the block scan
-        every point hashes and compares with ints, and a class's n slots
-        then cover 0..n-1 exactly when they sort to 0..n-1.  The group
+        increasing, and each class covers 0..n-1 once.  The test does not
+        look at types, so it accepts a point equal to its int (1.0, True):
+        refusing one would cost a type scan of every incidence.  A structure
+        without classes, or one the test does not accept, is scanned block
+        by block (_check_blocks), which refuses a point that is not an int,
+        then class by class with the same set differences (_check_classes),
+        so the first failure is named: past the block scan every point is
+        an int in range, and a class's n slots then cover 0..n-1 exactly
+        when they sort to 0..n-1.  The group
         checks run in either case, between the two scans.  A point count
         that is not an int (a float, a bool, NaN) is a TypeError before
         any block is read.
@@ -221,14 +226,17 @@ class IncidenceStructure:
 
 def _check_blocks(n: int, blocks) -> None:
     """Raise ValueError at the first empty, out-of-range, unsorted or repeated
-    block (or the TypeError of the scan over points that do not compare).
-    A point is in range when p < 0 is false and p < n is true, so NaN,
-    which compares false both ways, is outside."""
+    block, or TypeError at the first block holding a point that is not an
+    int (isinstance, so a bool passes as 0 or 1), which is tested before
+    the range.  A float, NaN included, is such a point."""
     seen = set()
     for i, b in enumerate(blocks):
         if not b:
             raise ValueError(f"block {i} is empty")
-        if any(p < 0 or not p < n for p in b):
+        if any(not isinstance(p, int) or p < 0 or not p < n for p in b):
+            odd = [p for p in b if not isinstance(p, int)]
+            if odd:
+                raise TypeError(f"block {i} holds {odd[0]!r}, which is not an int")
             raise ValueError(f"block {i} has a point outside 0..{n - 1}")
         if any(map(ge, b, b[1:])):
             raise ValueError(f"block {i} is not strictly increasing")
@@ -477,22 +485,38 @@ def verify_pg(s: IncidenceStructure) -> PgParams:
     Raises NotPartialGeometryError naming the first violated axiom.
 
     Both pair axioms are read from coll(p), the set of points collinear
-    with p (p included).  Axiom 2: the rho lines through p hold rho(kappa
-    - 1) points other than p, counted with multiplicity, so the sum over
-    q != p of lambda(p, q), the number of lines through p and q, is
-    rho(kappa - 1), while |coll(p)| - 1 counts the q with lambda(p, q) >=
-    1.  So |coll(p)| = 1 + rho(kappa - 1) at every p exactly when no two
-    points share two lines, and only when the count fails does the pair
-    scan run, to name the first pair in pair order.  Axiom 3: once axiom
-    2 holds, a line M through a point p off a line L meets L in at most
-    one point (two would make M = L, which misses p), and two lines
-    through p cannot meet L in the same point q (they would share p and
-    q).  So the lines through p that meet L are the lines from p to the
-    points of L collinear with p, one per point: crossing(p, L) = |L &
-    coll(p)|.  For each line L, the bit-sliced sum of coll(q) over the
-    points q of L holds crossing(p, L) at every p off L.  tau is read at
-    the first anti-flag, and the witness is the least failing (p, L), the
-    anti-flag that comes first in anti_flags order.
+    with p (p included), and from lambda(p, q), the number of lines
+    through p and q.  Axiom 3: once axiom 2 holds, a line M through a
+    point p off a line L meets L in at most one point (two would make M
+    = L, which misses p), and two lines through p cannot meet L in the
+    same point q (they would share p and q).  So the lines through p
+    that meet L are the lines from p to the points of L collinear with
+    p, one per point: crossing(p, L) = |L & coll(p)|.  The sum of coll(q)
+    over the points q of L therefore holds crossing(p, L) at every p off
+    L, and kappa at every p on L.  tau is read at the first anti-flag,
+    and the witness is the least failing (p, L), the anti-flag that
+    comes first in anti_flags order.  When axiom 2 fails, the pair scan
+    runs to name the first pair in pair order.
+
+    The counts live in w-bit lanes of one int, w = max(kappa,
+    rho).bit_length(), lane q at bits w.q on: no count below exceeds
+    max(kappa, rho), so no lane carries into the next and a vector sum
+    is one C-level sum().  The row T[p], the sum of the lanes of the
+    lines through p minus (rho - 1) at lane p, holds lambda(p, q) at
+    lane q != p and 1 at lane p.  Axiom 2 holds exactly when no lane of
+    any T[p] exceeds 1, one AND per point with the high bits of every
+    lane, and T[p] is then coll(p) in lanes.  Axiom 3 is one sum of T[q]
+    over the points q of each line L, compared with tau.J + (kappa -
+    tau).lanes(L), J the all-ones lanes; the lowest differing lane over
+    all lines names p, the first line wins a tie, and the count is read
+    from the sum of the witness line, the only one kept.  The n rows
+    take n.n.w bits, w times as much as n point masks.  Against the bit
+    planes of dsrg.planes (coll(p) the OR of p's line masks, axiom 2 one
+    popcount per point, axiom 3 one bit-sliced sum per line) lanes took
+    AG(2,q), 4 <= q <= 16, in 0.4 of the time, AG(2,32) (6 bits) in 0.97
+    and AG(2,64) (7 bits) in 2.4 times, as every add moves w times the
+    bits.  No workload verifies a plane past q = 16, so one form serves
+    every width.
 
     Past axiom 2, the first anti-flag is (0, N) for the least line N off
     point 0, and tau >= 1, so neither needs a check.  Point 0 lies on a
@@ -508,35 +532,39 @@ def verify_pg(s: IncidenceStructure) -> PgParams:
     kappa = _uniform(list(map(len, s.blocks)), axiom_1, "line sizes differ: {} != {}")
     if kappa < 2:
         raise NotPartialGeometryError(1, 0, f"line size {kappa} < 2")
-    on = _point_masks(s)
-    rho = _uniform(list(map(int.bit_count, on)), axiom_1, "point degrees differ: {} != {}")
+    at = s.point_to_blocks()
+    rho = _uniform(list(map(len, at)), axiom_1, "point degrees differ: {} != {}")
     if rho < 2:
         raise NotPartialGeometryError(1, 0, f"point degree {rho} < 2")
-    points = [sum(map((1).__lshift__, b)) for b in s.blocks]
-    coll = [0] * s.num_points
-    for b, line in zip(s.blocks, points):
-        for p in b:
-            coll[p] |= line
-    reach = 1 + rho * (kappa - 1)
-    if any(c.bit_count() != reach for c in coll):
-        # the pairs in the order they first occur on a line
+    n = s.num_points
+    w = max(kappa, rho).bit_length()
+    unit = [1 << w * p for p in range(n)]
+    one = (1 << w) - 1
+    every = sum(unit)
+    high = every * (one - 1)   # the bits of every lane but its lowest
+    lanes = [sum(map(unit.__getitem__, b)) for b in s.blocks]
+    # T[p]: lane q holds the lines through p and q, lane p holds 1
+    rows = [sum(map(lanes.__getitem__, lines), (1 - rho) * e) for e, lines in zip(unit, at)]
+    if any(map(high.__and__, rows)):
+        on = _point_masks(s)   # the pairs in the order they first occur on a line
         for x, y in chain.from_iterable(map(combinations, s.blocks, repeat(2))):
             c = (on[x] & on[y]).bit_count()
             if c > 1:
                 raise NotPartialGeometryError(2, (x, y), f"points share {c} lines")
-    tau = (coll[0] & points[_low_bit(~on[0])]).bit_count()
-    want = _value_planes([(tau, (1 << s.num_points) - 1)], tau.bit_length())
+    first_off = _low_bit(~sum(map((1).__lshift__, at[0])))   # the least line off point 0
+    tau = sum(map(rows.__getitem__, s.blocks[first_off])) & one
+    base = tau * every
     witness = None
-    for i, (b, line) in enumerate(zip(s.blocks, points)):
-        sums = _weighted_sum(zip(repeat(1), map(coll.__getitem__, b)))
-        bad = _differ(sums, want) & ~line
-        if bad and (witness is None or _low_bit(bad) < witness[0]):
-            witness = (_low_bit(bad), i, sums)
-    if witness is not None:
-        p, i, sums = witness
-        raise NotPartialGeometryError(
-            3, (p, i), f"anti-flag sees {_count(sums, p)} lines, expected {tau}")
-    return PgParams(kappa, rho, tau)
+    for i, (b, lane) in enumerate(zip(s.blocks, lanes)):
+        got = sum(map(rows.__getitem__, b))
+        bad = got ^ (base + (kappa - tau) * lane)
+        if bad and (witness is None or _low_bit(bad) // w < witness[0]):
+            witness = (_low_bit(bad) // w, i, got)
+    if witness is None:
+        return PgParams(kappa, rho, tau)
+    p, i, got = witness
+    raise NotPartialGeometryError(
+        3, (p, i), f"anti-flag sees {(got >> w * p) & one} lines, expected {tau}")
 
 
 def verify_gdd(s: IncidenceStructure) -> GddParams:

@@ -9,8 +9,8 @@ stacks are compared, or a constant is matched, position by position
 with one xor per plane.  Taking a stack from a larger one is a ripple
 borrow, the mirror of the carry.  The DSRG verifier holds the rows of
 A^2 this way, and may reach one row from another by adding and taking
-away the few terms in which they differ; the partial-geometry verifier
-holds, per line, how many of its points each point is collinear with.
+away the few terms in which they differ.  The partial-geometry
+verifier counts in lanes of one int instead; its docstring says why.
 """
 
 from __future__ import annotations

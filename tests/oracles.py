@@ -762,7 +762,8 @@ def reference_mul_inv_tables(p: int, e: int):
 def reference_validate(num_points, blocks, groups=None, parallel_classes=None):
     """IncidenceStructure's first _validate on plain arguments; raises or returns None.
     A point count that is not an int (a float, a bool, NaN) is a TypeError
-    before any block is read."""
+    before any block is read, and so is a point that is not an int
+    (isinstance: a bool passes) before its block's range test."""
     n = num_points
     if type(n) is not int:
         raise TypeError(f"point count {n!r} is not an int")
@@ -772,7 +773,10 @@ def reference_validate(num_points, blocks, groups=None, parallel_classes=None):
     for i, b in enumerate(blocks):
         if not b:
             raise ValueError(f"block {i} is empty")
-        if any(p < 0 or not p < n for p in b):   # NaN is outside
+        for p in b:
+            if not isinstance(p, int):
+                raise TypeError(f"block {i} holds {p!r}, which is not an int")
+        if any(p < 0 or not p < n for p in b):
             raise ValueError(f"block {i} has a point outside 0..{n - 1}")
         if any(b[j] >= b[j + 1] for j in range(len(b) - 1)):
             raise ValueError(f"block {i} is not strictly increasing")

@@ -35,10 +35,11 @@ AG(3,3) and the one-factorization of K6 against oracles.py's pair-by-pair
 reference_verify_pg and reference_verify_2design, and so on every
 structure on at most 3 points (structuregen.py's block_lists), rejects
 the four triples of 4 points, whose pairs each lie on two lines, at
-axiom 2 with the reference's witness, refuses a
-NaN point as outside the point range, round-trips the affine plane of
-order 17 (289 points, with parallel classes) through JSON byte for
-byte, checks catalog_instances(500) against oracles.py's written-out
+axiom 2 with the reference's witness, runs verify_pg on the affine
+planes of order 2-9 and rejects the grid beside the dual of K4 at axiom
+3 like the reference, refuses a NaN point as not an int, round-trips
+the affine plane of order 17 (289 points, with parallel classes)
+through JSON byte for byte, checks catalog_instances(500) against oracles.py's written-out
 reference_catalog_instances, refuses a float row alike through
 Digraph(n, rows) and Digraph._from_runs, a bool vertex count, a float
 DsrgParams entry and a feasibility entry of 5001 digits (TooLargeError),
@@ -227,12 +228,9 @@ def checks():
     yield "gdd(2,3) group-divisible mutants rejected like the reference", all(
         _rejection(verify_gdd, m) is not None
         and _rejection(verify_gdd, m) == _rejection(reference_verify_gdd, m) for m in mutants)
-    try:
-        IncidenceStructure(3, ((float("nan"), 1), (0, 2)))
-        refused = ""
-    except ValueError as exc:
-        refused = str(exc)
-    yield "a NaN point is refused as outside 0..n-1", refused == "block 0 has a point outside 0..2"
+    yield "a NaN point is refused as not an int", (
+        _refusal(lambda: IncidenceStructure(3, ((float("nan"), 1), (0, 2))))
+        == (TypeError, "block 0 holds nan, which is not an int"))
     plane = build_affine_plane(5)
     for name, s in (("AG(2,5)", plane), ("AG(2,5) l=2", restrict_parallel_classes(plane, 2))):
         yield f"verify_pg {name} equals the reference", (
@@ -249,6 +247,15 @@ def checks():
     got = _outcome(verify_pg, triples)
     yield "verify_pg rejects the four triples of 4 points at axiom 2 like the reference", (
         got == _outcome(reference_verify_pg, triples) and got[1] == {"axiom": 2, "witness": (0, 1)})
+    yield "verify_pg AG(2,q), q = 2, 3, 4, 5, 7, 8, 9, gives (q, q+1, q)", all(
+        verify_pg(build_affine_plane(q)) == (q, q + 1, q) for q in (2, 3, 4, 5, 7, 8, 9))
+    # the 3x3 grid (tau 1) beside the dual of K4 (tau 2): axiom 3 fails at (0, 6)
+    grid_k4 = IncidenceStructure(15, (
+        (0, 1, 2), (0, 3, 6), (1, 4, 7), (2, 5, 8), (3, 4, 5), (6, 7, 8),
+        (9, 10, 11), (9, 12, 13), (10, 12, 14), (11, 13, 14)))
+    got = _outcome(verify_pg, grid_k4)
+    yield "verify_pg rejects the grid beside the dual K4 at axiom 3 like the reference", (
+        got == _outcome(reference_verify_pg, grid_k4) and got[1] == {"axiom": 3, "witness": (0, 6)})
     text = to_json(build_affine_plane(17))
     yield "plane-17 (289 points, classed) JSON round trip", to_json(from_json(text)) == text
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())

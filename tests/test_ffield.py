@@ -32,6 +32,11 @@ def test_gf4_nonzero_elements_form_a_3_cycle():
     assert orbit == {1, 2, 3}
 
 
+def test_repr_names_the_field_and_not_its_tables():
+    assert repr(make_field(4)) == "FiniteField(q=4, p=2, e=2, modulus=(1, 1, 1))"
+    assert repr(make_field(5)) == "FiniteField(q=5, p=5, e=1, modulus=(0, 1))"
+
+
 def test_rejects_non_prime_powers():
     for q in (0, 1, 6, 10, 12, 100):
         with pytest.raises(NotPrimePowerError):

@@ -71,6 +71,20 @@ def test_empty_message():
         IncidenceStructure(3, ((0,), ()))
 
 
+def test_a_point_that_is_not_an_int_is_refused_before_the_range_test():
+    """Without parallel classes every block meets the type test; a bool
+    passes it, as isinstance counts it an int."""
+    with pytest.raises(TypeError) as info:
+        IncidenceStructure(3, ((0, 1.0), (1, 2)))
+    assert str(info.value) == "block 0 holds 1.0, which is not an int"
+    with pytest.raises(TypeError) as info:
+        IncidenceStructure(3, ((0, 1), (0.5, 5)))
+    assert str(info.value) == "block 1 holds 0.5, which is not an int"
+    with pytest.raises(ValueError, match=r"^block 0 has a point outside 0\.\.2$"):
+        IncidenceStructure(3, ((0, 5), (0.5, 1)))
+    assert IncidenceStructure(3, ((False, True), (1, 2))).blocks == ((0, 1), (1, 2))
+
+
 def test_rejects_bad_groups_and_classes():
     with pytest.raises(ValueError):
         IncidenceStructure(4, ((0, 1),), groups=((0, 1), (2,)))
@@ -112,6 +126,18 @@ def test_gdd_budget_guard(monkeypatch):
     monkeypatch.setattr(incidence, "DEFAULT_BLOCK_BUDGET", 100)
     with pytest.raises(OutOfBudgetError):
         build_gdd(3, 7)
+
+
+@pytest.mark.parametrize("build,args,message", [
+    (build_gdd, (1, 3), "need at least 2 groups, got 1"),
+    (build_gdd, (2, 1), "need group size at least 2, got 1"),
+    (build_partition_structure, (0, 2), "need block size at least 1, got 0"),
+    (build_partition_structure, (2, 1), "need at least 2 blocks, got 1"),
+], ids=["gdd-l", "gdd-q", "partition-q", "partition-l"])
+def test_builders_refuse_too_few_groups_or_points(build, args, message):
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 @pytest.mark.parametrize("q,l", [(2, 2), (2, 3), (3, 3), (2, 4)])
@@ -426,6 +452,12 @@ def test_json_errors():
         from_json('{"points": 3, "blocks": [[0, 0]]}')
 
 
+def test_json_refuses_a_block_that_is_not_a_list():
+    with pytest.raises(FormatError) as info:
+        from_json('{"points": 3, "blocks": [1, 2]}')
+    assert (info.value.line, str(info.value)) == (1, "line 1: 'int' object is not iterable")
+
+
 @pytest.mark.parametrize("doc,message", [
     ('{"points": 3, "blocks": [[0, 1], [0.5, 2]]}', "block 1 holds 0.5, which is not an int"),
     ('{"points": 3, "blocks": [[NaN, 1], [0, 2]]}', "block 0 holds nan, which is not an int"),
@@ -441,8 +473,8 @@ def test_json_errors():
 ])
 def test_json_refuses_a_point_that_is_not_an_int(doc, message, monkeypatch):
     """Refused before the structure is built: IncidenceStructure is replaced
-    by a stub that fails.  Validation alone reads 0.5, 2.0 and True as
-    points in range."""
+    by a stub that fails.  Validation alone would refuse 0.5 and 2.0 with
+    a TypeError, but reads True as the point 1."""
     def refuse(*args, **kwargs):
         raise AssertionError("structure built")
     monkeypatch.setattr(incidence, "IncidenceStructure", refuse)

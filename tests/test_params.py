@@ -129,6 +129,10 @@ def test_spectrum_invariants_enforced():
         Spectrum(4, -2, 0, 2, m0=1, m1=5, m2=2)     # theta1 <= theta2
     with pytest.raises(ValueError):
         Spectrum(4, 1, -2, 3, m0=1, m1=5, m2=2)     # trace != 0
+    for delta in (0, -3):
+        with pytest.raises(ValueError) as info:
+            Spectrum(4, 1, -2, delta, m0=1, m1=4, m2=4)
+        assert type(info.value) is ValueError and str(info.value) == "delta must be positive"
 
 
 def test_infeasible_delta():
