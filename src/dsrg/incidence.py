@@ -27,28 +27,9 @@ the same object is found by identity.  The class test compares every
 class with class 0's own point set, so on builder output each lookup
 is an identity hit.
 
-verify_pg works per point and per line, not per pair, on counts held in
-w-bit lanes of one int, w = max(kappa, rho).bit_length(): per point,
-one sum() of the lanes of its lines counts the lines through it and
-each other point, so axiom 2 is one AND per point, and that row is then
-coll(p), the points collinear with p.  Axiom 3 is one sum() per line of
-the rows of its points, which counts the transversals of every
-anti-flag on that line, and one int compare; the verify_pg docstring
-gives the lane rule and its measured cost.  The other verifiers hold a
-point's blocks as an int bitmask: verify_2design counts pairs as
-popcounts of two point masks (lambda) and reads the intersection size
-of non-parallel blocks from Bose's counting identity, with no block
-pairs at all.  Each docstring argues its identity, and proves the
-conditions that the checks before them already imply: past verify_pg's
-axiom 2, that point 0 is off some line (so the first anti-flag is (0,
-N)) and tau >= 1; past verify_2design's pair counts, that lambda >= 1.
-A failure and its witness are those of the plain pair loops:
-verify_pg's axiom 2 runs the pair scan, in the order in which a pair
-count would first meet the pairs, once the count has found that a pair
-fails, and its axiom 3 names the failing anti-flag that comes first in
-anti_flags order.  verify_gdd walks the pairs of each block in block
-order for the same-group check and counts cross-group pairs as
-popcounts of the same masks.
+verify_pg and verify_2design count pairs per point, in the w-bit lanes
+of _lane_rows, not per pair; each verifier's docstring argues its
+identities, its witness (that of the plain pair loop) and its cost.
 
 Validation runs on every structure, builder output included; the
 docstring of IncidenceStructure._validate argues its acceptance test.
@@ -476,6 +457,15 @@ def _uniform(values: list[int], error, message: str) -> int:
     return first
 
 
+def _lane_rows(s: IncidenceStructure, at: list[list[int]], w: int, drop: int):
+    """(J, lanes, rows) in w-bit lanes, lane q at bits w.q on: J all ones,
+    lanes[i] block i's points, rows the lazy T[p], the sum of the lanes of
+    at[p] less drop at lane p, whose lane q != p counts p and q's blocks."""
+    unit = [1 << w * p for p in range(s.num_points)]
+    lanes = [sum(map(unit.__getitem__, b)) for b in s.blocks]
+    return sum(unit), lanes, (sum(map(lanes.__getitem__, b), -drop * e) for e, b in zip(unit, at))
+
+
 def verify_pg(s: IncidenceStructure) -> PgParams:
     """Check the three partial-geometry axioms; return (kappa, rho, tau).
 
@@ -498,25 +488,18 @@ def verify_pg(s: IncidenceStructure) -> PgParams:
     comes first in anti_flags order.  When axiom 2 fails, the pair scan
     runs to name the first pair in pair order.
 
-    The counts live in w-bit lanes of one int, w = max(kappa,
-    rho).bit_length(), lane q at bits w.q on: no count below exceeds
-    max(kappa, rho), so no lane carries into the next and a vector sum
-    is one C-level sum().  The row T[p], the sum of the lanes of the
-    lines through p minus (rho - 1) at lane p, holds lambda(p, q) at
-    lane q != p and 1 at lane p.  Axiom 2 holds exactly when no lane of
-    any T[p] exceeds 1, one AND per point with the high bits of every
-    lane, and T[p] is then coll(p) in lanes.  Axiom 3 is one sum of T[q]
-    over the points q of each line L, compared with tau.J + (kappa -
-    tau).lanes(L), J the all-ones lanes; the lowest differing lane over
-    all lines names p, the first line wins a tie, and the count is read
-    from the sum of the witness line, the only one kept.  The n rows
-    take n.n.w bits, w times as much as n point masks.  Against the bit
-    planes of dsrg.planes (coll(p) the OR of p's line masks, axiom 2 one
-    popcount per point, axiom 3 one bit-sliced sum per line) lanes took
-    AG(2,q), 4 <= q <= 16, in 0.4 of the time, AG(2,32) (6 bits) in 0.97
-    and AG(2,64) (7 bits) in 2.4 times, as every add moves w times the
-    bits.  No workload verifies a plane past q = 16, so one form serves
-    every width.
+    The counts are _lane_rows' lanes, w = max(kappa, rho).bit_length():
+    no count below exceeds max(kappa, rho), so no lane carries into the
+    next.  T[p], less rho - 1 at lane p, holds lambda(p, q) at lane q != p
+    and 1 at lane p.  Axiom 2 holds exactly when no lane of any T[p]
+    exceeds 1, one AND per point with the high bits of every lane, and
+    T[p] is then coll(p) in lanes.  Axiom 3 is one sum of T[q] over the
+    points q of each line L, compared with tau.J + (kappa - tau).lanes(L);
+    the lowest differing lane over all lines names p, the first line wins
+    a tie, and the count is read from the sum of the witness line, the
+    only one kept.  The n rows take w times the bits of n point masks;
+    against bit planes, lanes took 0.4 of the time on AG(2,q), 4 <= q <=
+    16, and 2.4 times on AG(2,64), w = 7 (BENCH_pg_lanes.json).
 
     Past axiom 2, the first anti-flag is (0, N) for the least line N off
     point 0, and tau >= 1, so neither needs a check.  Point 0 lies on a
@@ -536,15 +519,11 @@ def verify_pg(s: IncidenceStructure) -> PgParams:
     rho = _uniform(list(map(len, at)), axiom_1, "point degrees differ: {} != {}")
     if rho < 2:
         raise NotPartialGeometryError(1, 0, f"point degree {rho} < 2")
-    n = s.num_points
     w = max(kappa, rho).bit_length()
-    unit = [1 << w * p for p in range(n)]
     one = (1 << w) - 1
-    every = sum(unit)
+    every, lanes, rows = _lane_rows(s, at, w, rho - 1)
+    rows = list(rows)   # lane p holds 1
     high = every * (one - 1)   # the bits of every lane but its lowest
-    lanes = [sum(map(unit.__getitem__, b)) for b in s.blocks]
-    # T[p]: lane q holds the lines through p and q, lane p holds 1
-    rows = [sum(map(lanes.__getitem__, lines), (1 - rho) * e) for e, lines in zip(unit, at)]
     if any(map(high.__and__, rows)):
         on = _point_masks(s)   # the pairs in the order they first occur on a line
         for x, y in chain.from_iterable(map(combinations, s.blocks, repeat(2))):
@@ -571,7 +550,8 @@ def verify_gdd(s: IncidenceStructure) -> GddParams:
     """Check the group-divisible pair conditions; return (l, q, pair_index).
 
     Same-group pairs must lie in no block; cross-group pairs in a
-    constant positive number of blocks.
+    constant positive number of blocks.  Lane rows lost on few points
+    with many blocks (gdd(2,8) 0.05 -> 0.07 ms, gdd(3,16) 3.9 -> 4.4 ms).
     """
     if s.groups is None:
         raise NotGroupDivisibleError(None, "structure has no group partition")
@@ -610,20 +590,33 @@ def verify_2design(s: IncidenceStructure) -> DesignParams:
     """Check constant block size, replication and pair count.
 
     When parallel classes are present, also report blocks-per-class s
-    and, if constant, the intersection size m_int of non-parallel blocks.
-    m_int comes from Bose's counting identity (Sankhya 6, 1942), not from
-    the block pairs.  Each class partitions the points into s = v/k
-    blocks, so a block B meets N = b - s blocks off its class, and the
-    sizes x of these meets count, over the points of B and over the
-    ordered pairs of its points, the blocks other than B through them:
-    sum x = k(r - 1) and sum x^2 = k(r - 1) + k(k - 1)(lambda - 1), the
-    same for every block.  By Cauchy-Schwarz, N * sum x^2 >= (sum x)^2,
-    with equality iff every x is the mean, so the meets all have one
-    size m = sum x / N exactly when equality holds (and N > 0).
+    and, if constant, the intersection size m_int of non-parallel blocks,
+    from Bose's counting identity (Sankhya 6, 1942), not the block pairs.
+    Each class partitions the points into s = v/k blocks, so a block B
+    meets N = b - s blocks off its class, and the sizes x of these meets
+    count, over the points of B and over the ordered pairs of its points,
+    the blocks other than B through them: sum x = k(r - 1) and sum x^2 =
+    k(r - 1) + k(k - 1)(lambda - 1), the same for every block.  By
+    Cauchy-Schwarz, N * sum x^2 >= (sum x)^2, with equality iff every x
+    is the mean, so the meets have one size m = sum x / N exactly when
+    equality holds (and N > 0).
 
     lambda, read from the pair (0, 1), is at least 1 once every pair
-    count equals it: a block exists and holds k >= 2 points, so some
-    pair lies in a block, and a lambda of 0 would fail at that pair.
+    count equals it, as a block holds k >= 2 points.  The pair counts are
+    _lane_rows' lanes, w = r.bit_length(): no count exceeds r < 2^w, so
+    no lane carries, and each row T[p], less r - lambda at lane p, must
+    equal lambda.J.  The rows are built one at a time, so a rejection
+    stops at the first failing row p; its lowest differing lane q is the
+    pair loop's witness (p, q), as each (q, p) with q < p passed at row
+    q.  The v.r row adds move 2.w.k/v times the bits of the v(v-1)/2
+    ANDs of point masks that they replace, so lanes win on planes and
+    lose where w.k > v, as on AG(4,7) and, by about a tenth, AG(4,4);
+    their fixed cost makes planes up to q = 5 a few microseconds slower.
+    No pair loop is kept for those: no workload metric shows the loss,
+    and it is the cost of one path.  The b lanes and v units of up to
+    v.w bits each hold about (b + v/2).v.w/8 bytes, against b.v/8 for
+    point masks; the traced peak on AG(3,16) was 40 MiB
+    (BENCH_2design_lanes.json).
     """
     if s.num_points < 2:
         raise NotTwoDesignError(None, "need at least 2 points")
@@ -632,19 +625,18 @@ def verify_2design(s: IncidenceStructure) -> DesignParams:
     k = _uniform(list(map(len, s.blocks)), NotTwoDesignError, "block sizes differ: {} != {}")
     if k < 2:
         raise NotTwoDesignError(0, f"block size {k} < 2")
-    on = _point_masks(s)
-    r = _uniform(list(map(int.bit_count, on)), NotTwoDesignError, "replication differs: {} != {}")
-    lam = (on[0] & on[1]).bit_count()
-    for a in range(s.num_points - 1):
-        on_a = on[a]
-        counts = [(on_a & on_b).bit_count() for on_b in on[a + 1:]]
-        if counts.count(lam) != len(counts):
-            b, c = next((b, c) for b, c in enumerate(counts, a + 1) if c != lam)
+    at = s.point_to_blocks()
+    r = _uniform(list(map(len, at)), NotTwoDesignError, "replication differs: {} != {}")
+    lam = len(set(at[0]).intersection(at[1]))
+    w = r.bit_length()
+    every, _, rows = _lane_rows(s, at, w, r - lam)
+    want = lam * every
+    for p, row in enumerate(rows):
+        if row != want:
+            q = _low_bit(row ^ want) // w
             raise NotTwoDesignError(
-                (a, b), f"pair occurs in {c} blocks, expected {lam}")
-
-    s_count = None
-    m_int = None
+                (p, q), f"pair occurs in {(row >> w * q) & ((1 << w) - 1)} blocks, expected {lam}")
+    s_count = m_int = None
     if s.parallel_classes is not None:
         s_count = len(s.parallel_classes[0])
         # Bose's count: the sizes x of B's meets with the blocks off its class

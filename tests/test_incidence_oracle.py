@@ -15,7 +15,8 @@ and 3 scans where the first line that fails, or the lowest line met
 twice, does not hold them, and verify_2design's intersection identity
 at its edge cases.  verify_pg must match its reference on disjoint
 unions of two nets of one affine plane, and on nets whose counts fill
-their lanes.
+their lanes.  verify_2design's lane rows must hold pair counts up to r
+and name the pair loop's first failing pair.
 Validation's set-based acceptance test (_fast_accepts) must accept no
 structure that the reference rejects, save a float or Fraction point
 equal to an int (the known gap of ROADMAP item 12), and must accept
@@ -26,7 +27,7 @@ loop.
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -36,6 +37,7 @@ from dsrg import (
     NotTwoDesignError,
     anti_flags,
     build_affine_plane,
+    build_fano,
     build_gdd,
     build_hyperplane_design,
     build_partition_structure,
@@ -834,3 +836,64 @@ def test_verify_gdd_matches_reference_on_every_small_structure(v, groups):
 def test_groupings_cover_every_partition_and_a_first_group_without_0():
     assert len(GROUPINGS) == 1 + 3 + 3 + 9
     assert (4, ((1, 2), (0, 3))) in GROUPINGS
+
+
+# ---------------------------------------------------------------------------
+# verify_2design's lane rows
+# ---------------------------------------------------------------------------
+
+def _twins(s, apart):
+    """s with every point p doubled into two points on p's blocks, so each
+    twin pair lies on r blocks: twins (2p, 2p + 1), or, apart, (p, p + v)."""
+    v = s.num_points
+    pair = (lambda p: (p, p + v)) if apart else (lambda p: (2 * p, 2 * p + 1))
+    return IncidenceStructure(2 * v, tuple(tuple(sorted(x for p in b for x in pair(p)))
+                                           for b in s.blocks))
+
+
+# (structure, witness, message): the Fano plane and AG(2,2), r = 3 = 2^2 - 1;
+# their twins, whose twin pairs reach r = 3, the most a 2-bit lane holds;
+# and the twins of AG(2,3), whose twin pairs reach r = 4 = 2^2, which 2-bit
+# lanes, w = (r - 1).bit_length(), would carry into the next lane
+LANE_MAXIMA = [
+    (build_fano(), None, None),
+    (build_affine_plane(2), None, None),
+    (_twins(build_fano(), False), (0, 2), "pair occurs in 1 blocks, expected 3"),
+    (_twins(build_fano(), True), (0, 7), "pair occurs in 3 blocks, expected 1"),
+    (_twins(build_affine_plane(2), True), (0, 4), "pair occurs in 3 blocks, expected 1"),
+    (_twins(build_affine_plane(3), False), (0, 2), "pair occurs in 1 blocks, expected 4"),
+    (_twins(build_affine_plane(3), True), (0, 9), "pair occurs in 4 blocks, expected 1"),
+]
+
+
+@pytest.mark.parametrize("s,witness,message", LANE_MAXIMA,
+                         ids=["fano", "AG(2,2)", "fano-twins", "fano-twins-apart",
+                              "AG(2,2)-twins-apart", "AG(2,3)-twins", "AG(2,3)-twins-apart"])
+def test_lanes_hold_counts_up_to_r(s, witness, message):
+    got = outcome(verify_2design, s)
+    assert got == outcome(reference_verify_2design, s)
+    if witness is None:
+        assert got[1].r_replication == 3 and got[1].lambda_pair == 1
+    else:
+        assert got[1] == f"{message} (witness {witness!r})" and got[3] == witness
+
+
+# AG(2,4) with point 4 of line 0 = (0, 4, 8, 12) swapped for point 5 of
+# line 1 = (1, 5, 9, 13): row 0 fails at lanes 4 (0 blocks) and 5 (2
+# blocks), and row 1 at lanes 4 and 5 too
+SWAPPED = IncidenceStructure(16, tuple(
+    {(0, 4, 8, 12): (0, 5, 8, 12), (1, 5, 9, 13): (1, 4, 9, 13)}.get(b, b)
+    for b in build_affine_plane(4).blocks))
+
+
+def test_the_lambda_witness_is_the_first_failing_pair():
+    counts = {}
+    for b in SWAPPED.blocks:
+        for pair in combinations(b, 2):
+            counts[pair] = counts.get(pair, 0) + 1
+    failing = sorted(pair for pair in combinations(range(16), 2) if counts.get(pair, 0) != 1)
+    assert [pair for pair in failing if pair[0] == 0] == [(0, 4), (0, 5)]
+    assert {a for a, _ in failing} > {0, 1}
+    got = outcome(verify_2design, SWAPPED)
+    assert got == outcome(reference_verify_2design, SWAPPED)
+    assert got[1:] == ("pair occurs in 0 blocks, expected 1 (witness (0, 4))", None, (0, 4))
