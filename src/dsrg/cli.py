@@ -255,15 +255,17 @@ def cmd_spectrum(args, parser) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _budget(raw: str) -> int:
-    """argparse type of a budget flag: a nonnegative integer."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type of an integer flag that must be at least low."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,16 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("path")
 
     p_cat = sub.add_parser("catalog", help="enumerate, build and verify all families")
-    p_cat.add_argument("--max-order", type=int, default=110)
+    p_cat.add_argument("--max-order", type=_at_least(1), default=110)
     p_cat.add_argument("--families", help="comma-separated family names")
-    p_cat.add_argument("--multiples", type=int, default=13,
+    p_cat.add_argument("--multiples", type=_at_least(1), default=13,
                        help="largest tensor multiple per instance")
     p_cat.add_argument("--csv", help="also write the rows as CSV")
 
     p_iso = sub.add_parser("iso", help="decide isomorphism of two digraph files")
     p_iso.add_argument("path1")
     p_iso.add_argument("path2")
-    p_iso.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
+    p_iso.add_argument("--budget", type=_at_least(0), default=DEFAULT_NODE_BUDGET)
 
     p_spec = sub.add_parser("spectrum", help="integer spectrum of a parameter tuple")
     for name in ("v", "k", "t", "lam", "mu"):

@@ -171,9 +171,11 @@ class IncidenceStructure:
         so the first failure is named: past the block scan every point is
         an int in range, and a class's n slots then cover 0..n-1 exactly
         when they sort to 0..n-1.  The group
-        checks run in either case, between the two scans.  A point count
-        that is not an int (a float, a bool, NaN) is a TypeError before
-        any block is read.
+        checks run in either case, between the two scans: a group point
+        that is not an int (isinstance, as in the block scan) is a
+        TypeError before the partition test, at one check per point.  A
+        point count that is not an int (a float, a bool, NaN) is a
+        TypeError before any block is read.
         """
         n = self.num_points
         if type(n) is not int:
@@ -185,6 +187,10 @@ class IncidenceStructure:
         if scan:
             _check_blocks(n, self.blocks)
         if self.groups is not None:
+            for i, g in enumerate(self.groups):
+                odd = [p for p in g if not isinstance(p, int)]
+                if odd:
+                    raise TypeError(f"group {i} holds {odd[0]!r}, which is not an int")
             flat = [p for g in self.groups for p in g]
             if sorted(flat) != list(range(n)):
                 raise ValueError("groups do not partition the point set")

@@ -117,6 +117,11 @@ def _images(d: Digraph, perm) -> list[int]:
 
 
 def _require_permutation(perm, n: int) -> None:
+    """TypeError at the first entry that is not an int (a float sorts
+    equal to its int), else ValueError unless perm sorts to 0..n-1."""
+    for i, p in enumerate(perm):
+        if not isinstance(p, int):
+            raise TypeError(f"mapping entry {i} is {p!r}, not an int")
     if sorted(perm) != list(range(n)):
         raise ValueError("mapping is not a permutation")
 

@@ -763,7 +763,8 @@ def reference_validate(num_points, blocks, groups=None, parallel_classes=None):
     """IncidenceStructure's first _validate on plain arguments; raises or returns None.
     A point count that is not an int (a float, a bool, NaN) is a TypeError
     before any block is read, and so is a point that is not an int
-    (isinstance: a bool passes) before its block's range test."""
+    (isinstance: a bool passes) before its block's range test, and a group
+    point that is not an int before the partition test."""
     n = num_points
     if type(n) is not int:
         raise TypeError(f"point count {n!r} is not an int")
@@ -784,6 +785,9 @@ def reference_validate(num_points, blocks, groups=None, parallel_classes=None):
             raise ValueError(f"duplicate block {b}")
         seen.add(b)
     if groups is not None:
+        odd = [(i, p) for i, g in enumerate(groups) for p in g if not isinstance(p, int)]
+        if odd:
+            raise TypeError(f"group {odd[0][0]} holds {odd[0][1]!r}, which is not an int")
         flat = [p for g in groups for p in g]
         if sorted(flat) != list(range(n)):
             raise ValueError("groups do not partition the point set")

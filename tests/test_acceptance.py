@@ -16,9 +16,6 @@ import pytest
 from dsrg import (
     AffineResolvable,
     Gdd,
-    NotGroupDivisibleError,
-    NotPartialGeometryError,
-    NotTwoDesignError,
     TNotMuError,
     Transversal,
     TwoDesignBack,
@@ -41,16 +38,13 @@ from dsrg import (
     feasibility,
     restrict_parallel_classes,
     spectrum,
-    verify_2design,
     verify_dsrg,
-    verify_gdd,
     verify_mapping,
     verify_pg,
 )
 from dsrg.cli import catalog_rows
 from dsrg.iso import ISOMORPHIC
-from oracles import brute_2design, brute_gdd, brute_pg
-from structuregen import random_structures
+from test_properties import SAMPLE, assert_agrees_with_brute_force
 
 FANO = (7, 7, 3, 3, 1)
 
@@ -259,28 +253,10 @@ def test_criterion_09_spectra_and_feasibility():
 
 
 def test_criterion_10_randomized_property_suite():
-    structures = random_structures(200, seed=20250809)
-    assert len(structures) == 200
+    assert len(SAMPLE) == 200
     transposes = 0
-    for s in structures:
-        blocks = [set(b) for b in s.blocks]
-        try:
-            got_pg = tuple(verify_pg(s))
-        except NotPartialGeometryError:
-            got_pg = None
-        assert got_pg == brute_pg(s.num_points, blocks)
-        if s.groups is not None:
-            try:
-                got_gdd = tuple(verify_gdd(s))
-            except NotGroupDivisibleError:
-                got_gdd = None
-            assert got_gdd == brute_gdd(s.num_points, blocks, s.groups)
-        try:
-            d = verify_2design(s)
-            got_2d = (d.v_pts, d.b_blocks, d.k_blocksize, d.r_replication, d.lambda_pair)
-        except NotTwoDesignError:
-            got_2d = None
-        assert got_2d == brute_2design(s.num_points, blocks)
+    for s in SAMPLE:
+        assert_agrees_with_brute_force(s)
         if anti_flags(s):
             assert build_antiflag_backward(s) == build_antiflag_forward(s).transpose()
             transposes += 1

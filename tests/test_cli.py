@@ -25,6 +25,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _iso_files(tmp_path, second=None):
+    """The bundled iso pair, or its first graph and second(first), as dgr files."""
+    d1, d2, _ = bundled_iso_fixture()
+    paths = tmp_path / "a.dgr", tmp_path / "b.dgr"
+    for path, d in zip(paths, (d1, d2 if second is None else second(d1))):
+        path.write_text(d.to_dgr())
+    return [str(path) for path in paths]
+
+
 # ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
@@ -197,12 +206,6 @@ def test_partition_above_the_cap_is_refused_before_its_structure(family, capsys,
                       "above the verification cap 4096\n")
 
 
-def test_negative_budget_flag_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["iso", "a.dgr", "b.dgr", "--budget", "-5"])
-    assert err.value.code == 2
-
-
 def test_budget_flag_that_is_no_integer_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["iso", "a.dgr", "b.dgr", "--budget", "abc"])
@@ -211,14 +214,28 @@ def test_budget_flag_that_is_no_integer_is_a_usage_error(capsys):
         "error: argument --budget: expected an integer, got 'abc'\n")
 
 
+@pytest.mark.parametrize("args", ["iso a.dgr b.dgr --budget -5", "catalog --multiples -3",
+                                  "catalog --multiples 0", "catalog --max-order -1",
+                                  "catalog --max-order 0"])
+def test_integer_flag_below_its_bound_is_a_usage_error(args, capsys):
+    flag, value = args.split()[-2:]
+    low = 0 if flag == "--budget" else 1
+    with pytest.raises(SystemExit) as err:
+        main(args.split())
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: must be at least {low}, got {value}\n")
+
+
+def test_catalog_flags_at_their_bound_give_an_empty_table(capsys):
+    code, stdout, _ = run(capsys, "catalog", "--max-order", "1", "--multiples", "1")
+    assert (code, stdout.count("\n")) == (0, 1)
+
+
 def test_no_budget_is_read_from_the_environment_or_a_block_budget_flag(tmp_path, capsys,
                                                                        monkeypatch):
     monkeypatch.setenv("DSRG_BUDGET", "1")
-    d1, d2, _ = bundled_iso_fixture()
-    p1, p2 = tmp_path / "a.dgr", tmp_path / "b.dgr"
-    p1.write_text(d1.to_dgr())
-    p2.write_text(d2.to_dgr())
-    code, stdout, _ = run(capsys, "iso", str(p1), str(p2))
+    code, stdout, _ = run(capsys, "iso", *_iso_files(tmp_path))
     assert (code, stdout.splitlines()[0]) == (0, "ISOMORPHIC")
     code, stdout, _ = run(capsys, "build", "--family", "gdd", "--l", "2", "--q", "3")
     assert (code, stdout) == (0, "(36, 12, 5, 2, 5) verified\n")
@@ -568,11 +585,7 @@ def test_catalog_rejects_unknown_family(capsys):
 # ---------------------------------------------------------------------------
 
 def test_iso_cli_isomorphic(tmp_path, capsys):
-    d1, d2, _ = bundled_iso_fixture()
-    p1, p2 = tmp_path / "a.dgr", tmp_path / "b.dgr"
-    p1.write_text(d1.to_dgr())
-    p2.write_text(d2.to_dgr())
-    code, stdout, _ = run(capsys, "iso", str(p1), str(p2))
+    code, stdout, _ = run(capsys, "iso", *_iso_files(tmp_path))
     assert code == 0
     lines = stdout.splitlines()
     assert lines[0] == "ISOMORPHIC"
@@ -581,10 +594,7 @@ def test_iso_cli_isomorphic(tmp_path, capsys):
 
 def test_iso_cli_reports_counters_on_stderr(tmp_path, capsys):
     d1, d2, _ = bundled_iso_fixture()
-    p1, p2 = tmp_path / "a.dgr", tmp_path / "b.dgr"
-    p1.write_text(d1.to_dgr())
-    p2.write_text(d2.to_dgr())
-    code, stdout, stderr = run(capsys, "iso", str(p1), str(p2))
+    code, stdout, stderr = run(capsys, "iso", *_iso_files(tmp_path))
     result = are_isomorphic(d1, d2)
     assert code == 0
     mapping = "".join(f"{u} -> {v}\n" for u, v in enumerate(result.mapping))
@@ -594,21 +604,13 @@ def test_iso_cli_reports_counters_on_stderr(tmp_path, capsys):
 
 
 def test_iso_cli_not_isomorphic(tmp_path, capsys):
-    d1, _, _ = bundled_iso_fixture()
-    p1, p2 = tmp_path / "a.dgr", tmp_path / "b.dgr"
-    p1.write_text(d1.to_dgr())
-    p2.write_text(d1.transpose().to_dgr())
-    code, stdout, _ = run(capsys, "iso", str(p1), str(p2))
+    code, stdout, _ = run(capsys, "iso", *_iso_files(tmp_path, Digraph.transpose))
     assert code == 1
     assert "NOT ISOMORPHIC" in stdout
 
 
 def test_iso_cli_budget(tmp_path, capsys):
-    d1, d2, _ = bundled_iso_fixture()
-    p1, p2 = tmp_path / "a.dgr", tmp_path / "b.dgr"
-    p1.write_text(d1.to_dgr())
-    p2.write_text(d2.to_dgr())
-    code, stdout, _ = run(capsys, "iso", str(p1), str(p2), "--budget", "1")
+    code, stdout, _ = run(capsys, "iso", *_iso_files(tmp_path), "--budget", "1")
     assert code == 2
     assert "BUDGET EXCEEDED" in stdout
 

@@ -50,7 +50,7 @@ from oracles import (
     reference_to_dgr,
     schoolbook_square,
 )
-from test_verify import _blow_up_rows
+from test_verify import _blow_up_rows, _count_calls
 
 
 def cycle(n):
@@ -343,16 +343,6 @@ def test_dgr_repeated_lines_share_one_row_object():
     d = build_digraph(Transversal(3))
     rows = Digraph.from_dgr(d.to_dgr()).rows
     assert len({id(row) for row in rows}) == len(set(rows)) < d.n
-
-
-def _count_calls(monkeypatch, name):
-    calls = []
-    real = getattr(dsrg.digraph, name)
-    def counted(*args):
-        calls.append(args[0])
-        return real(*args)
-    monkeypatch.setattr(dsrg.digraph, name, counted)
-    return calls
 
 
 def test_dgr_io_works_once_per_distinct_row(monkeypatch):

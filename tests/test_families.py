@@ -189,7 +189,7 @@ def test_ap_pencils_build_matches_formula(q, l):
     assert verify_dsrg(build_digraph(spec)) == expected_params(spec)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_transversal_build_matches_formula(q):
     spec = Transversal(q)
     assert verify_dsrg(build_digraph(spec)) == expected_params(spec)

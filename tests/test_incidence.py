@@ -365,7 +365,7 @@ def test_gdd_always_verifies_with_power_pair_index(l, q):
     assert verify_gdd(build_gdd(l, q)) == (l, q, q ** (l - 2))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_every_pencil_restriction_is_a_partial_geometry(q):
     ap = build_affine_plane(q)
     for l in range(2, q + 2):

@@ -203,6 +203,9 @@ GROUPED_CASES = [
     (True, ((0,),), None, ((0,),)),
     (math.nan, ((0, 1), (2, 3)), None, ((0, 1),)),
     (4.0, (), None, ()),
+    (4, ((0, 2), (0, 3), (1, 2), (1, 3)), ((0, 1.0), (2, 3)), None),   # before the partition
+    (4, ((0, 1),), ((0, 1), ("2", 3)), None),
+    (4, ((0, 1),), ((0, True), (2, 3)), None),     # a bool passes, as in a block
 ]
 
 

@@ -131,6 +131,10 @@ def test_apply_mapping_refuses_a_non_permutation_before_any_work(monkeypatch):
     for perm in (list(range(d.n - 1)), list(range(d.n + 1))):
         with pytest.raises(SizeMismatchError):
             apply_mapping(d, perm)
+    floats = [float(v) if v == 5 else v for v in range(d.n)]   # 5.0 sorts equal to 5
+    for check in (apply_mapping, lambda d, perm: verify_mapping(d, d, perm)):
+        with pytest.raises(TypeError, match=r"^mapping entry 5 is 5\.0, not an int$"):
+            check(d, floats)
 
 
 def test_bundled_fixture_passes():

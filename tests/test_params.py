@@ -56,7 +56,8 @@ def test_feasibility_refuses_entries_at_the_bound():
                             ((10 ** 5000, 3, 1, 0, 0), "v", 16610),
                             ((10, 3, 1, 0, -MAX_ENTRY), "mu", 3322),
                             ((10 ** 2200,) * 5, "v", 7309)]:
-        with pytest.raises(TooLargeError, match=rf"^{name} has {bits} bits; "):
+        with pytest.raises(TooLargeError, match=rf"^{name} has {bits} bits; entries must be "
+                                                rf"below 10\*\*1000 in absolute value$"):
             feasibility(*tup)
 
 

@@ -21,9 +21,9 @@ from structuregen import random_structures
 SAMPLE = random_structures(200, seed=20250809)
 
 
-@pytest.mark.parametrize("idx", range(len(SAMPLE)))
-def test_verifiers_agree_with_brute_force(idx):
-    s = SAMPLE[idx]
+def assert_agrees_with_brute_force(s):
+    """verify_pg, verify_gdd (where s has groups) and verify_2design on s
+    give the brute-force axioms' verdicts."""
     blocks = [set(b) for b in s.blocks]
 
     try:
@@ -45,6 +45,11 @@ def test_verifiers_agree_with_brute_force(idx):
     except NotTwoDesignError:
         got = None
     assert got == brute_2design(s.num_points, blocks)
+
+
+@pytest.mark.parametrize("idx", range(len(SAMPLE)))
+def test_verifiers_agree_with_brute_force(idx):
+    assert_agrees_with_brute_force(SAMPLE[idx])
 
 
 @pytest.mark.parametrize("idx", range(len(SAMPLE)))

@@ -399,6 +399,18 @@ def test_small_digraphs_like_the_reference(threshold, monkeypatch):
     assert seen == {"DsrgParams": 5, "NonConstantError": 60, "NotRegularError": 1801}
 
 
+def _count_calls(monkeypatch, name):
+    """The first argument of each call of dsrg.digraph's name from now on."""
+    calls = []
+    real = getattr(dsrg.digraph, name)
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(dsrg.digraph, name, counted)
+    return calls
+
+
 def test_small_digraphs_of_order_6_reach_the_difference_kernel(differences_everywhere,
                                                                 monkeypatch):
     """The v = 6 graphs of small_digraphs that take the by-class path
@@ -406,13 +418,7 @@ def test_small_digraphs_of_order_6_reach_the_difference_kernel(differences_every
     that are DSRGs, the three labellings of K_{2,2,2} reach classes 1 and
     2 by differences (K_{3,3} sums its second class fresh), so a
     difference taken from a stale row is caught here."""
-    differences = []
-    kernel = dsrg.digraph._square_row_by_difference
-
-    def counted(*args):
-        differences.append(args)
-        return kernel(*args)
-    monkeypatch.setattr(dsrg.digraph, "_square_row_by_difference", counted)
+    differences = _count_calls(monkeypatch, "_square_row_by_difference")
     seen = Counter()
     for d in small_digraphs(6):
         if len(d.distinct) <= d.rows[0].bit_count():
@@ -445,13 +451,7 @@ def test_transversal_7_and_same_block_swaps_like_the_reference(monkeypatch):
     d = build_digraph(Transversal(7))
     assert len(d.distinct) >= dsrg.digraph._DIFFERENCE_MIN_CLASSES
     _same_as_reference(d, verify_dsrg(d), "transversal 7")
-    differences = []
-    kernel = dsrg.digraph._square_row_by_difference
-
-    def counted(*args):
-        differences.append(args)
-        return kernel(*args)
-    monkeypatch.setattr(dsrg.digraph, "_square_row_by_difference", counted)
+    differences = _count_calls(monkeypatch, "_square_row_by_difference")
     rng = random.Random(f"{SEED} transversal 7")
     for _ in range(3):
         a, b, c, e = _same_block_swap(d, rng)
